@@ -34,7 +34,6 @@ namespace {
 using namespace hcg;
 
 constexpr int kExitRegression = 9;
-constexpr int kFarmActors = 16;
 
 // ---- suites ---------------------------------------------------------------
 
@@ -112,6 +111,27 @@ std::vector<bench::BenchMetric> suite_codegen() {
         "fir_bench.dfsynth_o2.buffers_relocated", r.buffers_relocated));
     metrics.push_back(bench::count_metric(
         "fir_bench.dfsynth_o2.stride1_accesses", r.stride1_accesses));
+  }
+
+  // Algorithm 1 memo facts: 64 farm actors over 16 distinct keys, so a cold
+  // generation measures each key once and answers the other 48 from the
+  // in-run memo.
+  {
+    Model model = resolved(benchmodels::intensive_farm_model(64, false));
+    obs::Counter& precalc =
+        obs::Registry::instance().counter("synth.precalc.runs");
+    obs::Counter& dedup =
+        obs::Registry::instance().counter("synth.pool.dedup_hits");
+    const std::uint64_t precalc_before = precalc.value();
+    const std::uint64_t dedup_before = dedup.value();
+    synth::SelectionHistory history;
+    (void)emit_hcg(model, &history);
+    metrics.push_back(bench::count_metric(
+        "farm64.precalc_runs",
+        static_cast<double>(precalc.value() - precalc_before)));
+    metrics.push_back(bench::count_metric(
+        "farm64.dedup_hits",
+        static_cast<double>(dedup.value() - dedup_before)));
   }
   return metrics;
 }
@@ -342,58 +362,6 @@ std::vector<bench::BenchMetric> suite_range() {
   return metrics;
 }
 
-/// Parallel synthesis engine: jobs sweep speedup (noisy) plus the
-/// single-flight dedup counters (deterministic).
-std::vector<bench::BenchMetric> suite_parallel() {
-  std::vector<bench::BenchMetric> metrics;
-
-  auto farm_seconds = [](const Model& model, int jobs) {
-    codegen::EmitConfig config;
-    config.tool_name = "hcg";
-    config.batch_mode = codegen::BatchMode::kRegions;
-    config.isa = &isa::builtin("neon_sim");
-    config.select_intensive = true;  // fresh history: every key measures
-    config.fold_scalar_expressions = true;
-    config.reuse_buffers = true;
-    config.jobs = jobs;
-    double best = 1e30;
-    for (int rep = 0; rep < 3; ++rep) {
-      Stopwatch timer;
-      codegen::GeneratedCode code = codegen::emit_model(model, config);
-      (void)code;
-      best = std::min(best, timer.elapsed_seconds());
-    }
-    return best;
-  };
-
-  const Model distinct = benchmodels::intensive_farm_model(kFarmActors, true);
-  const double serial = farm_seconds(distinct, 1);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const double wide = farm_seconds(distinct, static_cast<int>(hw));
-  metrics.push_back(bench::time_metric(
-      "farm.codegen_seconds",
-      bench::measured("farm.codegen_seconds", serial)));
-  metrics.push_back(bench::ratio_metric("farm.speedup_jobs",
-                                        serial / std::max(wide, 1e-12)));
-
-  const Model duplicated =
-      benchmodels::intensive_farm_model(kFarmActors, false);
-  obs::Counter& precalc =
-      obs::Registry::instance().counter("synth.precalc.runs");
-  obs::Counter& dedup =
-      obs::Registry::instance().counter("synth.pool.dedup_hits");
-  const std::uint64_t precalc_before = precalc.value();
-  const std::uint64_t dedup_before = dedup.value();
-  (void)farm_seconds(duplicated, 1);  // 3 emits; counters split evenly
-  metrics.push_back(bench::count_metric(
-      "farm.precalc_runs",
-      static_cast<double>((precalc.value() - precalc_before) / 3)));
-  metrics.push_back(bench::count_metric(
-      "farm.dedup_hits",
-      static_cast<double>((dedup.value() - dedup_before) / 3)));
-  return metrics;
-}
-
 struct Suite {
   const char* name;
   /// Instruction table the suite's codegen targets; recorded in the env
@@ -407,7 +375,6 @@ const Suite kSuites[] = {
     {"exec", "neon_sim", suite_exec},
     {"sve", "sve", suite_sve},
     {"range", "neon_sim", suite_range},
-    {"parallel", "neon_sim", suite_parallel},
 };
 
 // ---- baseline comparison --------------------------------------------------
@@ -436,7 +403,8 @@ void check_suite(const std::string& suite, const obs::JsonValue& baseline,
   // Environment fingerprint: noisy metrics only gate when every recorded
   // field matches.  `mismatch` names the first disagreeing field so the
   // skip line says *why* the baseline does not apply here.  Fields the
-  // baseline never recorded (older schema) constrain nothing.
+  // baseline never recorded (older schema) constrain nothing, and fields
+  // this run no longer records (an old baseline's "jobs") are ignored.
   const obs::JsonValue* base_env = baseline.find("env");
   std::string mismatch;
   char detail[160] = "";
@@ -446,18 +414,6 @@ void check_suite(const std::string& suite, const obs::JsonValue& baseline,
       mismatch = "cpus";
       std::snprintf(detail, sizeof(detail), "baseline cpus=%llu, here %u",
                     static_cast<unsigned long long>(base_cpus), env.cpus);
-    }
-  }
-  if (mismatch.empty()) {
-    if (const obs::JsonValue* v =
-            base_env ? base_env->find("jobs") : nullptr) {
-      const auto base_jobs = static_cast<std::uint64_t>(v->number);
-      if (base_jobs != env.jobs) {
-        mismatch = "jobs";
-        std::snprintf(detail, sizeof(detail),
-                      "baseline HCG_JOBS=%llu, here %u",
-                      static_cast<unsigned long long>(base_jobs), env.jobs);
-      }
     }
   }
   if (mismatch.empty()) {
@@ -555,7 +511,7 @@ void usage(FILE* out) {
                "BENCH_<suite>.json files\n"
                "  --out DIR           where to write results (default .)\n"
                "  --suite NAME        run one suite (repeatable; default "
-               "all: codegen exec sve range parallel)\n"
+               "all: codegen exec sve range)\n"
                "  --threshold PCT     relative tolerance for time/ratio "
                "metrics (default 40)\n"
                "  --strict            gate noisy metrics even when the cpu "

@@ -219,9 +219,6 @@ inline BenchMetric ratio_metric(std::string name, double value,
 /// numbers).
 struct BenchEnv {
   unsigned cpus = 0;
-  /// HCG_JOBS at record time (0 = unset): a baseline recorded with pinned
-  /// worker threads must not gate a run using the hardware default.
-  unsigned jobs = 0;
   /// First line of `gcc --version` ("unknown" without a toolchain): exec
   /// suite numbers depend on the compiler that built the generated code.
   std::string cc;
@@ -237,11 +234,6 @@ struct BenchEnv {
 inline BenchEnv bench_env() {
   BenchEnv env;
   env.cpus = std::thread::hardware_concurrency();
-  if (const char* jobs_env = std::getenv("HCG_JOBS");
-      jobs_env != nullptr && *jobs_env != '\0') {
-    const int parsed = std::atoi(jobs_env);
-    if (parsed > 0) env.jobs = static_cast<unsigned>(parsed);
-  }
 #ifdef NDEBUG
   env.flags = "release";
 #else
@@ -299,7 +291,6 @@ inline std::string bench_json(const std::string& suite, const BenchEnv& env,
   json.key("suite").value(suite);
   json.key("env").begin_object();
   json.key("cpus").value(static_cast<std::uint64_t>(env.cpus));
-  json.key("jobs").value(static_cast<std::uint64_t>(env.jobs));
   json.key("cc").value(env.cc);
   json.key("isa").value(env.isa);
   json.key("flags").value(env.flags);

@@ -49,11 +49,11 @@ Model batch_chain_model(int actors, int n = 1024);
 
 /// A wide farm of `actors` independent intensive actors (FFT / DCT / Conv /
 /// MatMul round-robin), each with its own Inport(s) and Outport — the
-/// parallel-synthesis workload: every actor triggers an Algorithm 1
-/// pre-calculation sweep.  With `distinct_keys` every actor gets a unique
-/// (type, dtype, shapes) selection key; otherwise the sizes cycle through
-/// four variants per kind, so 64 actors share 16 keys and the single-flight
-/// dedup layer collapses the rest.  Sizes stay small enough that one sweep
+/// Algorithm 1 workload: every actor triggers a pre-calculation sweep.
+/// With `distinct_keys` every actor gets a unique (type, dtype, shapes)
+/// selection key; otherwise the sizes cycle through four variants per kind,
+/// so 64 actors share 16 keys and the in-run SelectionMemo collapses the
+/// rest.  Sizes stay small enough that one sweep
 /// is milliseconds, not seconds.
 Model intensive_farm_model(int actors, bool distinct_keys = true);
 

@@ -81,7 +81,7 @@ struct PassOptions {
   bool localize_strips = false;
   /// Tile width for tile_scalar_loops; 0 picks a static heuristic.  Must
   /// be derived deterministically (never from timings): generated code is
-  /// byte-identical across runs and job counts.
+  /// byte-identical across runs.
   int tile_elems = 0;
   PassHook after_pass;       // optional per-pass checkpoint (verifier)
 };

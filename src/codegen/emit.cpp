@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <future>
 #include <set>
 
 #include "actors/catalog.hpp"
@@ -24,7 +23,6 @@
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 
 namespace hcg::codegen {
 
@@ -55,11 +53,6 @@ class Emitter {
     out_.report.actor_count = model_.actor_count();
     out_.report.phases.push_back({"resolve", resolve_ms_});
 
-    // The synthesis pool: intensive pre-calculation sweeps and Algorithm 2
-    // region matching fan out over it; everything else stays on this thread.
-    ThreadPool pool(config_.jobs);
-    obs::Registry::instance().gauge("synth.pool.threads").set(pool.size());
-
     Stopwatch phase;
     {
       HCG_TRACE_SCOPE("emit.regions");
@@ -70,7 +63,7 @@ class Emitter {
     finish_phase("regions", phase);
     {
       HCG_TRACE_SCOPE("emit.intensive");
-      select_intensive_implementations(pool);
+      select_intensive_implementations();
     }
     finish_phase("intensive_select", phase);
     {
@@ -81,7 +74,7 @@ class Emitter {
     finish_phase("plan", phase);
     {
       HCG_TRACE_SCOPE("emit.batch");
-      synthesize_regions(pool);
+      synthesize_regions();
     }
     finish_phase("batch_synth", phase);
     {
@@ -419,66 +412,14 @@ class Emitter {
     }
   }
 
-  /// Fans `task(0..count-1)` out over the pool and collects the results in
-  /// index order.  Every task is awaited even on failure (nothing may still
-  /// reference this stack frame afterwards); the first exception, in index
-  /// order, is rethrown once all tasks have finished.
-  template <typename Result, typename Task>
-  static std::vector<Result> run_indexed(ThreadPool& pool, std::size_t count,
-                                         const Task& task) {
-    static obs::Counter& tasks_metric =
-        obs::Registry::instance().counter("synth.pool.tasks");
-    std::vector<std::future<Result>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(pool.submit([&task, i] { return task(i); }));
-      tasks_metric.add();
-    }
-    obs::Registry::instance()
-        .gauge("synth.pool.queue_depth")
-        .set(static_cast<double>(pool.pending()));
-    std::vector<Result> results;
-    results.reserve(count);
-    std::exception_ptr first_error;
-    for (std::future<Result>& future : futures) {
-      try {
-        results.push_back(future.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-        results.emplace_back();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return results;
-  }
-
-  void select_intensive_implementations(ThreadPool& pool) {
+  void select_intensive_implementations() {
     const kernels::CodeLibrary& library = kernels::CodeLibrary::instance();
-    std::vector<const Actor*> intensive;
+    synth::SelectionHistory* history =
+        config_.history != nullptr ? config_.history : &local_history_;
+    // Algorithm 1 in model order; the memo makes duplicate (type, dtype,
+    // shapes) keys share one measurement.
     for (const Actor& actor : model_.actors()) {
       if (classify(model_, actor.id()) != ActorKind::kIntensive) continue;
-      intensive.push_back(&actor);
-    }
-    if (intensive.empty()) return;
-
-    // Algorithm 1 sweeps run concurrently; the single-flight selector makes
-    // duplicate (type, dtype, shapes) keys share one measurement, whether
-    // the duplicates race in parallel or arrive sequentially at --jobs 1.
-    std::vector<synth::IntensiveSelection> selections;
-    if (config_.select_intensive) {
-      synth::SelectionHistory* history =
-          config_.history != nullptr ? config_.history : &local_history_;
-      selections = run_indexed<synth::IntensiveSelection>(
-          pool, intensive.size(), [&](std::size_t i) {
-            return selector_.select(*intensive[i], *history,
-                                    config_.intensive_options);
-          });
-    }
-
-    // Report entries, impl bindings and kernel sources are committed on this
-    // thread in model order, so the output is identical at every job count.
-    for (std::size_t i = 0; i < intensive.size(); ++i) {
-      const Actor& actor = *intensive[i];
       const DataType dtype = actor.input(0).type;
       obs::ReportIntensive entry;
       entry.actor = actor.name();
@@ -486,7 +427,8 @@ class Emitter {
       entry.dtype = std::string(short_name(dtype));
       const kernels::KernelImpl* impl = nullptr;
       if (config_.select_intensive) {
-        const synth::IntensiveSelection& selection = selections[i];
+        const synth::IntensiveSelection selection =
+            memo_.select(actor, *history, config_.intensive_options);
         impl = selection.impl;
         entry.selected = true;
         entry.from_history = selection.from_history;
@@ -517,21 +459,17 @@ class Emitter {
     }
   }
 
-  /// Runs Algorithm 2 over every batch region concurrently (regions are
-  /// independent dataflow graphs) and caches the results; emit_step() then
-  /// merges them in deterministic region order.  Buffer names are planned
-  /// by the time this runs, so the tasks only read shared state.
-  void synthesize_regions(ThreadPool& pool) {
-    if (regions_.empty()) return;
-    region_synth_ = run_indexed<synth::BatchSynthResult>(
-        pool, regions_.size(), [this](std::size_t r) {
-          return synth::synthesize_batch(
-              model_, regions_[r], *config_.isa,
-              [this](ActorId id, int port) {
-                return buffer_name_.at({id, port});
-              },
-              config_.batch_options, /*indent=*/1);
-        });
+  /// Runs Algorithm 2 over every batch region and caches the results in
+  /// region order; emit_step() then merges them.  Buffer names are planned
+  /// by the time this runs.
+  void synthesize_regions() {
+    region_synth_.reserve(regions_.size());
+    for (const BatchRegion& region : regions_) {
+      region_synth_.push_back(synth::synthesize_batch(
+          model_, region, *config_.isa,
+          [this](ActorId id, int port) { return buffer_name_.at({id, port}); },
+          config_.batch_options, /*indent=*/1));
+    }
   }
 
   /// Expression folding: single-consumer scalar elementwise/constant signals
@@ -1207,8 +1145,7 @@ class Emitter {
   /// Static tile width for the -O2 tiling pass when EmitConfig does not pin
   /// one: four vector strides of the widest planned region loop (so one tile
   /// is a handful of full SIMD iterations), 16 when nothing vectorized.
-  /// Never derived from timings — output must be byte-identical across runs
-  /// and job counts.
+  /// Never derived from timings — output must be byte-identical across runs.
   int derive_tile_elems() const {
     int lanes = 0;
     for (const cgir::Stmt& stmt : tu_.step.body) {
@@ -1340,9 +1277,9 @@ class Emitter {
   /// Per-region Algorithm 2 results, index-aligned with regions_.
   std::vector<synth::BatchSynthResult> region_synth_;
   std::vector<EmissionItem> order_;
-  /// In-run single-flight cache + fallback history for Algorithm 1 (used
-  /// when the caller provides no persistent history).
-  synth::SingleFlightSelector selector_;
+  /// In-run memo + fallback history for Algorithm 1 (used when the caller
+  /// provides no persistent history).
+  synth::SelectionMemo memo_;
   synth::SelectionHistory local_history_;
   std::map<ActorId, const kernels::KernelImpl*> intensive_impl_;
   std::set<std::string> kernel_sources_;

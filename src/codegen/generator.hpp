@@ -36,11 +36,6 @@ enum class BatchMode : std::uint8_t {
 struct EmitConfig {
   std::string tool_name = "hcg";
   BatchMode batch_mode = BatchMode::kRegions;
-  /// Worker threads for the parallel synthesis engine (intensive actor
-  /// pre-calculation and Algorithm 2 region matching).  0 = the process
-  /// default (`hcgc --jobs`, HCG_JOBS, else hardware concurrency); 1 runs
-  /// everything inline on the calling thread.
-  int jobs = 0;
   /// Instruction table for kScattered / kRegions; may be null otherwise.
   const isa::VectorIsa* isa = nullptr;
   /// kUnrollThenLoops: arrays up to this length are fully unrolled.

@@ -46,8 +46,6 @@ const std::vector<SiteInfo>& site_catalog() {
        "pass name", "any action corrupts the IR after the pass runs"},
       {"fileio.write", "support/fileio",
        "destination path", "fail/throw error out; torn stops half-way"},
-      {"pool.task", "support/thread_pool",
-       "(none)", "any action throws FaultInjected at task start"},
       {"precalc.measure", "synth/intensive",
        "implementation id", "candidate dropped (fail=compile, throw=crash, "
        "timeout=timeout)"},

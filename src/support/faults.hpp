@@ -1,9 +1,9 @@
 // Deterministic fault injection for robustness testing (docs/ROBUSTNESS.md).
 //
 // Production code plants *probes* at the places that can fail in the wild —
-// file writes, compiler invocations, candidate measurements, pool tasks —
-// and the test (or the HCG_FAULTS environment variable) arms a registry of
-// rules describing which probes must misbehave and how:
+// file writes, compiler invocations, candidate measurements — and the test
+// (or the HCG_FAULTS environment variable) arms a registry of rules
+// describing which probes must misbehave and how:
 //
 //   HCG_FAULTS="toolchain.compile=fail@2,fileio.write=torn,precalc.measure=throw"
 //

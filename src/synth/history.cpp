@@ -1,7 +1,5 @@
 #include "synth/history.hpp"
 
-#include <functional>
-
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/fileio.hpp"
@@ -22,17 +20,11 @@ std::string selection_key(std::string_view actor_type, DataType dtype,
   return out;
 }
 
-std::size_t SelectionHistory::shard_index(std::string_view key) {
-  return std::hash<std::string_view>{}(key) % kShards;
-}
-
 void SelectionHistory::copy_from(const SelectionHistory& other) {
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::lock_guard<std::mutex> lock(other.shards_[i].mutex);
-    shards_[i].entries = other.shards_[i].entries;
-  }
-  hits_.store(other.hits(), std::memory_order_relaxed);
-  misses_.store(other.misses(), std::memory_order_relaxed);
+  std::scoped_lock lock(mutex_, other.mutex_);
+  entries_ = other.entries_;
+  hits_ = other.hits_;
+  misses_ = other.misses_;
 }
 
 SelectionHistory& SelectionHistory::operator=(const SelectionHistory& other) {
@@ -56,15 +48,14 @@ std::optional<std::string> SelectionHistory::lookup(
   static obs::Counter& miss_metric =
       obs::Registry::instance().counter("synth.history.misses");
   const std::string key = selection_key(actor_type, dtype, in_shapes);
-  const Shard& shard = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++misses_;
     miss_metric.add();
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++hits_;
   hit_metric.add();
   return it->second;
 }
@@ -73,37 +64,40 @@ void SelectionHistory::store(std::string_view actor_type, DataType dtype,
                              const std::vector<Shape>& in_shapes,
                              std::string_view impl_id) {
   std::string key = selection_key(actor_type, dtype, in_shapes);
-  Shard& shard = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.entries[std::move(key)] = std::string(impl_id);
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_[std::move(key)] = std::string(impl_id);
 }
 
 std::size_t SelectionHistory::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 void SelectionHistory::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.clear();
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
+}
+
+std::uint64_t SelectionHistory::hits() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return hits_;
+}
+
+std::uint64_t SelectionHistory::misses() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return misses_;
+}
+
+void SelectionHistory::reset_stats() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  hits_ = 0;
+  misses_ = 0;
 }
 
 std::string SelectionHistory::serialize() const {
-  // Merge the shards so the text form is sorted by key, independent of the
-  // shard hash — serialized histories diff cleanly across runs.
-  std::map<std::string, std::string> merged;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    merged.insert(shard.entries.begin(), shard.entries.end());
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
-  for (const auto& [k, v] : merged) {
+  for (const auto& [k, v] : entries_) {
     out += k + " -> " + v + "\n";
   }
   return out;
@@ -117,9 +111,7 @@ SelectionHistory SelectionHistory::deserialize(std::string_view text) {
     if (arrow == std::string::npos) {
       throw ParseError("bad selection-history line: '" + line + "'");
     }
-    std::string key = line.substr(0, arrow);
-    Shard& shard = history.shards_[shard_index(key)];
-    shard.entries[std::move(key)] = line.substr(arrow + 4);
+    history.entries_[line.substr(0, arrow)] = line.substr(arrow + 4);
   }
   return history;
 }
@@ -145,8 +137,7 @@ SelectionHistory SelectionHistory::deserialize_tolerant(std::string_view text,
       dropped_metric.add();
       continue;
     }
-    Shard& shard = history.shards_[shard_index(key)];
-    shard.entries[std::move(key)] = std::move(value);
+    history.entries_[std::move(key)] = std::move(value);
     ++local.loaded;
   }
   if (local.dropped > 0) {

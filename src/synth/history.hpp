@@ -2,13 +2,11 @@
 // (actor type, data type, data size) -> chosen implementation, so repeated
 // synthesis of the same actor shape skips the pre-calculation run.
 //
-// Thread-safe: the entry map is sharded under per-shard mutexes (lookups of
-// different keys rarely contend) and the hit/miss statistics are atomic, so
-// the parallel synthesis engine can consult one history from every worker.
+// Thread-safe: one mutex guards the entry map and the hit/miss statistics,
+// so several generations may share one history.
 #pragma once
 
-#include <array>
-#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -21,8 +19,8 @@
 
 namespace hcg::synth {
 
-/// The canonical history key, "FFT c64 1024" — also the single-flight dedup
-/// key of the parallel pre-calculation layer.
+/// The canonical history key, "FFT c64 1024" — also the key of the in-run
+/// SelectionMemo.
 std::string selection_key(std::string_view actor_type, DataType dtype,
                           const std::vector<Shape>& in_shapes);
 
@@ -49,18 +47,12 @@ class SelectionHistory {
   /// Lookup statistics since construction (a warm history shows hits, a cold
   /// one only misses).  Also mirrored into the process-wide metrics as
   /// synth.history.hits / synth.history.misses.
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  void reset_stats() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const;
+  std::uint64_t misses() const;
+  void reset_stats();
 
   /// Line-based text form: "FFT c64 1024 fft_radix4".  Entries are emitted
-  /// in key order regardless of which shard holds them, so the serialized
-  /// form is deterministic.
+  /// in key order, so the serialized form is deterministic.
   std::string serialize() const;
   static SelectionHistory deserialize(std::string_view text);
 
@@ -88,18 +80,12 @@ class SelectionHistory {
                                LoadStats* stats = nullptr);
 
  private:
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<std::string, std::string> entries;
-  };
-
-  static std::size_t shard_index(std::string_view key);
   void copy_from(const SelectionHistory& other);
 
-  std::array<Shard, kShards> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
+  mutable std::mutex mutex_;
+  std::map<std::string, std::string> entries_;
+  mutable std::uint64_t hits_ = 0;
+  mutable std::uint64_t misses_ = 0;
 };
 
 }  // namespace hcg::synth

@@ -1,6 +1,7 @@
 #include "synth/intensive.hpp"
 
 #include <limits>
+#include <mutex>
 
 #include "actors/exec.hpp"
 #include "obs/metrics.hpp"
@@ -64,10 +65,10 @@ void drop_candidate(IntensiveSelection& result, const Actor& actor,
   result.failures.push_back({impl_id, reason, detail});
 }
 
-/// Serializes the stopwatch windows of concurrent pre-calculations: no two
-/// candidates are ever timed at once, so a measurement never competes with
-/// another measurement for cores, caches or memory bandwidth.  Warm-up runs
-/// and input generation deliberately stay outside this mutex.
+/// Serializes the stopwatch windows of generations running concurrently in
+/// one process: no two candidates are ever timed at once, so a measurement
+/// never competes with another measurement for cores, caches or memory
+/// bandwidth.  Warm-up runs and input generation stay outside this mutex.
 std::mutex& measurement_mutex() {
   static std::mutex mutex;
   return mutex;
@@ -216,46 +217,24 @@ IntensiveSelection select_implementation(const Actor& actor,
   return result;
 }
 
-IntensiveSelection SingleFlightSelector::select(const Actor& actor,
-                                                SelectionHistory& history,
-                                                const IntensiveOptions& options) {
+IntensiveSelection SelectionMemo::select(const Actor& actor,
+                                         SelectionHistory& history,
+                                         const IntensiveOptions& options) {
   static obs::Counter& dedup_metric =
       obs::Registry::instance().counter("synth.pool.dedup_hits");
-  require(actor.is_resolved(), "SingleFlightSelector: unresolved actor");
+  require(actor.is_resolved(), "SelectionMemo: unresolved actor");
   const std::string key =
       selection_key(actor.type(), actor.input(0).type, input_shapes(actor));
-
-  std::promise<IntensiveSelection> promise;
-  std::shared_future<IntensiveSelection> shared;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = done_.try_emplace(key);
-    if (inserted) {
-      it->second = promise.get_future().share();
-      leader = true;
-    }
-    shared = it->second;
-  }
-
-  if (!leader) {
-    // Follower: the measurement is (or was) in flight — share its result.
-    dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (auto it = done_.find(key); it != done_.end()) {
+    ++dedup_hits_;
     dedup_metric.add();
-    IntensiveSelection result = shared.get();
+    IntensiveSelection result = it->second;
     result.deduped = true;
     return result;
   }
-
-  try {
-    IntensiveSelection result = select_implementation(actor, history, options);
-    promise.set_value(result);
-    return result;
-  } catch (...) {
-    // Followers blocked on the future see the same error the leader throws.
-    promise.set_exception(std::current_exception());
-    throw;
-  }
+  IntensiveSelection result = select_implementation(actor, history, options);
+  done_.emplace(key, result);
+  return result;
 }
 
 }  // namespace hcg::synth

@@ -5,18 +5,13 @@
 // and size is run on randomly generated test input of exactly that size, and
 // the cheapest wins.  Results are memoized in a SelectionHistory.
 //
-// Concurrency: select_implementation may be called from many threads at
-// once (the parallel synthesis engine does exactly that).  Input generation,
-// warm-up and can_handle filtering run fully parallel; only the timed
-// repetitions serialize through a process-wide measurement mutex, so no two
-// stopwatch windows ever overlap and the measured numbers stay trustworthy.
-// SingleFlightSelector adds the dedup layer on top: concurrent requests for
-// the same (type, dtype, shapes) key share one measurement run.
+// Only the timed repetitions hold a process-wide measurement mutex, so no
+// two stopwatch windows ever overlap, even when several generations run in
+// one process.  SelectionMemo adds in-run memoization on top: duplicate
+// (type, dtype, shapes) keys in one generation share one measurement.
 #pragma once
 
-#include <future>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "kernels/library.hpp"
@@ -31,8 +26,7 @@ struct IntensiveOptions {
   /// Per-candidate measurement budget: once the timed repetitions have
   /// consumed this much wall clock, the loop stops early (at least one
   /// repetition always runs).  Long kernel runs are noise-robust, so extra
-  /// repetitions only stretch the serialized measurement section that
-  /// every other synthesis thread waits behind.  <= 0 disables the budget.
+  /// repetitions only stretch code generation.  <= 0 disables the budget.
   double measure_budget_seconds = 2e-3;
   /// Consult/update the selection history (Algorithm 1 lines 3-6, 18).
   bool use_history = true;
@@ -53,8 +47,8 @@ struct CandidateFailure {
 struct IntensiveSelection {
   const kernels::KernelImpl* impl = nullptr;
   bool from_history = false;
-  /// True when this result was shared from another in-flight or completed
-  /// selection of the same key instead of being measured again.
+  /// True when this result was shared from an earlier selection of the
+  /// same key in this run instead of being measured again.
   bool deduped = false;
   /// impl id -> measured seconds (empty on a history hit).
   std::map<std::string, double> measured_costs;
@@ -85,28 +79,24 @@ IntensiveSelection select_implementation(const Actor& actor,
                                          SelectionHistory& history,
                                          const IntensiveOptions& options = {});
 
-/// Single-flight dedup + in-run memoization over select_implementation.
+/// In-run memoization over select_implementation.
 ///
-/// The first caller for a (actor type, dtype, shapes) key runs the full
-/// pre-calculation; concurrent callers for the same key block on its future
-/// and share the result, and later callers get it without waiting.  One
-/// instance spans one code-generation run, so duplicate actors in a model
-/// never re-measure even with the history disabled or at --jobs 1.
-/// Thread-safe.
-class SingleFlightSelector {
+/// The first request for a (actor type, dtype, shapes) key runs the full
+/// pre-calculation; later requests for the same key get its result, marked
+/// `deduped`.  One instance spans one code-generation run, so duplicate
+/// actors in a model never re-measure even with the history disabled.  A
+/// selection that throws is not memoized.
+class SelectionMemo {
  public:
   IntensiveSelection select(const Actor& actor, SelectionHistory& history,
                             const IntensiveOptions& options = {});
 
-  /// Requests that were answered from another caller's measurement.
-  std::uint64_t dedup_hits() const {
-    return dedup_hits_.load(std::memory_order_relaxed);
-  }
+  /// Requests that were answered from an earlier measurement.
+  std::uint64_t dedup_hits() const { return dedup_hits_; }
 
  private:
-  std::mutex mutex_;
-  std::map<std::string, std::shared_future<IntensiveSelection>> done_;
-  std::atomic<std::uint64_t> dedup_hits_{0};
+  std::map<std::string, IntensiveSelection> done_;
+  std::uint64_t dedup_hits_ = 0;
 };
 
 }  // namespace hcg::synth

@@ -2,7 +2,7 @@
 //
 //   hcgc generate <model.xml> [--tool hcg|simulink|dfsynth] [--isa NAME|FILE]
 //                 [--out FILE] [--history FILE] [--threshold N] [--scattered]
-//                 [--report FILE] [--trace FILE] [--jobs N] [-O0|-O1|-O2]
+//                 [--report FILE] [--trace FILE] [-O0|-O1|-O2]
 //                 [--dump-cgir] [--dump-cgir-after=PASS]
 //   hcgc inspect  <model.xml> [--isa NAME|FILE]
 //   hcgc lint     <model.xml> [--isa NAME|FILE] [--threshold N]
@@ -42,10 +42,6 @@
 //   HCG_TRACE       like --trace; the value "summary" (or "1") prints a
 //                   human-readable span tree to stderr instead.
 //   HCG_LOG         log threshold: debug|info|warn|error|off.
-//
-// Parallelism (docs/PARALLELISM.md):
-//   --jobs N        synthesis worker threads (1 = fully serial).  Defaults
-//                   to HCG_JOBS, else the hardware concurrency.
 //
 // Optimization (docs/CODEGEN_IR.md):
 //   -O0 | -O1 | -O2 cgir pass pipeline level.  -O1 (the hcg default) fuses
@@ -121,7 +117,6 @@
 #include "support/strings.hpp"
 #include "support/logging.hpp"
 #include "support/stopwatch.hpp"
-#include "support/thread_pool.hpp"
 #include "toolchain/compiled_model.hpp"
 #include "toolchain/profile_runner.hpp"
 #include "vm/interpreter.hpp"
@@ -136,7 +131,7 @@ int usage() {
                "  hcgc generate <model.xml> [--tool hcg|simulink|dfsynth]\n"
                "                [--isa NAME|FILE] [--out FILE]\n"
                "                [--history FILE] [--threshold N] [--scattered]\n"
-               "                [--report FILE] [--trace FILE] [--jobs N]\n"
+               "                [--report FILE] [--trace FILE]\n"
                "                [-O0|-O1|-O2] [--tile-elems N] [--dump-cgir]\n"
                "                [--dump-cgir-after=PASS]\n"
                "  hcgc inspect  <model.xml> [--isa NAME|FILE]\n"
@@ -158,7 +153,6 @@ int usage() {
                "  hcgc isa      [NAME]\n"
                "(the generate subcommand may be omitted)\n"
                "env: HCG_LOG=debug|info|warn|error|off   HCG_TRACE=FILE|summary\n"
-               "     HCG_JOBS=N synthesis worker threads (--jobs overrides)\n"
                "     HCG_VERIFY=1 cgir verifier on (--verify-cgir equivalent)\n"
                "exit codes: 0 ok, 1 error/mismatch, 2 usage, 3 parse,\n"
                "            4 model, 5 synthesis, 6 codegen, 7 toolchain,\n"
@@ -178,7 +172,6 @@ struct Options {
   std::string trace_path;        // file path, or "summary" for stderr
   bool trace_from_env = false;
   int threshold = 0;
-  int jobs = 0;  // 0 = HCG_JOBS env, else hardware concurrency
   int opt_level = -1;  // -1 = the tool's default (hcg: 1, baselines: 0)
   int tile_elems = 0;  // -O2 tile width override; 0 = derive statically
   bool dump_cgir = false;
@@ -243,9 +236,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.history_path = value();
     } else if (arg == "--threshold") {
       opt.threshold = std::atoi(value());
-    } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(value());
-      if (opt.jobs < 1) throw Error("--jobs needs a positive thread count");
     } else if (arg == "--seed") {
       opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
     } else if (arg == "--cc-timeout") {
@@ -882,7 +872,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   try {
-    if (opt.jobs > 0) ThreadPool::set_default_parallelism(opt.jobs);
     // The generator factories read HCG_VERIFY; the flag is its CLI spelling.
     if (opt.verify_cgir) setenv("HCG_VERIFY", "1", /*overwrite=*/1);
     const bool tracing = setup_tracing(opt);

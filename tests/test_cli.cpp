@@ -280,6 +280,10 @@ TEST_F(CliFixture, OptLevelFlagsAreAcceptedAndEquivalentHere) {
   CliResult bad = run_cli("generate " + model_path_ + " -O7");
   EXPECT_EQ(bad.exit_code, 2);
   EXPECT_NE(bad.output.find("unknown option"), std::string::npos);
+  // Generation is single-threaded; a thread-count flag is unknown too.
+  CliResult jobs = run_cli("generate " + model_path_ + " --jobs 4");
+  EXPECT_EQ(jobs.exit_code, 2);
+  EXPECT_NE(jobs.output.find("unknown option --jobs"), std::string::npos);
 }
 
 TEST_F(CliFixture, O2AcceptedAndOptimizes) {

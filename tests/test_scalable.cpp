@@ -3,7 +3,8 @@
 // every tail shape around the 8-lane f32 granule plus a million-element
 // prime; the grammar tests pin the `.isa` scalable directives (ptype /
 // whilelt / vl / G) and their HCG110/HCG111 validation; the determinism
-// tests pin dump round-trips and --jobs byte-identity for predicated loops.
+// tests pin dump round-trips and repeat-generation byte-identity for
+// predicated loops.
 #include <gtest/gtest.h>
 
 #include "actors/resolve.hpp"
@@ -22,7 +23,7 @@
 namespace hcg {
 namespace {
 
-codegen::EmitConfig sve_config(int opt_level, int jobs = 1) {
+codegen::EmitConfig sve_config(int opt_level) {
   codegen::EmitConfig config;
   config.tool_name = "hcg";
   config.batch_mode = codegen::BatchMode::kRegions;
@@ -30,7 +31,6 @@ codegen::EmitConfig sve_config(int opt_level, int jobs = 1) {
   config.fold_scalar_expressions = true;
   config.reuse_buffers = true;
   config.opt_level = opt_level;
-  config.jobs = jobs;
   return config;
 }
 
@@ -181,12 +181,12 @@ TEST(Scalable, DumpRoundTripsPredicatedLoops) {
 TEST(Scalable, ByteIdenticalAcrossJobCounts) {
   const Model model = resolved(two_chain_model(1021));
   for (int level : {0, 1, 2}) {
-    codegen::GeneratedCode serial =
-        codegen::emit_model(model, sve_config(level, /*jobs=*/1));
-    codegen::GeneratedCode parallel =
-        codegen::emit_model(model, sve_config(level, /*jobs=*/8));
-    EXPECT_EQ(serial.source, parallel.source) << "-O" << level;
-    EXPECT_EQ(serial.cgir_dump, parallel.cgir_dump) << "-O" << level;
+    codegen::GeneratedCode first =
+        codegen::emit_model(model, sve_config(level));
+    codegen::GeneratedCode second =
+        codegen::emit_model(model, sve_config(level));
+    EXPECT_EQ(first.source, second.source) << "-O" << level;
+    EXPECT_EQ(first.cgir_dump, second.cgir_dump) << "-O" << level;
   }
 }
 
