@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <ostream>
 
 #include "benchmodels/benchmodels.hpp"
 #include "codegen/generator.hpp"
@@ -27,6 +28,11 @@ struct GoldenCase {
   int model;          // index into paper_models()
   const char* tool;   // "hcg" | "simulink" | "dfsynth" | "scattered"
 };
+
+// Without this, gtest prints the parameter as raw bytes, which include the
+// addresses of the string literals; the test IDs that ctest discovers would
+// then change from build to build.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 constexpr GoldenCase kCases[] = {
     {"fft_hcg", 0, "hcg"},
