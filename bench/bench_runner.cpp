@@ -115,7 +115,9 @@ std::vector<bench::BenchMetric> suite_codegen() {
 
   // Algorithm 1 memo facts: 64 farm actors over 16 distinct keys, so a cold
   // generation measures each key once and answers the other 48 from the
-  // in-run memo.
+  // in-run memo.  The -O2 pass facts of the same model then come from a
+  // second, warm generation: its 59 fusions and its arena layout pin the
+  // fusion order at scale.
   {
     Model model = resolved(benchmodels::intensive_farm_model(64, false));
     obs::Counter& precalc =
@@ -132,6 +134,12 @@ std::vector<bench::BenchMetric> suite_codegen() {
     metrics.push_back(bench::count_metric(
         "farm64.dedup_hits",
         static_cast<double>(dedup.value() - dedup_before)));
+    const obs::Report o2 = emit_hcg(model, &history, 2).report;
+    metrics.push_back(
+        bench::count_metric("farm64.o2.loops_fused", o2.loops_fused));
+    metrics.push_back(bench::count_metric(
+        "farm64.o2.arena_bytes_saved",
+        static_cast<double>(o2.arena_bytes_saved)));
   }
   return metrics;
 }

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "support/faults.hpp"
 #include "support/strings.hpp"
 
@@ -105,10 +106,24 @@ bool conflicts(const std::vector<AccessSummary>& a,
 // Loop fusion.
 // ---------------------------------------------------------------------------
 
-bool same_shape(const Stmt& a, const Stmt& b) {
-  return a.begin == b.begin && a.end == b.end && a.step == b.step &&
-         a.vector_loop == b.vector_loop &&
-         a.single_iteration == b.single_iteration;
+/// What decides whether two loops have the same shape, kept apart from the
+/// statement so the candidate scan reads a small array.  Statements that are
+/// not fusible loops all get the default value, which no fusible loop has.
+struct FusionShape {
+  bool fusible_loop = false;
+  bool vector_loop = false;
+  bool single_iteration = false;
+  int begin = 0;
+  int end = 0;
+  int step = 0;
+
+  bool operator==(const FusionShape&) const = default;
+};
+
+FusionShape fusion_shape(const Stmt& stmt) {
+  if (stmt.kind != Stmt::Kind::kLoop || !stmt.fusible) return {};
+  return {true,       stmt.vector_loop, stmt.single_iteration,
+          stmt.begin, stmt.end,         stmt.step};
 }
 
 const std::string* read_buffer(const Stmt& line) {
@@ -196,18 +211,19 @@ bool merge_compatible(const Stmt& earlier, const Stmt& later) {
 /// Appends `later`'s body to `earlier`'s, dropping loads that duplicate a
 /// load `earlier` already performs (same variable, same text).
 void merge_bodies(Stmt& earlier, Stmt&& later, PassStats& stats) {
-  // Keep copies, not Stmt pointers: the push_back below grows earlier.body
-  // and would invalidate any pointer into it.
-  std::map<std::string, std::string> defined;
+  // Index earlier's own lines before appending: the reserve keeps the
+  // pointers valid while the appends below grow the body.
+  earlier.body.reserve(earlier.body.size() + later.body.size());
+  std::map<std::string, const Stmt*> defined;
   for (const Stmt& a : earlier.body) {
-    if (!a.defines.empty()) defined.emplace(a.defines, a.text);
+    if (!a.defines.empty()) defined.emplace(a.defines, &a);
   }
   std::set<std::string> stored = stored_buffers(earlier);
   for (Stmt& line : later.body) {
     if (line.is_load && !line.defines.empty()) {
       auto it = defined.find(line.defines);
       const std::string* buf = read_buffer(line);
-      if (it != defined.end() && it->second == line.text &&
+      if (it != defined.end() && it->second->text == line.text &&
           (buf == nullptr || !stored.count(*buf))) {
         ++stats.copies_elided;
         continue;
@@ -218,61 +234,94 @@ void merge_bodies(Stmt& earlier, Stmt&& later, PassStats& stats) {
   earlier.banner_actors += later.banner_actors;
 }
 
-/// One fusion step: find the first loop that can merge into an earlier
-/// same-shape loop.  Intervening statements stay behind the merged loop
-/// when independent of the later loop, or hoist above it when independent
-/// of the earlier loop and of everything that stays; any other conflict
-/// aborts this pairing.
-bool try_fuse_once(std::vector<Stmt>& body, PassStats& stats) {
+/// Same-shape loop fusion over one statement list.  The scan visits each
+/// fusible loop `later` (position p) in order and looks back for the nearest
+/// same-shape fusible loop `earlier` (position q) it can merge into.
+/// Intervening statements stay behind the merged loop when independent of
+/// the later loop, or hoist above it when independent of the earlier loop
+/// and of everything that stays; any other conflict rejects the pairing.
+///
+/// After a merge the body reads [0, q) unchanged, the hoisted statements,
+/// the merged loop, the staying statements, then (p, end).  The scan resumes
+/// at q, not at 0: a statement before q has the same candidates and the
+/// same statements between them as before, so it still cannot fuse.  The
+/// merges therefore happen in exactly the order of a scan that restarts from
+/// the top after every merge.
+///
+/// Each statement is summarized once; a merge re-summarizes only the merged
+/// loop.  The scan works on an index order over `body` and moves the
+/// statements into their final order once at the end.
+void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
+  std::vector<FusionShape> shapes(body.size());
   std::vector<std::vector<AccessSummary>> summaries(body.size());
-  for (std::size_t i = 0; i < body.size(); ++i) summaries[i] = summarize(body[i]);
-
-  for (std::size_t p = 0; p < body.size(); ++p) {
-    const Stmt& later = body[p];
-    if (later.kind != Stmt::Kind::kLoop || !later.fusible) continue;
-    for (std::size_t q = p; q-- > 0;) {
-      const Stmt& earlier = body[q];
-      if (earlier.kind != Stmt::Kind::kLoop || !earlier.fusible) continue;
-      if (!same_shape(earlier, later)) continue;
-
-      std::vector<std::size_t> stay;
-      std::vector<std::size_t> hoist;
-      bool ok = true;
-      for (std::size_t m = q + 1; m < p && ok; ++m) {
-        if (!conflicts(summaries[m], summaries[p])) {
-          stay.push_back(m);
-          continue;
-        }
-        bool can_hoist = !conflicts(summaries[m], summaries[q]);
-        for (std::size_t t : stay) {
-          if (!can_hoist) break;
-          can_hoist = !conflicts(summaries[m], summaries[t]);
-        }
-        if (can_hoist) {
-          hoist.push_back(m);
-        } else {
-          ok = false;
-        }
-      }
-      if (!ok || !merge_compatible(earlier, later)) continue;
-
-      std::vector<Stmt> rebuilt;
-      rebuilt.reserve(body.size() - 1);
-      for (std::size_t i = 0; i < q; ++i) rebuilt.push_back(std::move(body[i]));
-      for (std::size_t m : hoist) rebuilt.push_back(std::move(body[m]));
-      Stmt merged = std::move(body[q]);
-      merge_bodies(merged, std::move(body[p]), stats);
-      rebuilt.push_back(std::move(merged));
-      for (std::size_t m : stay) rebuilt.push_back(std::move(body[m]));
-      for (std::size_t i = p + 1; i < body.size(); ++i) {
-        rebuilt.push_back(std::move(body[i]));
-      }
-      body = std::move(rebuilt);
-      ++stats.loops_fused;
-      return true;
-    }
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    shapes[i] = fusion_shape(body[i]);
+    summaries[i] = summarize(body[i]);
   }
-  return false;
+  std::vector<std::size_t> order(body.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+
+  std::vector<std::size_t> stay;
+  std::vector<std::size_t> hoist;
+  std::vector<std::size_t> moved;
+  for (std::size_t p = 0; p < order.size();) {
+    const FusionShape& shape = shapes[order[p]];
+    const std::vector<AccessSummary>& later_summary = summaries[order[p]];
+    std::size_t target = p;
+    if (shape.fusible_loop) {
+      for (std::size_t q = p; q-- > 0;) {
+        if (shapes[order[q]] != shape) continue;
+
+        stay.clear();
+        hoist.clear();
+        bool ok = true;
+        for (std::size_t m = q + 1; m < p && ok; ++m) {
+          const std::vector<AccessSummary>& between = summaries[order[m]];
+          if (!conflicts(between, later_summary)) {
+            stay.push_back(m);
+            continue;
+          }
+          bool can_hoist = !conflicts(between, summaries[order[q]]);
+          for (std::size_t t : stay) {
+            if (!can_hoist) break;
+            can_hoist = !conflicts(between, summaries[order[t]]);
+          }
+          if (can_hoist) {
+            hoist.push_back(m);
+          } else {
+            ok = false;
+          }
+        }
+        if (ok && merge_compatible(body[order[q]], body[order[p]])) {
+          target = q;
+          break;
+        }
+      }
+    }
+    if (target == p) {
+      ++p;
+      continue;
+    }
+
+    Stmt& earlier = body[order[target]];
+    merge_bodies(earlier, std::move(body[order[p]]), stats);
+    summaries[order[target]] = summarize(earlier);
+    moved.clear();
+    for (std::size_t m : hoist) moved.push_back(order[m]);
+    moved.push_back(order[target]);
+    for (std::size_t m : stay) moved.push_back(order[m]);
+    std::copy(moved.begin(), moved.end(),
+              order.begin() + static_cast<std::ptrdiff_t>(target));
+    order.erase(order.begin() + static_cast<std::ptrdiff_t>(p));
+    ++stats.loops_fused;
+    p = target;
+  }
+  if (order.size() == body.size()) return;  // nothing merged
+
+  std::vector<Stmt> fused;
+  fused.reserve(order.size());
+  for (std::size_t i : order) fused.push_back(std::move(body[i]));
+  body = std::move(fused);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,67 +441,82 @@ void forward_scalar(Stmt& loop) {
 // Dead handoff-buffer elimination.
 // ---------------------------------------------------------------------------
 
-void for_each_stmt(std::vector<Stmt>& body,
-                   const std::function<void(Stmt&)>& fn) {
-  for (Stmt& stmt : body) {
-    fn(stmt);
-    if (stmt.kind == Stmt::Kind::kLoop) for_each_stmt(stmt.body, fn);
+/// How the whole unit uses one eligible buffer.
+struct BufferUse {
+  int reads = 0;
+  bool non_store_write = false;  // written by a line other than a pure store
+  /// The reads made by this buffer's store lines, which go when those lines
+  /// are erased.
+  std::vector<BufferUse*> store_line_reads;
+};
+using BufferUses = std::map<std::string, BufferUse, std::less<>>;
+
+/// Fills the entries already in `uses` from one walk over `body`.
+void collect_buffer_use(const std::vector<Stmt>& body, BufferUses& uses) {
+  for (const Stmt& stmt : body) {
+    BufferUse* stored = nullptr;
+    if (stmt.kind == Stmt::Kind::kText && stmt.is_store) {
+      if (const std::string* buf = write_buffer(stmt)) {
+        auto it = uses.find(*buf);
+        if (it != uses.end()) stored = &it->second;
+      }
+    }
+    for (const BufferAccess& access : stmt.accesses) {
+      auto it = uses.find(access.buffer);
+      if (it == uses.end()) continue;
+      if (!access.write) {
+        ++it->second.reads;
+        if (stored != nullptr) stored->store_line_reads.push_back(&it->second);
+      } else if (!stmt.is_store) {
+        it->second.non_store_write = true;
+      }
+    }
+    if (stmt.kind == Stmt::Kind::kLoop) collect_buffer_use(stmt.body, uses);
   }
 }
 
-bool buffer_is_read(std::vector<Stmt>& body, const std::string& name) {
-  bool read = false;
-  for_each_stmt(body, [&](Stmt& stmt) {
-    for (const BufferAccess& access : stmt.accesses) {
-      if (!access.write && access.buffer == name) read = true;
-    }
-  });
-  return read;
-}
-
-/// True when every write to `name` is a pure store line (safe to delete).
-bool only_store_writes(std::vector<Stmt>& body, const std::string& name) {
-  bool ok = true;
-  for_each_stmt(body, [&](Stmt& stmt) {
-    for (const BufferAccess& access : stmt.accesses) {
-      if (access.write && access.buffer == name && !stmt.is_store) ok = false;
-    }
-  });
-  return ok;
-}
-
-int erase_stores(std::vector<Stmt>& body, const std::string& name) {
+/// Erases every store line whose stored buffer is in `dead`.
+int erase_stores(std::vector<Stmt>& body, const std::set<std::string>& dead) {
   int removed = 0;
   for (Stmt& stmt : body) {
-    if (stmt.kind == Stmt::Kind::kLoop) removed += erase_stores(stmt.body, name);
+    if (stmt.kind == Stmt::Kind::kLoop) removed += erase_stores(stmt.body, dead);
   }
-  auto dead = std::remove_if(body.begin(), body.end(), [&](const Stmt& stmt) {
+  auto gone = std::remove_if(body.begin(), body.end(), [&](const Stmt& stmt) {
     if (stmt.kind != Stmt::Kind::kText || !stmt.is_store) return false;
     const std::string* buf = write_buffer(stmt);
-    return buf != nullptr && *buf == name;
+    return buf != nullptr && dead.count(*buf) > 0;
   });
-  removed += static_cast<int>(body.end() - dead);
-  body.erase(dead, body.end());
+  removed += static_cast<int>(body.end() - gone);
+  body.erase(gone, body.end());
   return removed;
 }
 
+/// Deletes eligible buffers that are never read and only written by pure
+/// store lines, together with those lines.  Declarations are visited in
+/// order; deleting a buffer's store lines deletes their reads too, so a
+/// buffer declared later may become dead in turn.
 void eliminate_dead_buffers(TranslationUnit& tu, PassStats& stats) {
+  BufferUses uses;
+  for (const BufferDecl& decl : tu.buffers) {
+    if (decl.arena_eligible && !decl.is_const) uses.try_emplace(decl.name);
+  }
+  collect_buffer_use(tu.init.body, uses);
+  collect_buffer_use(tu.step.body, uses);
+  std::set<std::string> dead;
   for (std::size_t i = 0; i < tu.buffers.size();) {
-    const BufferDecl& decl = tu.buffers[i];
-    if (!decl.arena_eligible || decl.is_const ||
-        buffer_is_read(tu.init.body, decl.name) ||
-        buffer_is_read(tu.step.body, decl.name) ||
-        !only_store_writes(tu.init.body, decl.name) ||
-        !only_store_writes(tu.step.body, decl.name)) {
+    auto it = uses.find(tu.buffers[i].name);
+    if (it == uses.end() || it->second.reads > 0 || it->second.non_store_write) {
       ++i;
       continue;
     }
-    std::string name = decl.name;
-    stats.copies_elided += erase_stores(tu.init.body, name);
-    stats.copies_elided += erase_stores(tu.step.body, name);
+    for (BufferUse* read : it->second.store_line_reads) --read->reads;
+    dead.insert(it->first);
     tu.buffers.erase(tu.buffers.begin() + static_cast<std::ptrdiff_t>(i));
     ++stats.buffers_eliminated;
   }
+  if (dead.empty()) return;
+  stats.copies_elided += erase_stores(tu.init.body, dead);
+  stats.copies_elided += erase_stores(tu.step.body, dead);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,6 +544,22 @@ void record_liveness(std::vector<Stmt>& body, int& position,
   }
 }
 
+/// Applies `renames` to the text and buffer accesses of every text line.
+void rename_buffers(std::vector<Stmt>& body,
+                    const std::map<std::string, std::string, std::less<>>& renames) {
+  for (Stmt& stmt : body) {
+    if (stmt.kind == Stmt::Kind::kLoop) {
+      rename_buffers(stmt.body, renames);
+      continue;
+    }
+    replace_identifiers(stmt.text, renames);
+    for (BufferAccess& access : stmt.accesses) {
+      auto it = renames.find(access.buffer);
+      if (it != renames.end()) access.buffer = it->second;
+    }
+  }
+}
+
 struct ArenaSlot {
   std::string ctype;
   std::size_t elem_bytes = 0;
@@ -499,24 +579,24 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
   record_liveness(tu.step.body, position, ranges);
 
   // Process buffers in order of first write so slot intervals stay disjoint.
-  std::vector<const BufferDecl*> eligible;
+  std::vector<std::pair<const BufferDecl*, const LiveRange*>> eligible;
   for (const BufferDecl& decl : tu.buffers) {
     if (!decl.arena_eligible || decl.is_const) continue;
-    if (ranges.at(decl.name).first_write < 0) continue;  // never written
-    eligible.push_back(&decl);
+    const LiveRange& range = ranges.at(decl.name);
+    if (range.first_write < 0) continue;  // never written
+    eligible.emplace_back(&decl, &range);
   }
   std::stable_sort(eligible.begin(), eligible.end(),
-                   [&](const BufferDecl* a, const BufferDecl* b) {
-                     return ranges.at(a->name).first_write <
-                            ranges.at(b->name).first_write;
+                   [](const auto& a, const auto& b) {
+                     return a.second->first_write < b.second->first_write;
                    });
 
   std::vector<ArenaSlot> slots;
   std::map<std::string, std::size_t> slot_of;  // buffer -> slot index
   std::size_t before_bytes = 0;
-  for (const BufferDecl* decl : eligible) {
+  for (const auto& [decl, live] : eligible) {
     before_bytes += decl->bytes();
-    const LiveRange& range = ranges.at(decl->name);
+    const LiveRange& range = *live;
     std::size_t chosen = slots.size();
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s].ctype == decl->ctype &&
@@ -552,21 +632,11 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
     slot_names.push_back(name);
   }
 
-  // Rename every rebound buffer across the whole unit.
-  auto rename_everywhere = [&](const std::string& from, const std::string& to) {
-    auto apply = [&](Stmt& stmt) {
-      if (stmt.kind != Stmt::Kind::kText) return;
-      stmt.text = replace_identifier(stmt.text, from, to);
-      for (BufferAccess& access : stmt.accesses) {
-        if (access.buffer == from) access.buffer = to;
-      }
-    };
-    for_each_stmt(tu.init.body, apply);
-    for_each_stmt(tu.step.body, apply);
-  };
-  for (const auto& entry : slot_of) {
-    rename_everywhere(entry.first, slot_names[slot_of.at(entry.first)]);
-  }
+  // Rename every rebound buffer across the whole unit, in one walk.
+  std::map<std::string, std::string, std::less<>> renames;
+  for (const auto& [name, slot] : slot_of) renames.emplace(name, slot_names[slot]);
+  rename_buffers(tu.init.body, renames);
+  rename_buffers(tu.step.body, renames);
 
   // Rebuild the declaration list: the first member of each slot (in decl
   // order) becomes the slot's declaration; later members disappear.
@@ -690,8 +760,7 @@ void fuse_cross_scale(std::vector<Stmt>& body, PassStats& stats) {
                     std::make_move_iterator(pieces.begin()),
                     std::make_move_iterator(pieces.end()));
 
-        while (try_fuse_once(body, stats)) {
-        }
+        fuse_same_shape(body, stats);
         bool unfused_wrapper = false;
         for (const Stmt& top : body) {
           if (top.kind == Stmt::Kind::kLoop && top.body.size() == 1 &&
@@ -1037,49 +1106,56 @@ void corrupt_unit(TranslationUnit& tu) {
 
 PassStats run_passes(TranslationUnit& tu, const PassOptions& options) {
   PassStats stats;
-  auto checkpoint = [&](std::string_view pass) {
+  // Runs one pass under its "cgir.pass.<name>" trace span, then the
+  // checkpoint (fault probe, after_pass hook) outside the span.
+  auto run = [&]([[maybe_unused]] const char* span, std::string_view pass,
+                 const auto& body) {
+    {
+      HCG_TRACE_SCOPE(span);
+      body();
+    }
     if (faults::probe("cgir.pass", pass) != faults::Action::kNone) {
       corrupt_unit(tu);
     }
     if (options.after_pass) options.after_pass(pass, tu, stats);
   };
   if (options.fuse_loops) {
-    while (try_fuse_once(tu.step.body, stats)) {
-    }
-    checkpoint("fuse_loops");
+    run("cgir.pass.fuse_loops", "fuse_loops",
+        [&] { fuse_same_shape(tu.step.body, stats); });
     if (options.fuse_cross_scale) {
-      fuse_cross_scale(tu.step.body, stats);
-      checkpoint("fuse_cross_scale");
+      run("cgir.pass.fuse_cross_scale", "fuse_cross_scale",
+          [&] { fuse_cross_scale(tu.step.body, stats); });
     }
-    for (Stmt& stmt : tu.step.body) {
-      if (stmt.kind != Stmt::Kind::kLoop) continue;
-      if (stmt.predicated) continue;  // masked loads/stores are not copies
-      if (stmt.vector_loop || stmt.single_iteration) {
-        forward_vector(stmt, stats);
-      } else {
-        forward_scalar(stmt);
+    run("cgir.pass.forward_copies", "forward_copies", [&] {
+      for (Stmt& stmt : tu.step.body) {
+        if (stmt.kind != Stmt::Kind::kLoop) continue;
+        if (stmt.predicated) continue;  // masked loads/stores are not copies
+        if (stmt.vector_loop || stmt.single_iteration) {
+          forward_vector(stmt, stats);
+        } else {
+          forward_scalar(stmt);
+        }
       }
-    }
-    checkpoint("forward_copies");
-    eliminate_dead_buffers(tu, stats);
-    checkpoint("eliminate_dead_buffers");
+    });
+    run("cgir.pass.eliminate_dead_buffers", "eliminate_dead_buffers",
+        [&] { eliminate_dead_buffers(tu, stats); });
   }
   if (options.tile_scalar_loops) {
     const int tile = options.tile_elems > 0 ? options.tile_elems : 16;
-    tile_plain_loops(tu.step.body, tile, stats);
-    checkpoint("tile_loops");
+    run("cgir.pass.tile_loops", "tile_loops",
+        [&] { tile_plain_loops(tu.step.body, tile, stats); });
   }
   if (options.reuse_arena) {
-    reuse_arena(tu, stats);
-    checkpoint("reuse_arena");
+    run("cgir.pass.reuse_arena", "reuse_arena",
+        [&] { reuse_arena(tu, stats); });
   }
   if (options.coalesce_layout) {
-    coalesce_layout(tu, stats);
-    checkpoint("coalesce_layout");
+    run("cgir.pass.coalesce_layout", "coalesce_layout",
+        [&] { coalesce_layout(tu, stats); });
   }
   if (options.localize_strips) {
-    localize_strips(tu, stats);
-    checkpoint("localize_strips");
+    run("cgir.pass.localize_strips", "localize_strips",
+        [&] { localize_strips(tu, stats); });
   }
   return stats;
 }

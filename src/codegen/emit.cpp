@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <set>
 
 #include "actors/catalog.hpp"
@@ -56,8 +57,7 @@ class Emitter {
     Stopwatch phase;
     {
       HCG_TRACE_SCOPE("emit.regions");
-      narrow_regions_by_range();
-      build_regions();
+      build_regions(narrow_regions_by_range());
       order_ = emission_order(model_, regions_);
     }
     finish_phase("regions", phase);
@@ -261,11 +261,15 @@ class Emitter {
   /// to use.  Runs before build_regions() so the rebuilt regions are the
   /// narrow chains (the inserted mixed-width Casts fall out of regions by
   /// the HCG404 rule).  Off at -O0; regions-mode only.
-  void narrow_regions_by_range() {
+  ///
+  /// Returns the batch regions of the final model, or nothing when the pass
+  /// is off.  The last round rewrote no region, so its scan is current; the
+  /// HCG412 scan and build_regions() reuse it instead of scanning again.
+  std::optional<std::vector<BatchRegion>> narrow_regions_by_range() {
     const bool enabled = config_.opt_level >= 1 &&
                          config_.batch_mode == BatchMode::kRegions &&
                          config_.isa != nullptr;
-    if (!enabled) return;
+    if (!enabled) return std::nullopt;
 
     int narrowed = 0;
     int blocked = 0;
@@ -308,11 +312,12 @@ class Emitter {
     // rewritten.  Rewritten chains are remembered and skipped, which bounds
     // the loop by the region count.
     analysis::RangeAnalysis ranges;
+    std::vector<BatchRegion> regions;
     for (bool progress = true; progress;) {
       progress = false;
       ranges = analysis::analyze_ranges(model_, nullptr);
-      for (const BatchRegion& region :
-           find_batch_regions(model_, *config_.isa)) {
+      regions = find_batch_regions(model_, *config_.isa);
+      for (const BatchRegion& region : regions) {
         const std::optional<DataType> cur = narrowable_type(region);
         if (!cur) continue;
         bool member_done = false;
@@ -343,8 +348,7 @@ class Emitter {
     }
 
     // Final scan: regions that would narrow but for an unprovable range.
-    for (const BatchRegion& region :
-         find_batch_regions(model_, *config_.isa)) {
+    for (const BatchRegion& region : regions) {
       const std::optional<DataType> cur = narrowable_type(region);
       if (!cur) continue;
       bool member_done = false;
@@ -375,12 +379,16 @@ class Emitter {
     static obs::Counter& narrowed_metric =
         obs::Registry::instance().counter("codegen.range.regions_narrowed");
     narrowed_metric.add(static_cast<std::uint64_t>(narrowed));
+    return regions;
   }
 
-  void build_regions() {
+  /// `scanned` holds the current model's batch regions when
+  /// narrow_regions_by_range() already found them.
+  void build_regions(std::optional<std::vector<BatchRegion>> scanned) {
     if (config_.batch_mode == BatchMode::kRegions) {
       require(config_.isa != nullptr, "BatchMode::kRegions needs an ISA");
-      regions_ = find_batch_regions(model_, *config_.isa);
+      regions_ = scanned ? std::move(*scanned)
+                         : find_batch_regions(model_, *config_.isa);
     } else if (config_.batch_mode == BatchMode::kScattered) {
       require(config_.isa != nullptr, "BatchMode::kScattered needs an ISA");
       // One region per batch actor: each actor gets its own load/compute/
@@ -1203,8 +1211,11 @@ class Emitter {
       profile_options.model_name = model_.name();
       out_.profile_sites = cgir::instrument_profiling(tu_, profile_options);
     }
+    // Checkpoint "final": the unit exactly as printed.
+    if (config_.dump_cgir_after == "final") {
+      out_.cgir_dump_after = cgir::dump(tu_);
+    }
     source_ = cgir::print(tu_);
-    out_.cgir_dump = cgir::dump(tu_);
 
     out_.static_buffer_bytes = 0;
     for (const cgir::BufferDecl& decl : tu_.buffers) {

@@ -62,8 +62,10 @@ struct EmitConfig {
   /// When non-empty, capture a "cgir-v1" dump of the unit as it stood
   /// right after the named pass ("lower", "fuse_loops", "fuse_cross_scale",
   /// "forward_copies", "eliminate_dead_buffers", "tile_loops",
-  /// "reuse_arena", "coalesce_layout") into GeneratedCode::cgir_dump_after
-  /// (the `hcgc --dump-cgir-after=<pass>` surface).
+  /// "reuse_arena", "coalesce_layout", "localize_strips") into
+  /// GeneratedCode::cgir_dump_after (the `hcgc --dump-cgir-after=<pass>`
+  /// surface).  "final" captures the unit exactly as printed, after any
+  /// profiling instrumentation (the `hcgc --dump-cgir` surface).
   std::string dump_cgir_after;
   /// Run the cgir verifier (analysis/verifier.hpp) over the lowered unit and
   /// again after every -O1 pass; an invariant violation throws CodegenError
@@ -106,12 +108,10 @@ struct GeneratedCode {
   std::size_t static_buffer_bytes = 0;
   /// Number of batch regions fused by Algorithm 2.
   int fused_regions = 0;
-  /// "cgir-v1" serialization of the translation unit after passes (the
-  /// `hcgc --dump-cgir` surface; cgir::parse_dump() round-trips it).
-  std::string cgir_dump;
   /// "cgir-v1" snapshot captured right after the pass named by
-  /// EmitConfig::dump_cgir_after; empty when that option is unset or the
-  /// named pass never ran at the chosen opt level.
+  /// EmitConfig::dump_cgir_after (cgir::parse_dump() round-trips it); empty
+  /// when that option is unset or the named pass never ran at the chosen
+  /// opt level.
   std::string cgir_dump_after;
   /// Profiling sites instrumented into the unit (empty unless
   /// EmitConfig::profile_gen); index order matches the HCG_PROF counters
@@ -135,7 +135,7 @@ GeneratedCode emit_model(const Model& model, const EmitConfig& config);
 struct EmitTuning {
   /// EmitConfig::tile_elems — -O2 tile width override (0 = derive).
   int tile_elems = 0;
-  /// EmitConfig::dump_cgir_after — pass name to snapshot, or empty.
+  /// EmitConfig::dump_cgir_after — checkpoint to snapshot, or empty.
   std::string dump_cgir_after;
 };
 

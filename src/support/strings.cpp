@@ -1,5 +1,6 @@
 #include "support/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -122,6 +123,44 @@ std::string replace_identifier(std::string_view text, std::string_view from,
     pos = after;
   }
   return out;
+}
+
+bool replace_identifiers(
+    std::string& text,
+    const std::map<std::string, std::string, std::less<>>& renames) {
+  if (renames.empty()) return false;
+  // The keys are sorted, so every key starts with the common prefix of the
+  // first and the last one: a cheap filter before the map lookup.
+  const std::string& first = renames.begin()->first;
+  const std::string& last = renames.rbegin()->first;
+  const auto differ =
+      std::mismatch(first.begin(), first.end(), last.begin(), last.end()).first;
+  const std::string_view prefix(
+      first.data(), static_cast<std::size_t>(differ - first.begin()));
+  std::string out;
+  std::size_t copied = 0;  // text[0, copied) is already in `out`
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    if (!identifier_char(text[pos])) {
+      ++pos;
+      continue;
+    }
+    std::size_t end = pos;
+    while (end < text.size() && identifier_char(text[end])) ++end;
+    const std::string_view token =
+        std::string_view(text).substr(pos, end - pos);
+    auto it = token.starts_with(prefix) ? renames.find(token) : renames.end();
+    if (it != renames.end()) {
+      out.append(text, copied, pos - copied);
+      out.append(it->second);
+      copied = end;
+    }
+    pos = end;
+  }
+  if (copied == 0) return false;
+  out.append(text, copied);
+  text = std::move(out);
+  return true;
 }
 
 std::string to_lower(std::string_view text) {

@@ -1,6 +1,8 @@
 // Small string utilities shared across the library.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +35,14 @@ std::string replace_all(std::string_view text, std::string_view from,
 /// sides), so renaming `buf1` leaves `buf10` and `sig_buf1` untouched.
 std::string replace_identifier(std::string_view text, std::string_view from,
                                std::string_view to);
+
+/// Renames in place every whole identifier token of `text` found in
+/// `renames`, in one walk; returns whether anything changed.  Token
+/// boundaries are those of replace_identifier(), and the renames apply
+/// simultaneously, so a target name is never renamed again.
+bool replace_identifiers(
+    std::string& text,
+    const std::map<std::string, std::string, std::less<>>& renames);
 
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view text);

@@ -1,7 +1,6 @@
 #include "synth/intensive.hpp"
 
 #include <limits>
-#include <mutex>
 
 #include "actors/exec.hpp"
 #include "obs/metrics.hpp"
@@ -63,15 +62,6 @@ void drop_candidate(IntensiveSelection& result, const Actor& actor,
                     << " for " << actor.type() << " '" << actor.name()
                     << "' (" << reason << "): " << detail;
   result.failures.push_back({impl_id, reason, detail});
-}
-
-/// Serializes the stopwatch windows of generations running concurrently in
-/// one process: no two candidates are ever timed at once, so a measurement
-/// never competes with another measurement for cores, caches or memory
-/// bandwidth.  Warm-up runs and input generation stay outside this mutex.
-std::mutex& measurement_mutex() {
-  static std::mutex mutex;
-  return mutex;
 }
 
 }  // namespace
@@ -165,10 +155,8 @@ IntensiveSelection select_implementation(const Actor& actor,
     double best = std::numeric_limits<double>::infinity();
     try {
       // Warm-up run (also validates the kernel doesn't blow up on this
-      // size).  Runs outside the measurement mutex: concurrent warm-ups are
-      // fine.
+      // size).
       kernels::run_kernel(*impl, input_ptrs, &output);
-      std::lock_guard<std::mutex> lock(measurement_mutex());
       Stopwatch budget;
       for (int rep = 0; rep < options.repetitions; ++rep) {
         Stopwatch timer;

@@ -5,10 +5,8 @@
 // and size is run on randomly generated test input of exactly that size, and
 // the cheapest wins.  Results are memoized in a SelectionHistory.
 //
-// Only the timed repetitions hold a process-wide measurement mutex, so no
-// two stopwatch windows ever overlap, even when several generations run in
-// one process.  SelectionMemo adds in-run memoization on top: duplicate
-// (type, dtype, shapes) keys in one generation share one measurement.
+// SelectionMemo adds in-run memoization on top: duplicate (type, dtype,
+// shapes) keys in one generation share one measurement.
 #pragma once
 
 #include <map>

@@ -52,8 +52,9 @@
 //                   scalar loops, and re-orders buffer declarations for
 //                   coalesced stride-1 access; -O0 (the baseline tools'
 //                   default) prints the plain lowering.
-//   --dump-cgir     print the "cgir-v1" serialization of the optimized IR
-//                   instead of C source.
+//   --dump-cgir     print the "cgir-v1" serialization of the unit exactly
+//                   as printed (after the passes and any --profile-gen
+//                   instrumentation) instead of C source.
 //   --tile-elems N  -O2 tile width (elements); default derives a static
 //                   width from the region plan, and measured-cost data
 //                   (hcgc profile, the kernel-sweep benches) is the intended
@@ -331,7 +332,7 @@ std::unique_ptr<codegen::Generator> make_tool(const Options& opt,
                                               synth::SelectionHistory* history) {
   codegen::EmitTuning tuning;
   tuning.tile_elems = opt.tile_elems;
-  tuning.dump_cgir_after = opt.dump_cgir_after;
+  tuning.dump_cgir_after = opt.dump_cgir ? "final" : opt.dump_cgir_after;
   if (opt.tool == "hcg") {
     synth::BatchOptions batch;
     batch.min_nodes_for_simd = opt.threshold;
@@ -414,10 +415,9 @@ int cmd_generate(const Options& opt) {
     throw Error("pass '" + opt.dump_cgir_after +
                 "' did not run at the chosen -O level");
   }
-  const std::string& payload = opt.dump_cgir ? code.cgir_dump
-                               : !opt.dump_cgir_after.empty()
-                                   ? code.cgir_dump_after
-                                   : code.source;
+  const std::string& payload =
+      opt.dump_cgir || !opt.dump_cgir_after.empty() ? code.cgir_dump_after
+                                                    : code.source;
   if (opt.out_path.empty()) {
     std::fputs(payload.c_str(), stdout);
   } else {

@@ -69,6 +69,21 @@ TranslationUnit unit_with_step(std::vector<Stmt> body,
   return tu;
 }
 
+/// The printed step function, from its opener to the end of the unit.
+std::string printed_step(const TranslationUnit& tu) {
+  const std::string source = print(tu);
+  return source.substr(source.find(tu.step.opener));
+}
+
+/// A whole-buffer kernel call writing `out` from `in`.
+Stmt kernel_call(const std::string& name, const std::string& in,
+                 const std::string& out) {
+  Stmt s = Stmt::text_line(name + "(" + in + ", " + out + ");");
+  s.accesses.push_back({out, true, false});
+  s.accesses.push_back({in, false, false});
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // Printer
 // ---------------------------------------------------------------------------
@@ -273,6 +288,144 @@ TEST(CgirFusion, SharedLoadIsDeduplicated) {
   EXPECT_EQ(loads_of_w, 1);
 }
 
+TEST(CgirFusion, HoistThenLaterLoopJoinsTheMergedLoop) {
+  // Merging the second loop into the first hoists the kernel call above
+  // them; the third loop then fuses into the merged loop.
+  TranslationUnit tu = unit_with_step(
+      {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
+       kernel_call("kernel", "in_x", "sig_k"),
+       vloop(0, 64, 4, {load("k_b", "sig_k"), store("out_q", "k_b")}),
+       vloop(0, 64, 4, {load("c_b", "in_c"), store("out_r", "c_b")})});
+  PassOptions options;
+  options.reuse_arena = false;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.loops_fused, 2);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  kernel(in_x, sig_k);\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
+            "    vst1q_f32(&out_p[i], a_b);\n"
+            "    float32x4_t k_b = vld1q_f32(&sig_k[i]);\n"
+            "    vst1q_f32(&out_q[i], k_b);\n"
+            "    float32x4_t c_b = vld1q_f32(&in_c[i]);\n"
+            "    vst1q_f32(&out_r[i], c_b);\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(CgirFusion, MergedLoopIsScannedAgainAtItsPosition) {
+  // The second loop cannot join the first: mix() conflicts with it and
+  // cannot hoist past prep(), which stays.  Once the third loop has merged
+  // into the second, prep() conflicts with the merged loop too, so both
+  // calls hoist and the merged loop joins the first.  Only a scan that
+  // resumes at the merge position sees this.
+  TranslationUnit tu = unit_with_step(
+      {vloop(0, 64, 4, {load("c_b", "in_c"), store("out_c", "c_b")}),
+       kernel_call("prep", "in_y", "sig_y"),
+       kernel_call("mix", "sig_y", "sig_x"),
+       vloop(0, 64, 4, {load("x_b", "sig_x"), store("out_e", "x_b")}),
+       vloop(0, 64, 4, {load("y_b", "sig_y"), store("out_l", "y_b")})});
+  PassOptions options;
+  options.reuse_arena = false;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.loops_fused, 2);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  prep(in_y, sig_y);\n"
+            "  mix(sig_y, sig_x);\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t c_b = vld1q_f32(&in_c[i]);\n"
+            "    vst1q_f32(&out_c[i], c_b);\n"
+            "    float32x4_t x_b = vld1q_f32(&sig_x[i]);\n"
+            "    vst1q_f32(&out_e[i], x_b);\n"
+            "    float32x4_t y_b = vld1q_f32(&sig_y[i]);\n"
+            "    vst1q_f32(&out_l[i], y_b);\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(CgirFusion, LaterLoopAtTheEndOfTheBody) {
+  // The later loop is the body's last statement: the merge removes it and
+  // the independent statement between the loops stays behind them.
+  TranslationUnit tu = unit_with_step(
+      {kernel_call("prepare", "in_x", "sig_w"),
+       vloop(0, 64, 4, {load("w_b", "sig_w"), store("out_p", "w_b")}),
+       kernel_call("other", "in_y", "out_z"),
+       vloop(0, 64, 4, {load("w_b", "sig_w"), store("out_q", "w_b")})});
+  PassOptions options;
+  options.reuse_arena = false;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.loops_fused, 1);
+  EXPECT_EQ(stats.copies_elided, 1);  // the shared load of sig_w
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  prepare(in_x, sig_w);\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t w_b = vld1q_f32(&sig_w[i]);\n"
+            "    vst1q_f32(&out_p[i], w_b);\n"
+            "    vst1q_f32(&out_q[i], w_b);\n"
+            "  }\n"
+            "  other(in_y, out_z);\n"
+            "}\n");
+}
+
+Stmt scalar_loop(int begin, int end, std::vector<Stmt> body) {
+  Stmt s;
+  s.kind = Stmt::Kind::kLoop;
+  s.begin = begin;
+  s.end = end;
+  s.step = 1;
+  s.fusible = true;
+  s.body = std::move(body);
+  return s;
+}
+
+Stmt scalar_line(const std::string& text, const std::string& written,
+                 const std::string& read, bool read_elementwise = true) {
+  Stmt s = Stmt::text_line(text);
+  s.accesses.push_back({written, true, true});
+  s.accesses.push_back({read, false, read_elementwise});
+  return s;
+}
+
+TEST(CgirCrossScale, RolledBackAttemptRestoresBodyAndCounters) {
+  // The scalar loop over [0, 10) strip-mines into the shape of the vector
+  // loop over [2, 10).  Its front cover [0, 2) fuses with the remainder
+  // loop, but the strip cannot join the vector loop (the vector loop writes
+  // sig_w as a whole), so the attempt rolls back: body, loops_fused and
+  // copies_elided return to what the same-shape fuser left.
+  Stmt whole = Stmt::text_line("fill(sig_w);");
+  whole.accesses.push_back({"sig_w", true, false});
+  TranslationUnit tu = unit_with_step(
+      {scalar_loop(0, 2, {scalar_line("out_p[i] = in_a[i];", "out_p", "in_a")}),
+       vloop(2, 10, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
+       vloop(2, 10, 4, {load("a_b", "in_a"), whole}),
+       scalar_loop(0, 10,
+                   {scalar_line("out_s[i] = sig_w[i] * 2;", "out_s", "sig_w")})});
+  PassOptions options;
+  options.reuse_arena = false;
+  options.fuse_cross_scale = true;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.cross_scale_fused, 0);
+  EXPECT_EQ(stats.loops_fused, 1);    // the two vector loops only
+  EXPECT_EQ(stats.copies_elided, 1);  // their shared load of in_a
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  for (int i = 0; i < 2; ++i) {\n"
+            "    out_p[i] = in_a[i];\n"
+            "  }\n"
+            "  for (int i = 2; i < 10; i += 4) {\n"
+            "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
+            "    vst1q_f32(&out_p[i], a_b);\n"
+            "    fill(sig_w);\n"
+            "  }\n"
+            "  for (int i = 0; i < 10; ++i) {\n"
+            "    out_s[i] = sig_w[i] * 2;\n"
+            "  }\n"
+            "}\n");
+}
+
 // ---------------------------------------------------------------------------
 // Copy forwarding
 // ---------------------------------------------------------------------------
@@ -375,6 +528,46 @@ TEST(CgirArena, OverlappingRangesKeepSeparateSlots) {
   PassStats stats = run_passes(tu, options);
   EXPECT_EQ(tu.buffers.size(), 2u);
   EXPECT_EQ(stats.arena_bytes_saved, 0u);
+}
+
+TEST(CgirArena, RenameIsIdentifierExact) {
+  // sig_a is a prefix of sig_ab, and both names occur inside longer
+  // identifiers; only whole identifier tokens are renamed.
+  Stmt w_a = Stmt::text_line("kernel_a(in_x, sig_a, sig_a_len, xsig_a);");
+  w_a.accesses.push_back({"sig_a", true, false});
+  Stmt w_ab = Stmt::text_line("kernel_b(sig_a, sig_ab, sig_ab2, sig_ab_n);");
+  w_ab.accesses.push_back({"sig_ab", true, false});
+  w_ab.accesses.push_back({"sig_a", false, false});
+  Stmt r_ab = Stmt::text_line("consume(sig_ab, out_p); /* sig_ab */");
+  r_ab.accesses.push_back({"sig_ab", false, false});
+  r_ab.accesses.push_back({"out_p", true, false});
+  Stmt w_c = Stmt::text_line("kernel_c(in_y, sig_c);");
+  w_c.accesses.push_back({"sig_c", true, false});
+  Stmt r_c = Stmt::text_line("consume(sig_c, out_q);");
+  r_c.accesses.push_back({"sig_c", false, false});
+  r_c.accesses.push_back({"out_q", true, false});
+
+  TranslationUnit tu = unit_with_step(
+      {w_a, w_ab, r_ab, w_c, r_c},
+      {f32_buffer("sig_a", 8), f32_buffer("sig_ab", 8),
+       f32_buffer("sig_c", 8)});
+  PassOptions options;
+  options.reuse_arena = true;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.buffers_rebound, 3);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  kernel_a(in_x, buf0, sig_a_len, xsig_a);\n"
+            "  kernel_b(buf0, buf1, sig_ab2, sig_ab_n);\n"
+            "  consume(buf1, out_p); /* buf1 */\n"
+            "  kernel_c(in_y, buf0);\n"
+            "  consume(buf0, out_q);\n"
+            "}\n");
+  ASSERT_EQ(tu.buffers.size(), 2u);
+  EXPECT_EQ(tu.buffers[0].name, "buf0");
+  EXPECT_EQ(tu.buffers[1].name, "buf1");
+  EXPECT_EQ(tu.step.body[1].accesses[0].buffer, "buf1");
+  EXPECT_EQ(tu.step.body[1].accesses[1].buffer, "buf0");
 }
 
 TEST(CgirArena, IneligibleAndConstBuffersAreUntouched) {

@@ -189,6 +189,26 @@ TEST_F(TracerFixture, SummaryIndentsChildren) {
   EXPECT_NE(text.find("ms"), std::string::npos);
 }
 
+TEST_F(TracerFixture, EveryCgirPassGetsASpanUnderEmitOpt) {
+  Model model = resolved(benchmodels::mixed_pipeline_model(100));
+  auto hcg = codegen::make_hcg_generator(isa::builtin("neon_sim"), nullptr, {},
+                                         /*opt_level=*/2);
+  (void)hcg->generate(model);
+  const auto events = obs::Tracer::instance().events();
+  std::vector<std::string> passes;
+  for (const auto& e : events) {
+    if (!e.name.starts_with("cgir.pass.")) continue;
+    passes.push_back(e.name.substr(std::string("cgir.pass.").size()));
+    ASSERT_GE(e.parent, 0) << e.name;
+    EXPECT_EQ(events[static_cast<std::size_t>(e.parent)].name, "emit.opt")
+        << e.name;
+  }
+  EXPECT_EQ(passes, (std::vector<std::string>{
+                        "fuse_loops", "fuse_cross_scale", "forward_copies",
+                        "eliminate_dead_buffers", "tile_loops", "reuse_arena",
+                        "coalesce_layout", "localize_strips"}));
+}
+
 #endif  // HCG_DISABLE_TRACING
 
 TEST(ObsTrace, EmptyTraceIsAValidJsonArray) {

@@ -29,6 +29,13 @@ codegen::EmitConfig hcg_config(int opt_level) {
   return config;
 }
 
+/// hcg_config() that also captures the final "cgir-v1" dump.
+codegen::EmitConfig hcg_dump_config(int opt_level) {
+  codegen::EmitConfig config = hcg_config(opt_level);
+  config.dump_cgir_after = "final";
+  return config;
+}
+
 /// Two independent Add/Mul chains over f32[n]: two batch regions whose
 /// loops have identical domains, so -O1 can fuse across regions.
 Model two_chain_model(int n) {
@@ -174,10 +181,11 @@ TEST(OptPasses, ArenaRebindingShrinksStaticBuffers) {
 
 TEST(OptPasses, O1ByteIdenticalAcrossJobCounts) {
   const Model model = resolved(two_chain_model(7));
-  codegen::GeneratedCode first = codegen::emit_model(model, hcg_config(1));
-  codegen::GeneratedCode second = codegen::emit_model(model, hcg_config(1));
+  codegen::GeneratedCode first = codegen::emit_model(model, hcg_dump_config(1));
+  codegen::GeneratedCode second =
+      codegen::emit_model(model, hcg_dump_config(1));
   EXPECT_EQ(first.source, second.source);
-  EXPECT_EQ(first.cgir_dump, second.cgir_dump);
+  EXPECT_EQ(first.cgir_dump_after, second.cgir_dump_after);
   EXPECT_EQ(first.report.loops_fused, second.report.loops_fused);
   EXPECT_EQ(first.report.arena_bytes_saved, second.report.arena_bytes_saved);
 }
@@ -190,9 +198,9 @@ TEST(OptPasses, EmittedDumpRoundTripsToSource) {
   const Model model = resolved(two_chain_model(7));
   for (int level : {0, 1}) {
     codegen::GeneratedCode code =
-        codegen::emit_model(model, hcg_config(level));
-    ASSERT_FALSE(code.cgir_dump.empty());
-    cgir::TranslationUnit reparsed = cgir::parse_dump(code.cgir_dump);
+        codegen::emit_model(model, hcg_dump_config(level));
+    ASSERT_FALSE(code.cgir_dump_after.empty());
+    cgir::TranslationUnit reparsed = cgir::parse_dump(code.cgir_dump_after);
     EXPECT_EQ(cgir::print(reparsed), code.source) << "-O" << level;
   }
 }
@@ -290,21 +298,23 @@ TEST(OptPasses, O2ByteIdenticalAcrossJobCounts) {
   for (const Model& model :
        {resolved(benchmodels::mixed_pipeline_model(100)),
         resolved(mul_only_model(100)), resolved(two_chain_model(7))}) {
-    codegen::GeneratedCode first = codegen::emit_model(model, hcg_config(2));
-    codegen::GeneratedCode second = codegen::emit_model(model, hcg_config(2));
+    codegen::GeneratedCode first =
+        codegen::emit_model(model, hcg_dump_config(2));
+    codegen::GeneratedCode second =
+        codegen::emit_model(model, hcg_dump_config(2));
     EXPECT_EQ(first.source, second.source) << model.name();
-    EXPECT_EQ(first.cgir_dump, second.cgir_dump) << model.name();
+    EXPECT_EQ(first.cgir_dump_after, second.cgir_dump_after) << model.name();
   }
 }
 
 TEST(OptPasses, O2DumpRoundTripsStripMinedLoops) {
   const Model model = resolved(benchmodels::mixed_pipeline_model(37));
-  codegen::GeneratedCode code = codegen::emit_model(model, hcg_config(2));
-  ASSERT_FALSE(code.cgir_dump.empty());
+  codegen::GeneratedCode code = codegen::emit_model(model, hcg_dump_config(2));
+  ASSERT_FALSE(code.cgir_dump_after.empty());
   // The dump names the strip-mined lane loops and their induction variable.
-  EXPECT_NE(code.cgir_dump.find("strip=1"), std::string::npos);
-  EXPECT_NE(code.cgir_dump.find("ivar=k"), std::string::npos);
-  cgir::TranslationUnit reparsed = cgir::parse_dump(code.cgir_dump);
+  EXPECT_NE(code.cgir_dump_after.find("strip=1"), std::string::npos);
+  EXPECT_NE(code.cgir_dump_after.find("ivar=k"), std::string::npos);
+  cgir::TranslationUnit reparsed = cgir::parse_dump(code.cgir_dump_after);
   EXPECT_EQ(cgir::print(reparsed), code.source);
 }
 

@@ -34,6 +34,13 @@ codegen::EmitConfig sve_config(int opt_level) {
   return config;
 }
 
+/// sve_config() that also captures the final "cgir-v1" dump.
+codegen::EmitConfig sve_dump_config(int opt_level) {
+  codegen::EmitConfig config = sve_config(opt_level);
+  config.dump_cgir_after = "final";
+  return config;
+}
+
 /// Two independent Add/Mul chains over f32[n]: two batch regions, each of
 /// which must lower to exactly one predicated loop under the scalable table.
 Model two_chain_model(int n) {
@@ -168,12 +175,12 @@ TEST(Scalable, DumpRoundTripsPredicatedLoops) {
   const Model model = resolved(two_chain_model(37));
   for (int level : {0, 1, 2}) {
     codegen::GeneratedCode code =
-        codegen::emit_model(model, sve_config(level));
-    ASSERT_FALSE(code.cgir_dump.empty());
+        codegen::emit_model(model, sve_dump_config(level));
+    ASSERT_FALSE(code.cgir_dump_after.empty());
     // The dump names the predicated form and its runtime step expression.
-    EXPECT_NE(code.cgir_dump.find("pred=1"), std::string::npos) << level;
-    EXPECT_NE(code.cgir_dump.find("stepx="), std::string::npos) << level;
-    cgir::TranslationUnit reparsed = cgir::parse_dump(code.cgir_dump);
+    EXPECT_NE(code.cgir_dump_after.find("pred=1"), std::string::npos) << level;
+    EXPECT_NE(code.cgir_dump_after.find("stepx="), std::string::npos) << level;
+    cgir::TranslationUnit reparsed = cgir::parse_dump(code.cgir_dump_after);
     EXPECT_EQ(cgir::print(reparsed), code.source) << "-O" << level;
   }
 }
@@ -182,11 +189,11 @@ TEST(Scalable, ByteIdenticalAcrossJobCounts) {
   const Model model = resolved(two_chain_model(1021));
   for (int level : {0, 1, 2}) {
     codegen::GeneratedCode first =
-        codegen::emit_model(model, sve_config(level));
+        codegen::emit_model(model, sve_dump_config(level));
     codegen::GeneratedCode second =
-        codegen::emit_model(model, sve_config(level));
+        codegen::emit_model(model, sve_dump_config(level));
     EXPECT_EQ(first.source, second.source) << "-O" << level;
-    EXPECT_EQ(first.cgir_dump, second.cgir_dump) << "-O" << level;
+    EXPECT_EQ(first.cgir_dump_after, second.cgir_dump_after) << "-O" << level;
   }
 }
 
