@@ -3,7 +3,9 @@
 // expression folding, buffer reuse, and metadata.
 #include <gtest/gtest.h>
 
+#include "actors/resolve.hpp"
 #include "benchmodels/benchmodels.hpp"
+#include "cgir/cgir.hpp"
 #include "codegen/generator.hpp"
 #include "isa/builtin.hpp"
 #include "model/builder.hpp"
@@ -284,6 +286,23 @@ TEST(Codegen, GeneratorNames) {
   EXPECT_EQ(make_hcg_generator(isa::builtin("neon"))->name(), "hcg");
   EXPECT_EQ(make_simulink_generator()->name(), "simulink");
   EXPECT_EQ(make_dfsynth_generator()->name(), "dfsynth");
+}
+
+// ---------------------------------------------------------------------------
+// CGIR dump checkpoints
+// ---------------------------------------------------------------------------
+
+TEST(ProfileGen, FinalDumpIsTheInstrumentedUnit) {
+  // The "final" checkpoint (hcgc --dump-cgir) comes after instrumentation:
+  // the dump holds the HCG_PROF statements and re-prints as the source.
+  Model model = resolved(benchmodels::fft_model());
+  EmitTuning tuning;
+  tuning.dump_cgir_after = "final";
+  auto hcg = make_hcg_generator(isa::builtin("neon_sim"), nullptr, {},
+                                /*opt_level=*/1, /*profile_gen=*/true, tuning);
+  const GeneratedCode code = hcg->generate(model);
+  EXPECT_NE(code.cgir_dump_after.find("HCG_PROF_ENTER"), std::string::npos);
+  EXPECT_EQ(cgir::print(cgir::parse_dump(code.cgir_dump_after)), code.source);
 }
 
 }  // namespace
