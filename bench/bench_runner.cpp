@@ -86,7 +86,7 @@ std::vector<bench::BenchMetric> suite_codegen() {
 
   // -O2 pass facts (PR 7), all deterministic counts.  mixed_pipeline has a
   // deliberate scale boundary, so cross-scale fusion must fire; the dfsynth
-  // leg is all scalar loops, so the tiling and layout passes must fire.
+  // leg is all scalar loops, so the tiling pass must fire.
   {
     Model model = resolved(benchmodels::mixed_pipeline_model(1024));
     synth::SelectionHistory history;
@@ -94,8 +94,6 @@ std::vector<bench::BenchMetric> suite_codegen() {
     const obs::Report& r = code.report;
     metrics.push_back(bench::count_metric(
         "mixed_pipeline.o2.cross_scale_fused", r.cross_scale_fused));
-    metrics.push_back(bench::count_metric(
-        "mixed_pipeline.o2.stride1_accesses", r.stride1_accesses));
     metrics.push_back(bench::count_metric(
         "mixed_pipeline.o2.simd_instructions",
         static_cast<double>(code.simd_instructions.size())));
@@ -107,17 +105,14 @@ std::vector<bench::BenchMetric> suite_codegen() {
     const obs::Report& r = code.report;
     metrics.push_back(bench::count_metric(
         "fir_bench.dfsynth_o2.loops_tiled", r.loops_tiled));
-    metrics.push_back(bench::count_metric(
-        "fir_bench.dfsynth_o2.buffers_relocated", r.buffers_relocated));
-    metrics.push_back(bench::count_metric(
-        "fir_bench.dfsynth_o2.stride1_accesses", r.stride1_accesses));
   }
 
   // Algorithm 1 memo facts: 64 farm actors over 16 distinct keys, so a cold
   // generation measures each key once and answers the other 48 from the
   // in-run memo.  The -O2 pass facts of the same model then come from a
   // second, warm generation: its 59 fusions and its arena layout pin the
-  // fusion order at scale.
+  // fusion order at scale.  The Simulink-like baseline's -O0 footprint pins
+  // that -O0 shares buffers through the same arena pass.
   {
     Model model = resolved(benchmodels::intensive_farm_model(64, false));
     obs::Counter& precalc =
@@ -140,6 +135,12 @@ std::vector<bench::BenchMetric> suite_codegen() {
     metrics.push_back(bench::count_metric(
         "farm64.o2.arena_bytes_saved",
         static_cast<double>(o2.arena_bytes_saved)));
+    metrics.push_back(bench::count_metric(
+        "farm64.simulink_o0.static_buffer_bytes",
+        static_cast<double>(
+            codegen::make_simulink_generator()->generate(model)
+                .static_buffer_bytes),
+        "B"));
   }
   return metrics;
 }

@@ -113,9 +113,6 @@ const std::vector<DiagnosticRule>& diagnostic_rules() {
       {"HCG409", "loop-tiled",
        "-O2 chunked a scalar loop into constant-trip tiles plus a tail",
        Severity::kRemark},
-      {"HCG410", "layout-changed",
-       "-O2 re-ordered buffer declarations for coalesced stride-1 access",
-       Severity::kRemark},
       {"HCG411", "region-narrowed",
        "proven value ranges let a batch region run at a narrower element "
        "type with more SIMD lanes",

@@ -1,6 +1,6 @@
 // CGIR verifier: structural and semantic invariants of a TranslationUnit.
 //
-// The -O1 pass pipeline rewrites the codegen IR in place; each pass relies
+// The cgir pass pipeline rewrites the codegen IR in place; each pass relies
 // on invariants the previous one must preserve.  The verifier checks them
 // independently after every pass (codegen/emit.cpp installs it through
 // cgir::PassOptions::after_pass), so a pass that breaks the IR is caught at

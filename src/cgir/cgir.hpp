@@ -4,8 +4,9 @@
 // TranslationUnit instead of concatenating strings; optimization passes
 // (cgir/passes.hpp) then rewrite the tree — fusing region loops, forwarding
 // buffer handoffs, rebinding intermediate buffers onto an arena — before the
-// deterministic pretty-printer turns it back into C.  print() reproduces the
-// historical string emitter byte for byte when no pass has run.
+// deterministic pretty-printer turns it back into C.  The lowering declares
+// one buffer per signal; which buffers share storage is decided by the arena
+// pass alone, at every -O level.
 #pragma once
 
 #include <cstddef>

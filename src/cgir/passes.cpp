@@ -232,6 +232,11 @@ void merge_bodies(Stmt& earlier, Stmt&& later, PassStats& stats) {
     earlier.body.push_back(std::move(line));
   }
   earlier.banner_actors += later.banner_actors;
+  // An earlier loop without a banner (e.g. a strip-mined scalar loop) takes
+  // the later loop's ISA name along with its actor count.
+  if (earlier.banner_isa.empty()) {
+    earlier.banner_isa = std::move(later.banner_isa);
+  }
 }
 
 /// Same-shape loop fusion over one statement list.  The scan visits each
@@ -674,7 +679,7 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
 }
 
 // ---------------------------------------------------------------------------
-// -O2: cross-scale fusion, scalar-loop tiling, coalescing buffer layout.
+// -O2: cross-scale fusion and scalar-loop tiling.
 // ---------------------------------------------------------------------------
 
 /// True for a conventional scalar loop the -O2 passes may restructure:
@@ -782,8 +787,22 @@ void fuse_cross_scale(std::vector<Stmt>& body, PassStats& stats) {
   }
 }
 
+/// Tile width for tile_plain_loops: four vector strides of the widest
+/// vector loop (so one tile is a handful of full SIMD iterations), 16 when
+/// nothing vectorized.
+int tile_width(const std::vector<Stmt>& body) {
+  int lanes = 0;
+  for (const Stmt& stmt : body) {
+    if (stmt.kind == Stmt::Kind::kLoop &&
+        (stmt.vector_loop || stmt.single_iteration)) {
+      lanes = std::max(lanes, stmt.step);
+    }
+  }
+  return lanes > 0 ? 4 * lanes : 16;
+}
+
 /// Chunks each remaining large plain scalar loop into an outer tile loop
-/// (stride tile_elems) over a strip-mined constant-trip inner loop, plus a
+/// (stride `tile`) over a strip-mined constant-trip inner loop, plus a
 /// scalar tail for the last partial tile.  The constant inner trip count
 /// lets the C compiler unroll and vectorize without runtime remainder
 /// checks.  Loops acting as remainder cover for a later vector loop are
@@ -826,62 +845,6 @@ void tile_plain_loops(std::vector<Stmt>& body, int tile, PassStats& stats) {
     ++stats.loops_tiled;
     i += emitted - 1;
   }
-}
-
-int count_stride1(const std::vector<Stmt>& body) {
-  int n = 0;
-  for (const Stmt& stmt : body) {
-    for (const BufferAccess& access : stmt.accesses) {
-      if (access.elementwise) ++n;
-    }
-    n += count_stride1(stmt.body);
-  }
-  return n;
-}
-
-void collect_buffer_names(const Stmt& stmt, std::vector<std::string>& out) {
-  for (const BufferAccess& access : stmt.accesses) out.push_back(access.buffer);
-  for (const Stmt& child : stmt.body) collect_buffer_names(child, out);
-}
-
-/// Coalescing-aware layout: re-orders the buffer declarations so buffers
-/// first co-accessed by the same top-level statement sit adjacent in the
-/// static data segment, in first-touch order (fused loops then walk their
-/// working set contiguously).  Also counts the stride-1 (elementwise)
-/// accesses of the final step body for the codegen.layout metrics.
-void coalesce_layout(TranslationUnit& tu, PassStats& stats) {
-  std::map<std::string, std::size_t> first_touch;
-  std::size_t position = 0;
-  auto record = [&](const std::vector<Stmt>& fn_body) {
-    for (const Stmt& top : fn_body) {
-      std::vector<std::string> names;
-      collect_buffer_names(top, names);
-      for (std::string& name : names) {
-        first_touch.emplace(std::move(name), position);
-      }
-      ++position;
-    }
-  };
-  record(tu.init.body);
-  record(tu.step.body);
-
-  const std::size_t untouched = position;  // sorts after every real touch
-  std::vector<BufferDecl> reordered = tu.buffers;
-  std::stable_sort(reordered.begin(), reordered.end(),
-                   [&](const BufferDecl& a, const BufferDecl& b) {
-                     auto ia = first_touch.find(a.name);
-                     auto ib = first_touch.find(b.name);
-                     const std::size_t ka =
-                         ia == first_touch.end() ? untouched : ia->second;
-                     const std::size_t kb =
-                         ib == first_touch.end() ? untouched : ib->second;
-                     return ka < kb;
-                   });
-  for (std::size_t i = 0; i < reordered.size(); ++i) {
-    if (reordered[i].name != tu.buffers[i].name) ++stats.buffers_relocated;
-  }
-  tu.buffers = std::move(reordered);
-  stats.stride1_accesses = count_stride1(tu.step.body);
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,6 +1069,8 @@ void corrupt_unit(TranslationUnit& tu) {
 
 PassStats run_passes(TranslationUnit& tu, const PassOptions& options) {
   PassStats stats;
+  // Measured on the unit as lowered: fusion changes which loops exist.
+  const int tile = tile_width(tu.step.body);
   // Runs one pass under its "cgir.pass.<name>" trace span, then the
   // checkpoint (fault probe, after_pass hook) outside the span.
   auto run = [&]([[maybe_unused]] const char* span, std::string_view pass,
@@ -1141,17 +1106,12 @@ PassStats run_passes(TranslationUnit& tu, const PassOptions& options) {
         [&] { eliminate_dead_buffers(tu, stats); });
   }
   if (options.tile_scalar_loops) {
-    const int tile = options.tile_elems > 0 ? options.tile_elems : 16;
     run("cgir.pass.tile_loops", "tile_loops",
         [&] { tile_plain_loops(tu.step.body, tile, stats); });
   }
   if (options.reuse_arena) {
     run("cgir.pass.reuse_arena", "reuse_arena",
         [&] { reuse_arena(tu, stats); });
-  }
-  if (options.coalesce_layout) {
-    run("cgir.pass.coalesce_layout", "coalesce_layout",
-        [&] { coalesce_layout(tu, stats); });
   }
   if (options.localize_strips) {
     run("cgir.pass.localize_strips", "localize_strips",

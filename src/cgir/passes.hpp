@@ -18,15 +18,19 @@
 //      write to last access, at whole-statement granularity) do not overlap
 //      rebind onto shared arena slots, shrinking static footprint.
 //
-// At -O2 four more passes join the pipeline (see PassOptions): cross-scale
+// Arena reuse is the only buffer allocator: it is also the whole pipeline
+// at -O0 (fuse_loops off), where it serves the baseline tools.  A rebound
+// slot is declared where its first member was, so the declaration order is
+// the lowering's order with the later members removed.
+//
+// At -O2 three more passes join the pipeline (see PassOptions): cross-scale
 // producer-consumer fusion (strip-mine a scalar loop into an adjacent vector
 // loop's shape, then fuse), scalar-loop tiling (constant-trip inner chunks
-// plus a tail), coalescing-aware buffer layout (declaration reordering by
-// first co-access), and strip-body lane localization (strip-mined lane loops
+// plus a tail), and strip-body lane localization (strip-mined lane loops
 // compute through fixed-size local lane buffers moved with full-width block
 // copies).  The -O2 order is fuse_loops, fuse_cross_scale, forward_copies,
-// eliminate_dead_buffers, tile_loops, reuse_arena, coalesce_layout,
-// localize_strips, with the verifier checkpoint after every pass.
+// eliminate_dead_buffers, tile_loops, reuse_arena, localize_strips, with the
+// verifier checkpoint after every pass.
 //
 // All passes are deterministic: they iterate the tree in order and never
 // consult addresses, hashes, or time.
@@ -64,13 +68,13 @@ struct PassOptions {
   /// that fails to fuse is rolled back.
   bool fuse_cross_scale = false;
   /// Chunk large scalar loops into a constant-trip inner loop (outer loop
-  /// strides by tile_elems, strip_mined inner covers the tile) plus a
+  /// strides by the tile width, strip_mined inner covers the tile) plus a
   /// scalar tail, giving the C compiler a known trip count to unroll and
-  /// vectorize.
+  /// vectorize.  The tile width is four vector strides of the widest vector
+  /// loop of the unit as lowered (16 when nothing vectorized): derived from
+  /// the unit, never from timings, so the output is byte-identical across
+  /// runs.
   bool tile_scalar_loops = false;
-  /// Re-order buffer declarations so buffers co-accessed by the same
-  /// top-level statement of the step body are adjacent in memory.
-  bool coalesce_layout = false;
   /// Rewrite each strip-mined lane loop whose body indexes arrays purely
   /// elementwise to compute through fixed-size local lane buffers, moved
   /// with full-width memcpy block copies.  The lane loop then runs over
@@ -79,10 +83,6 @@ struct PassOptions {
   /// stores with the surrounding vector loads/stores (which would defeat
   /// store-to-load forwarding).
   bool localize_strips = false;
-  /// Tile width for tile_scalar_loops; 0 picks a static heuristic.  Must
-  /// be derived deterministically (never from timings): generated code is
-  /// byte-identical across runs.
-  int tile_elems = 0;
   PassHook after_pass;       // optional per-pass checkpoint (verifier)
 };
 
@@ -107,9 +107,7 @@ struct PassStats {
   // ---- -O2 ------------------------------------------------------------
   int cross_scale_fused = 0;    // strip-mined loops merged into vector loops
   int loops_tiled = 0;          // scalar loops chunked by tile_scalar_loops
-  int buffers_relocated = 0;    // decls moved by the layout pass
   int strips_localized = 0;     // strip bodies rewritten onto lane buffers
-  int stride1_accesses = 0;     // elementwise accesses in the final step body
   std::vector<ArenaBinding> arena_bindings;  // one entry per rebound buffer
 };
 

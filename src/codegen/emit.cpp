@@ -1,8 +1,9 @@
 // The emitter: lowers a resolved model — scheduled actors plus Algorithm 2's
-// matched batch regions — into the cgir translation unit, runs the -O1 pass
-// pipeline over it (loop fusion, copy forwarding, arena reuse), and prints
-// the result.  At -O0 the printed output is byte-identical to the historical
-// string-concatenation emitter.
+// matched batch regions — into the cgir translation unit, runs the cgir pass
+// pipeline over it, and prints the result.  Lowering gives every signal its
+// own buffer; the arena pass (cgir/passes.hpp) alone decides which of them
+// share storage, at every -O level: at -O0 it is the only pass, -O1 adds
+// loop fusion and copy forwarding before it, -O2 the restructuring passes.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -531,32 +532,11 @@ class Emitter {
       direct_outports_.insert(id);
     }
 
-    // Live-range buffer reuse (Simulink Coder's output variable reuse).
-    // Position = index in the emission order; a signal is live from its
-    // producer's position to its last consumer's position.  At -O1 the
-    // cgir arena pass supersedes this slot naming: every signal keeps its
-    // own `sig_` buffer here, marked arena-eligible, and the pass rebinds
-    // non-overlapping ones after fusion has settled the true live ranges.
-    const bool legacy_slots = config_.reuse_buffers && config_.opt_level < 1;
-    std::map<ActorId, int> position;
-    for (size_t i = 0; i < order_.size(); ++i) {
-      if (order_[i].actor != kNoActor) {
-        position[order_[i].actor] = static_cast<int>(i);
-      } else {
-        for (ActorId id : regions_[static_cast<size_t>(order_[i].region)].actors) {
-          position[id] = static_cast<int>(i);
-        }
-      }
-    }
-
-    struct Slot {
-      std::string name;
-      DataType type;
-      Shape shape;
-      int free_at = -1;
-    };
-    std::vector<Slot> slots;
-
+    // Every other signal gets its own `sig_` / `dly_` buffer.  With
+    // reuse_buffers (Simulink Coder's output variable reuse, which HCG
+    // inherits) the non-persistent ones are marked arena-eligible, and the
+    // cgir arena pass rebinds those whose live ranges do not overlap onto
+    // shared slots once the passes have settled the final statement order.
     for (const EmissionItem& item : order_) {
       std::vector<ActorId> producers;
       if (item.actor != kNoActor) {
@@ -570,56 +550,15 @@ class Emitter {
         if (register_only_.count(id)) continue;  // lives in vector registers
         for (int port = 0; port < actor.output_count(); ++port) {
           if (buffer_name_.count({id, port})) continue;  // output-aliased
-          const PortSpec& spec = actor.output(port);
           const bool reusable = config_.reuse_buffers &&
                                 actor.type() != "Constant" &&
                                 actor.type() != "UnitDelay";
-          int last_use = position.at(id);
-          for (const Connection& c : model_.outgoing(id, port)) {
-            // A folded consumer evaluates inside the statement of the actor
-            // it was inlined into, so the read happens at that actor's
-            // position — follow the chain to the real emission site.
-            ActorId reader = c.dst;
-            while (is_folded(reader)) {
-              reader = model_.outgoing(reader, 0).front().dst;
-            }
-            // A UnitDelay consumer reads its input in the end-of-step latch
-            // (flush_delay_updates), not at its schedule position, so the
-            // feeding buffer stays live for the whole step.
-            if (model_.actor(reader).type() == "UnitDelay") {
-              last_use = static_cast<int>(order_.size());
-            } else {
-              last_use = std::max(last_use, position.at(reader));
-            }
-          }
-
-          std::string name;
-          if (reusable && legacy_slots) {
-            Slot* found = nullptr;
-            for (Slot& slot : slots) {
-              if (slot.type == spec.type && slot.shape == spec.shape &&
-                  slot.free_at < position.at(id)) {
-                found = &slot;
-                break;
-              }
-            }
-            if (found == nullptr) {
-              slots.push_back(Slot{"buf" + std::to_string(slots.size()),
-                                   spec.type, spec.shape, -1});
-              found = &slots.back();
-              declare_buffer(found->name, spec, /*constant=*/nullptr,
-                             /*arena_eligible=*/false);
-            }
-            found->free_at = last_use;
-            name = found->name;
-          } else {
-            name = (actor.type() == "UnitDelay" ? "dly_" : "sig_") +
-                   sanitize_identifier(actor.name());
-            if (port != 0) name += "_p" + std::to_string(port);
-            const Actor* const_src =
-                actor.type() == "Constant" ? &actor : nullptr;
-            declare_buffer(name, spec, const_src, /*arena_eligible=*/reusable);
-          }
+          std::string name = (actor.type() == "UnitDelay" ? "dly_" : "sig_") +
+                             sanitize_identifier(actor.name());
+          if (port != 0) name += "_p" + std::to_string(port);
+          const Actor* const_src = actor.type() == "Constant" ? &actor : nullptr;
+          declare_buffer(name, actor.output(port), const_src,
+                         /*arena_eligible=*/reusable);
           buffer_name_[{id, port}] = name;
         }
       }
@@ -1150,59 +1089,40 @@ class Emitter {
     return env != nullptr && *env != '\0' && std::string_view(env) != "0";
   }
 
-  /// Static tile width for the -O2 tiling pass when EmitConfig does not pin
-  /// one: four vector strides of the widest planned region loop (so one tile
-  /// is a handful of full SIMD iterations), 16 when nothing vectorized.
-  /// Never derived from timings — output must be byte-identical across runs.
-  int derive_tile_elems() const {
-    int lanes = 0;
-    for (const cgir::Stmt& stmt : tu_.step.body) {
-      if (stmt.kind == cgir::Stmt::Kind::kLoop &&
-          (stmt.vector_loop || stmt.single_iteration)) {
-        lanes = std::max(lanes, stmt.step);
-      }
-    }
-    return lanes > 0 ? 4 * lanes : 16;
-  }
-
   void run_pass_pipeline() {
     const bool verify = config_.verify_cgir || verify_env_enabled();
-    cgir::PassStats stats;
     if (verify) {
       // Checkpoint "lower": the freshly lowered unit, before any pass.
-      analysis::require_valid_unit(tu_, stats, "lower");
+      analysis::require_valid_unit(tu_, cgir::PassStats{}, "lower");
       out_.report.verified_passes.emplace_back("lower");
     }
     if (config_.dump_cgir_after == "lower") {
       out_.cgir_dump_after = cgir::dump(tu_);
     }
-    if (config_.opt_level >= 1) {
-      cgir::PassOptions options;
-      options.fuse_loops = true;
-      options.reuse_arena = config_.reuse_buffers;
-      if (config_.opt_level >= 2) {
-        options.fuse_cross_scale = true;
-        options.tile_scalar_loops = true;
-        options.coalesce_layout = true;
-        options.localize_strips = true;
-        options.tile_elems = config_.tile_elems > 0 ? config_.tile_elems
-                                                    : derive_tile_elems();
-      }
-      if (verify || !config_.dump_cgir_after.empty()) {
-        options.after_pass = [this, verify](std::string_view pass,
-                                            const cgir::TranslationUnit& tu,
-                                            const cgir::PassStats& pass_stats) {
-          if (verify) {
-            analysis::require_valid_unit(tu, pass_stats, pass);
-            out_.report.verified_passes.emplace_back(pass);
-          }
-          if (pass == config_.dump_cgir_after) {
-            out_.cgir_dump_after = cgir::dump(tu);
-          }
-        };
-      }
-      stats = cgir::run_passes(tu_, options);
+    // -O0 runs only the arena pass (when reuse_buffers asks for it), under
+    // the same checkpoints as every other level.
+    cgir::PassOptions options;
+    options.fuse_loops = config_.opt_level >= 1;
+    options.reuse_arena = config_.reuse_buffers;
+    if (config_.opt_level >= 2) {
+      options.fuse_cross_scale = true;
+      options.tile_scalar_loops = true;
+      options.localize_strips = true;
     }
+    if (verify || !config_.dump_cgir_after.empty()) {
+      options.after_pass = [this, verify](std::string_view pass,
+                                          const cgir::TranslationUnit& tu,
+                                          const cgir::PassStats& pass_stats) {
+        if (verify) {
+          analysis::require_valid_unit(tu, pass_stats, pass);
+          out_.report.verified_passes.emplace_back(pass);
+        }
+        if (pass == config_.dump_cgir_after) {
+          out_.cgir_dump_after = cgir::dump(tu);
+        }
+      };
+    }
+    const cgir::PassStats stats = cgir::run_passes(tu_, options);
     if (config_.profile_gen) {
       // After the passes (the instrumented loops are the final ones) and
       // after the last verifier checkpoint (the injected HCG_PROF_* text
@@ -1228,8 +1148,6 @@ class Emitter {
     out_.report.arena_bytes_saved = stats.arena_bytes_saved;
     out_.report.cross_scale_fused = stats.cross_scale_fused;
     out_.report.loops_tiled = stats.loops_tiled;
-    out_.report.buffers_relocated = stats.buffers_relocated;
-    out_.report.stride1_accesses = stats.stride1_accesses;
     out_.report.strips_localized = stats.strips_localized;
     static obs::Counter& fusion_metric =
         obs::Registry::instance().counter("codegen.fusion.loops_fused");
@@ -1239,13 +1157,10 @@ class Emitter {
         "codegen.fusion.cross_scale_fused");
     static obs::Counter& tile_metric =
         obs::Registry::instance().counter("codegen.tile.loops_tiled");
-    static obs::Counter& stride1_metric = obs::Registry::instance().counter(
-        "codegen.layout.stride1_accesses");
     fusion_metric.add(static_cast<std::uint64_t>(stats.loops_fused));
     arena_metric.add(stats.arena_bytes_saved);
     cross_scale_metric.add(static_cast<std::uint64_t>(stats.cross_scale_fused));
     tile_metric.add(static_cast<std::uint64_t>(stats.loops_tiled));
-    stride1_metric.add(static_cast<std::uint64_t>(stats.stride1_accesses));
 
     // -O2 pass remarks, mirrored into the report like lint findings so a
     // --report consumer sees where the new passes fired.
@@ -1265,11 +1180,6 @@ class Emitter {
     if (stats.loops_tiled > 0) {
       remark("HCG409", std::to_string(stats.loops_tiled) +
                            " scalar loop(s) tiled into constant-trip chunks");
-    }
-    if (stats.buffers_relocated > 0) {
-      remark("HCG410", std::to_string(stats.buffers_relocated) +
-                           " buffer declaration(s) re-ordered for coalesced "
-                           "stride-1 access");
     }
   }
 

@@ -44,31 +44,25 @@ struct EmitConfig {
   /// (Simulink Coder's "expression folding").
   bool fold_scalar_expressions = false;
   /// Reuse signal buffers whose live ranges do not overlap
-  /// (Simulink Coder's "output variable reuse"; HCG inherits it).
+  /// (Simulink Coder's "output variable reuse"; HCG inherits it): the cgir
+  /// arena pass rebinds them onto shared slots at every opt level.
   bool reuse_buffers = false;
   /// Optimization level for the cgir pass pipeline run over the lowered
-  /// translation unit.  0 = lowering only (output byte-identical to the
-  /// historical string emitter); 1 = region loop fusion + copy forwarding,
-  /// and — when reuse_buffers is set — arena rebinding of intermediate
-  /// buffers (which replaces the legacy slot-reuse naming at -O1);
-  /// 2 = additionally cross-scale producer-consumer fusion (strip-mining),
-  /// scalar-loop tiling, and coalescing-aware buffer layout.
+  /// translation unit.  0 = no restructuring (only the arena pass, when
+  /// reuse_buffers is set); 1 = region loop fusion + copy forwarding, then
+  /// the arena pass; 2 = additionally cross-scale producer-consumer fusion
+  /// (strip-mining), scalar-loop tiling, and strip-body lane localization.
   int opt_level = 0;
-  /// Tile width (elements) for the -O2 scalar-loop tiling pass; 0 derives a
-  /// static width from the region plan's vector lane count (4 lanes).  Pin
-  /// it when external measured-cost data (hcgc profile, the kernel-sweep
-  /// benches) identifies a better width for the target.
-  int tile_elems = 0;
   /// When non-empty, capture a "cgir-v1" dump of the unit as it stood
   /// right after the named pass ("lower", "fuse_loops", "fuse_cross_scale",
   /// "forward_copies", "eliminate_dead_buffers", "tile_loops",
-  /// "reuse_arena", "coalesce_layout", "localize_strips") into
+  /// "reuse_arena", "localize_strips") into
   /// GeneratedCode::cgir_dump_after (the `hcgc --dump-cgir-after=<pass>`
   /// surface).  "final" captures the unit exactly as printed, after any
   /// profiling instrumentation (the `hcgc --dump-cgir` surface).
   std::string dump_cgir_after;
   /// Run the cgir verifier (analysis/verifier.hpp) over the lowered unit and
-  /// again after every -O1 pass; an invariant violation throws CodegenError
+  /// again after every pass; an invariant violation throws CodegenError
   /// naming the pass that broke it.  Also enabled process-wide by the
   /// HCG_VERIFY environment variable (any value except "" / "0"), which is
   /// how the test suite keeps it always-on.
@@ -77,9 +71,8 @@ struct EmitConfig {
   /// `hcgc --profile-gen` surface; see docs/PROFILING.md).  The counters are
   /// guarded by the HCG_PROF preprocessor macro, so without -DHCG_PROF the
   /// compiled behavior is unchanged — but the emitted *text* differs, which
-  /// is why this is off by default (byte-identity with the historical
-  /// emitter).  Instrumentation runs after the -O1 passes and after the last
-  /// verifier checkpoint.
+  /// is why this is off by default.  Instrumentation runs after the passes
+  /// and after the last verifier checkpoint.
   bool profile_gen = false;
   /// Algorithm 1 implementation selection; false = generic implementations.
   bool select_intensive = false;
@@ -130,11 +123,8 @@ GeneratedCode emit_model(const Model& model, const EmitConfig& config);
 
 /// Per-run emitter tuning shared by the three tool factories: knobs that do
 /// not differentiate the tools but parameterize one invocation (the hcgc
-/// surface).  Both fields default to "off" so existing callers are
-/// unaffected.
+/// surface).  Defaults to "off" so existing callers are unaffected.
 struct EmitTuning {
-  /// EmitConfig::tile_elems — -O2 tile width override (0 = derive).
-  int tile_elems = 0;
   /// EmitConfig::dump_cgir_after — checkpoint to snapshot, or empty.
   std::string dump_cgir_after;
 };

@@ -36,7 +36,6 @@ class HcgGenerator final : public Generator {
     config.fold_scalar_expressions = true;
     config.reuse_buffers = true;
     config.profile_gen = profile_gen_;
-    config.tile_elems = tuning_.tile_elems;
     config.dump_cgir_after = tuning_.dump_cgir_after;
     return emit_model(model, config);
   }
@@ -76,7 +75,6 @@ class SimulinkGenerator final : public Generator {
     config.reuse_buffers = true;
     config.select_intensive = false;  // generic intensive functions
     config.opt_level = opt_level_;
-    config.tile_elems = tuning_.tile_elems;
     config.dump_cgir_after = tuning_.dump_cgir_after;
     return emit_model(model, config);
   }
@@ -102,7 +100,6 @@ class DfsynthGenerator final : public Generator {
     config.reuse_buffers = false;
     config.select_intensive = false;  // generic intensive functions
     config.opt_level = opt_level_;
-    config.tile_elems = tuning_.tile_elems;
     config.dump_cgir_after = tuning_.dump_cgir_after;
     return emit_model(model, config);
   }

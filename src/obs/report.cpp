@@ -94,8 +94,6 @@ std::string Report::to_json(bool include_metrics) const {
   w.key("loops_tiled").value(loops_tiled);
   w.end_object();
   w.key("layout").begin_object();
-  w.key("buffers_relocated").value(buffers_relocated);
-  w.key("stride1_accesses").value(stride1_accesses);
   w.key("strips_localized").value(strips_localized);
   w.end_object();
   w.key("verified_passes").begin_array();

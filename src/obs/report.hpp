@@ -127,8 +127,6 @@ struct Report {
   // -O2 passes (PR 7).  All zero below -O2.
   int cross_scale_fused = 0;   // codegen.fusion.cross_scale_fused
   int loops_tiled = 0;         // codegen.tile.loops_tiled
-  int buffers_relocated = 0;   // codegen.layout.buffers_relocated
-  int stride1_accesses = 0;    // codegen.layout.stride1_accesses
   int strips_localized = 0;    // codegen.layout.strips_localized
 
   /// cgir verifier checkpoints that ran clean, in order ("lower" plus one

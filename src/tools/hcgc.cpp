@@ -44,27 +44,22 @@
 //   HCG_LOG         log threshold: debug|info|warn|error|off.
 //
 // Optimization (docs/CODEGEN_IR.md):
-//   -O0 | -O1 | -O2 cgir pass pipeline level.  -O1 (the hcg default) fuses
-//                   batch-region loops, forwards loads into stores, and
-//                   rebinds intermediate buffers into a shared arena; -O2
+//   -O0 | -O1 | -O2 cgir pass pipeline level.  -O0 (the baseline tools'
+//                   default) only rebinds intermediate buffers into a
+//                   shared arena (hcg and simulink; dfsynth keeps one buffer
+//                   per signal); -O1 (the hcg default) also fuses
+//                   batch-region loops and forwards loads into stores; -O2
 //                   additionally strip-mines scalar loops into adjacent
 //                   vector loops (cross-scale fusion), tiles the remaining
-//                   scalar loops, and re-orders buffer declarations for
-//                   coalesced stride-1 access; -O0 (the baseline tools'
-//                   default) prints the plain lowering.
+//                   scalar loops, and localizes strip-mined lane loops.
 //   --dump-cgir     print the "cgir-v1" serialization of the unit exactly
 //                   as printed (after the passes and any --profile-gen
 //                   instrumentation) instead of C source.
-//   --tile-elems N  -O2 tile width (elements); default derives a static
-//                   width from the region plan, and measured-cost data
-//                   (hcgc profile, the kernel-sweep benches) is the intended
-//                   source of an override.
 //   --dump-cgir-after=PASS
 //                   print the "cgir-v1" snapshot taken right after PASS ran
 //                   (lower, fuse_loops, fuse_cross_scale, forward_copies,
 //                   eliminate_dead_buffers, tile_loops, reuse_arena,
-//                   coalesce_layout, localize_strips) instead of C source.
-//                   Errors when the
+//                   localize_strips) instead of C source.  Errors when the
 //                   pass never ran at the chosen -O level.
 //
 // Profiling (docs/PROFILING.md):
@@ -133,7 +128,7 @@ int usage() {
                "                [--isa NAME|FILE] [--out FILE]\n"
                "                [--history FILE] [--threshold N] [--scattered]\n"
                "                [--report FILE] [--trace FILE]\n"
-               "                [-O0|-O1|-O2] [--tile-elems N] [--dump-cgir]\n"
+               "                [-O0|-O1|-O2] [--dump-cgir]\n"
                "                [--dump-cgir-after=PASS]\n"
                "  hcgc inspect  <model.xml> [--isa NAME|FILE]\n"
                "  hcgc lint     <model.xml> [--isa NAME|FILE] [--threshold N]\n"
@@ -174,7 +169,6 @@ struct Options {
   bool trace_from_env = false;
   int threshold = 0;
   int opt_level = -1;  // -1 = the tool's default (hcg: 1, baselines: 0)
-  int tile_elems = 0;  // -O2 tile width override; 0 = derive statically
   bool dump_cgir = false;
   std::string dump_cgir_after;  // pass name to snapshot; empty = off
   bool scattered = false;
@@ -257,9 +251,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.opt_level = 1;
     } else if (arg == "-O2") {
       opt.opt_level = 2;
-    } else if (arg == "--tile-elems") {
-      opt.tile_elems = std::atoi(value());
-      if (opt.tile_elems < 2) throw Error("--tile-elems needs a width >= 2");
     } else if (arg == "--dump-cgir") {
       opt.dump_cgir = true;
     } else if (arg.rfind("--dump-cgir-after=", 0) == 0) {
@@ -267,7 +258,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       static const char* const kPasses[] = {
           "lower",      "fuse_loops",  "fuse_cross_scale",
           "forward_copies", "eliminate_dead_buffers", "tile_loops",
-          "reuse_arena", "coalesce_layout", "localize_strips"};
+          "reuse_arena", "localize_strips"};
       bool known = false;
       for (const char* pass : kPasses) known |= opt.dump_cgir_after == pass;
       if (!known) {
@@ -331,7 +322,6 @@ std::unique_ptr<codegen::Generator> make_tool(const Options& opt,
                                               const isa::VectorIsa& table,
                                               synth::SelectionHistory* history) {
   codegen::EmitTuning tuning;
-  tuning.tile_elems = opt.tile_elems;
   tuning.dump_cgir_after = opt.dump_cgir ? "final" : opt.dump_cgir_after;
   if (opt.tool == "hcg") {
     synth::BatchOptions batch;

@@ -199,6 +199,20 @@ TEST(CgirFusion, MergesSameShapeLoops) {
   EXPECT_EQ(stats.loops_fused, 1);
   ASSERT_EQ(tu.step.body.size(), 1u);
   EXPECT_EQ(tu.step.body[0].body.size(), 4u);
+
+  // An earlier loop without a banner takes the later loop's actor count
+  // and ISA name, so the merged banner never prints an empty ISA.
+  TranslationUnit bannered = unit_with_step(
+      {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
+       vloop(0, 64, 4, {load("b_b", "in_b"), store("out_q", "b_b")})});
+  bannered.step.body[1].banner_actors = 3;
+  bannered.step.body[1].banner_isa = "neon_sim";
+  run_passes(bannered, {});
+  ASSERT_EQ(bannered.step.body.size(), 1u);
+  EXPECT_NE(printed_step(bannered).find(
+                "/* batch region (3 actors) -> neon_sim SIMD */"),
+            std::string::npos)
+      << printed_step(bannered);
 }
 
 TEST(CgirFusion, RespectsShapeAndFusibility) {

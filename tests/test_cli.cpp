@@ -341,19 +341,20 @@ TEST_F(CliFixture, DumpCgirAfterSnapshotsNamedPass) {
   EXPECT_EQ(bad.exit_code, 2);
   CliResult not_run = run_cli("generate " + model_path_ +
                               " --isa neon_sim -O0"
-                              " --dump-cgir-after=coalesce_layout");
+                              " --dump-cgir-after=localize_strips");
   EXPECT_EQ(not_run.exit_code, 1);
   EXPECT_NE(not_run.output.find("did not run"), std::string::npos);
 }
 
+// The -O2 tile width is derived from the unit, so there is no width option:
+// --tile-elems is a usage error like any unknown option.
 TEST_F(CliFixture, TileElemsValidatesWidth) {
-  CliResult bad = run_cli("generate " + model_path_ +
-                          " --isa neon_sim -O2 --tile-elems 1");
-  EXPECT_EQ(bad.exit_code, 2);
-  CliResult ok = run_cli("generate " + model_path_ +
-                         " --isa neon_sim -O2 --tile-elems 8 --out " +
-                         (dir_.path() / "t.c").string());
-  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  CliResult r = run_cli("generate " + model_path_ +
+                        " --isa neon_sim -O2 --tile-elems 8 --out " +
+                        (dir_.path() / "t.c").string());
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown option --tile-elems"), std::string::npos)
+      << r.output;
 }
 
 TEST_F(CliFixture, TraceSummaryGoesToStderr) {

@@ -10,6 +10,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
@@ -28,6 +29,7 @@
 #include "support/faults.hpp"
 #include "support/fileio.hpp"
 #include "support/strings.hpp"
+#include "toolchain/compiled_model.hpp"
 
 namespace hcg::fuzz {
 namespace {
@@ -159,6 +161,38 @@ TEST(FuzzDifferential, CleanSeedsProduceNoFindings) {
     for (const Finding& f : result.findings) {
       ADD_FAILURE() << "seed " << seed << ": " << f.signature << " — "
                     << f.detail;
+    }
+  }
+}
+
+// The minimized reproducers under examples/models/fuzz replay through the
+// default matrix (neon_sim and sve at -O0/1/2, plus the baselines).  The two
+// -O0 ones share buffers across a delay latch and a folded consumer, the
+// live ranges the arena pass must get right at every -O level.
+TEST(FuzzCorpus, ReproducersReplayWithoutFindings) {
+  if (!toolchain::compiler_available()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+  const std::filesystem::path dir =
+      std::filesystem::path(HCG_REPO_ROOT) / "examples" / "models" / "fuzz";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".xml") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 4u) << dir;
+  const HarnessConfig config;
+  for (const std::filesystem::path& file : files) {
+    const std::string stem = file.stem().string();
+    const std::uint64_t seed =
+        std::stoull(stem.substr(stem.rfind("_s") + 2));
+    int variants_run = 0;
+    const std::vector<Finding> findings =
+        check_model(load_model_file(file), seed, config, &variants_run);
+    EXPECT_EQ(variants_run, static_cast<int>(variant_matrix(config).size()))
+        << stem;
+    for (const Finding& f : findings) {
+      ADD_FAILURE() << stem << ": " << f.signature << " — " << f.detail;
     }
   }
 }

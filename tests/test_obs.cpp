@@ -206,7 +206,7 @@ TEST_F(TracerFixture, EveryCgirPassGetsASpanUnderEmitOpt) {
   EXPECT_EQ(passes, (std::vector<std::string>{
                         "fuse_loops", "fuse_cross_scale", "forward_copies",
                         "eliminate_dead_buffers", "tile_loops", "reuse_arena",
-                        "coalesce_layout", "localize_strips"}));
+                        "localize_strips"}));
 }
 
 #endif  // HCG_DISABLE_TRACING
