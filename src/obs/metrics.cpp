@@ -82,8 +82,7 @@ void Histogram::reset() {
 
 Registry& Registry::instance() {
   // Intentionally leaked: metric references are handed out for the process
-  // lifetime and atexit handlers (HCG_METRICS_OUT) read the registry after
-  // static destruction would have run.
+  // lifetime and may still be used after static destruction would have run.
   static Registry* registry = new Registry();
   return *registry;
 }

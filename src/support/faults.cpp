@@ -40,8 +40,6 @@ const std::vector<SiteInfo>& site_catalog() {
       {"analysis.range", "fuzz/differential",
        "model name", "any action corrupts the predicted intervals; the "
        "range-soundness cross-check must catch it"},
-      {"bench.measure", "bench/bench_util",
-       "metric name", "any action inflates the timed reading 16x"},
       {"cgir.pass", "cgir/passes",
        "pass name", "any action corrupts the IR after the pass runs"},
       {"fileio.write", "support/fileio",

@@ -1,7 +1,10 @@
 // Unit tests for the code generators: emitted source structure, tool
 // differentiation (unrolling / loops / scattered SIMD / fused regions),
-// expression folding, buffer reuse, and metadata.
+// expression folding, buffer reuse, and metadata; plus compiled cells
+// checked against the VM oracle.
 #include <gtest/gtest.h>
+
+#include <ostream>
 
 #include "actors/resolve.hpp"
 #include "benchmodels/benchmodels.hpp"
@@ -9,6 +12,9 @@
 #include "codegen/generator.hpp"
 #include "isa/builtin.hpp"
 #include "model/builder.hpp"
+#include "synth/history.hpp"
+#include "toolchain/compiled_model.hpp"
+#include "vm/interpreter.hpp"
 
 namespace hcg::codegen {
 namespace {
@@ -304,6 +310,108 @@ TEST(ProfileGen, FinalDumpIsTheInstrumentedUnit) {
   EXPECT_NE(code.cgir_dump_after.find("HCG_PROF_ENTER"), std::string::npos);
   EXPECT_EQ(cgir::print(cgir::parse_dump(code.cgir_dump_after)), code.source);
 }
+
+// ---------------------------------------------------------------------------
+// Compiled cells against the VM oracle: model x tool x ISA x -O cells that
+// no other oracle test compiles on the same code path
+// ---------------------------------------------------------------------------
+
+/// A history that answers every MatMul key of `model` with `impl`, so the
+/// generated code calls that kernel whatever the pre-calculation would pick.
+synth::SelectionHistory forced_matmul(const Model& model, const char* impl) {
+  synth::SelectionHistory history;
+  for (const Actor& actor : model.actors()) {
+    if (actor.type() != "MatMul") continue;
+    std::vector<Shape> shapes;
+    for (const PortSpec& in : actor.inputs()) shapes.push_back(in.shape);
+    history.store(actor.type(), actor.input(0).type, shapes, impl);
+  }
+  return history;
+}
+
+GeneratedCode hcg_o2_with_matmul(const Model& model, const char* impl) {
+  synth::SelectionHistory history = forced_matmul(model, impl);
+  return make_hcg_generator(isa::builtin("neon_sim"), &history, {}, 2)
+      ->generate(model);
+}
+
+struct OracleCell {
+  const char* name;
+  Model (*model)();
+  GeneratedCode (*generate)(const Model&);
+  double tolerance;
+  const char* choice;  // intensive pick the code must run, or nullptr
+};
+
+void PrintTo(const OracleCell& cell, std::ostream* os) { *os << cell.name; }
+
+const OracleCell kOracleCells[] = {
+    {"fig4_simulink", [] { return benchmodels::paper_fig4_model(); },
+     [](const Model& m) { return make_simulink_generator()->generate(m); }, 0,
+     nullptr},
+    {"fir1021_sve", [] { return benchmodels::fir_model(1021); },
+     [](const Model& m) {
+       return make_hcg_generator(isa::builtin("sve"))->generate(m);
+     },
+     0, nullptr},
+    {"fir1021_neon_sim", [] { return benchmodels::fir_model(1021); },
+     [](const Model& m) {
+       return make_hcg_generator(isa::builtin("neon_sim"))->generate(m);
+     },
+     0, nullptr},
+    {"rangepipe4096_narrow", [] { return benchmodels::rangepipe_model(4096); },
+     [](const Model& m) {
+       return make_hcg_generator(isa::builtin("neon_sim"))->generate(m);
+     },
+     0, nullptr},
+    {"rangepipe4096_wide",
+     [] { return benchmodels::rangepipe_model(4096, false); },
+     [](const Model& m) {
+       return make_hcg_generator(isa::builtin("neon_sim"))->generate(m);
+     },
+     0, nullptr},
+    {"matmul96_blocked8_o2", [] { return benchmodels::matmul_pipeline_model(96); },
+     [](const Model& m) { return hcg_o2_with_matmul(m, "matmul_blocked8"); },
+     1e-3, "matmul_blocked8"},
+    {"matmul96_blocked32_o2",
+     [] { return benchmodels::matmul_pipeline_model(96); },
+     [](const Model& m) { return hcg_o2_with_matmul(m, "matmul_blocked32"); },
+     1e-3, "matmul_blocked32"},
+};
+
+class CompiledCell : public ::testing::TestWithParam<OracleCell> {};
+
+TEST_P(CompiledCell, MatchesOracle) {
+  if (!toolchain::compiler_available()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+  const OracleCell& cell = GetParam();
+  const Model model = resolved(cell.model());
+  const GeneratedCode code = cell.generate(model);
+  if (cell.choice != nullptr) {
+    ASSERT_EQ(code.intensive_choices.size(), 1u);
+    EXPECT_EQ(code.intensive_choices.begin()->second, cell.choice);
+  }
+
+  const std::vector<Tensor> inputs = benchmodels::workload(model, 42);
+  Interpreter oracle(model);
+  oracle.init();
+  const std::vector<Tensor> expected = oracle.step(inputs);
+  toolchain::CompiledModel compiled(code);
+  compiled.init();
+  const std::vector<Tensor> got = compiled.step_tensors(model, inputs);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_LE(got[i].max_abs_difference(expected[i]), cell.tolerance)
+        << "output " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchCells, CompiledCell, ::testing::ValuesIn(kOracleCells),
+    [](const ::testing::TestParamInfo<OracleCell>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace hcg::codegen

@@ -1,7 +1,7 @@
 // Runtime profiling surface (docs/PROFILING.md): --profile-gen
 // instrumentation is inert unless enabled, numerically invisible when
-// compiled in, degrades cleanly under injected faults, and the bench
-// regression gate actually fires.
+// compiled in, degrades cleanly under injected faults, and the bench count
+// gate fails on any difference from its baseline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -209,26 +209,21 @@ TEST(ProfileCli, SpawnFaultDegradesToPlainReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Bench regression gate (bench_runner --check)
+// Bench count gate (bench_runner --check)
 
 TEST(BenchGate, RecordThenCheckPasses) {
   TempDir base_dir;
   TempDir out_dir;
-  // A huge threshold isolates this test from scheduler noise: it checks the
-  // gate's mechanics, not this machine's timing stability.  Count metrics
-  // still compare exactly.
   CliResult record = run_exe(
       HCG_BENCH_RUNNER_PATH,
-      "--record --suite codegen --out " + base_dir.path().string(),
-      "HCG_BENCH_SECONDS=0.02");
+      "--record --suite codegen --out " + base_dir.path().string());
   ASSERT_EQ(record.exit_code, 0) << record.output;
   CliResult check = run_exe(HCG_BENCH_RUNNER_PATH,
-                            "--check --suite codegen --threshold 2000"
-                            " --baseline " + base_dir.path().string() +
-                                " --out " + out_dir.path().string(),
-                            "HCG_BENCH_SECONDS=0.02");
+                            "--check --suite codegen --baseline " +
+                                base_dir.path().string() + " --out " +
+                                out_dir.path().string());
   EXPECT_EQ(check.exit_code, 0) << check.output;
-  EXPECT_NE(check.output.find("0 regressions"), std::string::npos)
+  EXPECT_NE(check.output.find("0 regressions, 0 skipped"), std::string::npos)
       << check.output;
   // Both sides wrote the standardized artifact.
   EXPECT_TRUE(obs::json_valid(
@@ -240,19 +235,42 @@ TEST(BenchGate, InjectedSlowdownTripsGate) {
   TempDir out_dir;
   CliResult record = run_exe(
       HCG_BENCH_RUNNER_PATH,
-      "--record --suite codegen --out " + base_dir.path().string(),
-      "HCG_BENCH_SECONDS=0.02");
+      "--record --suite codegen --out " + base_dir.path().string());
   ASSERT_EQ(record.exit_code, 0) << record.output;
-  // bench.measure inflates every timed reading 16x (+1500%), far past even
-  // the generous threshold — the gate must exit 9.
-  CliResult check = run_exe(HCG_BENCH_RUNNER_PATH,
-                            "--check --suite codegen --threshold 200"
-                            " --baseline " + base_dir.path().string() +
-                                " --out " + out_dir.path().string(),
-                            "HCG_BENCH_SECONDS=0.02 "
-                            "HCG_FAULTS='bench.measure=fail'");
+  const auto baseline = base_dir.path() / "BENCH_codegen.json";
+  const std::string recorded = read_file(baseline);
+  const std::string check_args = "--check --suite codegen --baseline " +
+                                 base_dir.path().string() + " --out " +
+                                 out_dir.path().string();
+
+  // One count changed: prefixing a digit to the first value changes it.
+  std::string drifted = recorded;
+  const std::size_t value = drifted.find("\"value\":");
+  ASSERT_NE(value, std::string::npos) << recorded;
+  drifted.insert(value + 8, "7");
+  write_file(baseline, drifted);
+  CliResult check = run_exe(HCG_BENCH_RUNNER_PATH, check_args);
   EXPECT_EQ(check.exit_code, 9) << check.output;
-  EXPECT_NE(check.output.find("REGRESSION"), std::string::npos);
+  EXPECT_NE(check.output.find("DRIFT"), std::string::npos) << check.output;
+
+  // A baseline metric this run does not produce.
+  std::string extra = recorded;
+  const std::size_t metrics = extra.find("\"metrics\":[");
+  ASSERT_NE(metrics, std::string::npos) << recorded;
+  extra.insert(metrics + 11,
+               "{\"name\":\"gate.unproduced\",\"value\":1,\"unit\":\"\"},");
+  write_file(baseline, extra);
+  check = run_exe(HCG_BENCH_RUNNER_PATH, check_args);
+  EXPECT_EQ(check.exit_code, 9) << check.output;
+  EXPECT_NE(check.output.find("MISSING    gate.unproduced"), std::string::npos)
+      << check.output;
+
+  // No baseline file at all.
+  std::filesystem::remove(baseline);
+  check = run_exe(HCG_BENCH_RUNNER_PATH, check_args);
+  EXPECT_EQ(check.exit_code, 9) << check.output;
+  EXPECT_NE(check.output.find("MISSING    baseline"), std::string::npos)
+      << check.output;
 }
 
 }  // namespace

@@ -2,15 +2,14 @@
 # Refreshes the committed bench baseline (bench/baseline/BENCH_*.json).
 #
 # Run this deliberately when a codegen change moves a deterministic count
-# metric (the gate fails with DRIFT until the baseline matches again) or
-# when the standing performance level legitimately changed.  Commit the
-# regenerated JSON together with the change that moved the numbers.
+# (the gate fails with DRIFT, MISSING or NEW until the baseline matches
+# again).  Commit the regenerated JSON together with the change that moved
+# the counts.
 #
 #   tools/bench_baseline.sh [build-dir]
 #
-# The recorded environment fingerprint (cpu count, build flags, git rev) is
-# embedded in each file; `bench_runner --check` only gates noisy time/ratio
-# metrics when the checking machine's cpu count matches it.
+# Every metric is a count compared exactly, so the files hold no machine
+# fingerprint: a baseline recorded anywhere gates everywhere.
 set -eu
 
 repo_dir=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
