@@ -107,8 +107,7 @@ std::vector<Metric> suite_codegen() {
   }
 
   // -O2 pass facts.  mixed_pipeline has a deliberate scale boundary, so
-  // cross-scale fusion must fire; the dfsynth leg is all scalar loops, so
-  // the tiling pass must fire.
+  // cross-scale fusion must fire.
   {
     Model model = resolved(benchmodels::mixed_pipeline_model(1024));
     synth::SelectionHistory history;
@@ -117,13 +116,6 @@ std::vector<Metric> suite_codegen() {
                             code.report.cross_scale_fused));
     metrics.push_back(count("mixed_pipeline.o2.simd_instructions",
                             code.simd_instructions.size()));
-  }
-  {
-    Model model = resolved(benchmodels::fir_model(1024));
-    metrics.push_back(
-        count("fir_bench.dfsynth_o2.loops_tiled",
-              codegen::make_dfsynth_generator(2)->generate(model)
-                  .report.loops_tiled));
   }
 
   // Algorithm 1 memo facts: 64 farm actors over 16 distinct keys, so a cold

@@ -110,9 +110,6 @@ const std::vector<DiagnosticRule>& diagnostic_rules() {
        "-O2 strip-mined a scalar loop into an adjacent vector loop's shape "
        "and fused the pair",
        Severity::kRemark},
-      {"HCG409", "loop-tiled",
-       "-O2 chunked a scalar loop into constant-trip tiles plus a tail",
-       Severity::kRemark},
       {"HCG411", "region-narrowed",
        "proven value ranges let a batch region run at a narrower element "
        "type with more SIMD lanes",

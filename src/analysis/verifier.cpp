@@ -235,8 +235,8 @@ class FunctionChecker {
       }
     }
     if (!loop.vector_loop && !loop.strip_mined && loop.begin > 0) {
-      // A scalar tail produced by tiling: some earlier sibling loop must
-      // end exactly where this one begins, so the pair covers [0, end).
+      // A scalar loop starting past 0 is a tail: some earlier sibling loop
+      // must end exactly where this one begins, so the pair covers [0, end).
       bool covered = false;
       for (std::size_t j = 0; j < index; ++j) {
         const cgir::Stmt& prev = siblings[j];

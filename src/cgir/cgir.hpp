@@ -60,7 +60,7 @@ struct Stmt {
   /// runtime lane-count expression `step_expr` and covers [begin, end) by
   /// itself — no scalar remainder exists.  `step` keeps the minimum-granule
   /// lane count so trip estimates stay integer-valued; passes that reshape
-  /// iteration domains (fusion, tiling, strip-mining) must leave these
+  /// iteration domains (fusion, strip-mining) must leave these
   /// loops alone, since the true stride is unknown until runtime.
   bool predicated = false;
   std::string step_expr;         // runtime stride, e.g. "svcntw()"

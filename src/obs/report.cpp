@@ -90,9 +90,6 @@ std::string Report::to_json(bool include_metrics) const {
   w.key("arena").begin_object();
   w.key("bytes_saved").value(arena_bytes_saved);
   w.end_object();
-  w.key("tile").begin_object();
-  w.key("loops_tiled").value(loops_tiled);
-  w.end_object();
   w.key("layout").begin_object();
   w.key("strips_localized").value(strips_localized);
   w.end_object();

@@ -126,11 +126,11 @@ struct Report {
 
   // -O2 passes (PR 7).  All zero below -O2.
   int cross_scale_fused = 0;   // codegen.fusion.cross_scale_fused
-  int loops_tiled = 0;         // codegen.tile.loops_tiled
+  int loops_tiled = 0;         // always 0 (no tiling pass); perfbench reads it
   int strips_localized = 0;    // codegen.layout.strips_localized
 
   /// cgir verifier checkpoints that ran clean, in order ("lower" plus one
-  /// entry per -O1 pass).  Empty when verification was off for the run.
+  /// entry per pass that ran).  Empty when verification was off for the run.
   std::vector<std::string> verified_passes;
 
   /// Static-analysis findings attached to this run (hcgc lint).

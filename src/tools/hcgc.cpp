@@ -44,23 +44,24 @@
 //   HCG_LOG         log threshold: debug|info|warn|error|off.
 //
 // Optimization (docs/CODEGEN_IR.md):
-//   -O0 | -O1 | -O2 cgir pass pipeline level.  -O0 (the baseline tools'
+//   -O0 | -O1 | -O2 cgir pass pipeline level; the level alone picks the
+//                   passes (cgir/passes.hpp).  -O0 (the baseline tools'
 //                   default) only rebinds intermediate buffers into a
 //                   shared arena (hcg and simulink; dfsynth keeps one buffer
 //                   per signal); -O1 (the hcg default) also fuses
 //                   batch-region loops and forwards loads into stores; -O2
 //                   additionally strip-mines scalar loops into adjacent
-//                   vector loops (cross-scale fusion), tiles the remaining
-//                   scalar loops, and localizes strip-mined lane loops.
+//                   vector loops (cross-scale fusion) and localizes
+//                   strip-mined lane loops.
 //   --dump-cgir     print the "cgir-v1" serialization of the unit exactly
 //                   as printed (after the passes and any --profile-gen
 //                   instrumentation) instead of C source.
 //   --dump-cgir-after=PASS
 //                   print the "cgir-v1" snapshot taken right after PASS ran
 //                   (lower, fuse_loops, fuse_cross_scale, forward_copies,
-//                   eliminate_dead_buffers, tile_loops, reuse_arena,
-//                   localize_strips) instead of C source.  Errors when the
-//                   pass never ran at the chosen -O level.
+//                   eliminate_dead_buffers, reuse_arena, localize_strips)
+//                   instead of C source.  Errors when the pass never ran at
+//                   the chosen -O level.
 //
 // Profiling (docs/PROFILING.md):
 //   --profile-gen   instrument the emitted unit with HCG_PROF counters
@@ -77,7 +78,7 @@
 //
 // Static analysis (docs/ANALYSIS.md):
 //   --verify-cgir   run the cgir verifier after lowering and after every
-//                   -O1 pass (generate/verify/bench); equivalent to
+//                   pass (generate/verify/bench); equivalent to
 //                   HCG_VERIFY=1.
 //
 // Exit codes: 0 ok, 1 verify mismatch/other error, 2 usage, 3 parse error,
@@ -98,6 +99,7 @@
 #include "analysis/linter.hpp"
 #include "analysis/sarif.hpp"
 #include "benchmodels/benchmodels.hpp"
+#include "cgir/passes.hpp"
 #include "codegen/generator.hpp"
 #include "fuzz/campaign.hpp"
 #include "graph/regions.hpp"
@@ -255,13 +257,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.dump_cgir = true;
     } else if (arg.rfind("--dump-cgir-after=", 0) == 0) {
       opt.dump_cgir_after = arg.substr(std::strlen("--dump-cgir-after="));
-      static const char* const kPasses[] = {
-          "lower",      "fuse_loops",  "fuse_cross_scale",
-          "forward_copies", "eliminate_dead_buffers", "tile_loops",
-          "reuse_arena", "localize_strips"};
-      bool known = false;
-      for (const char* pass : kPasses) known |= opt.dump_cgir_after == pass;
-      if (!known) {
+      if (opt.dump_cgir_after != "lower" &&
+          !cgir::is_pass_name(opt.dump_cgir_after)) {
         throw Error("unknown pass '" + opt.dump_cgir_after +
                     "' for --dump-cgir-after");
       }

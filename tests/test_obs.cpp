@@ -205,7 +205,7 @@ TEST_F(TracerFixture, EveryCgirPassGetsASpanUnderEmitOpt) {
   }
   EXPECT_EQ(passes, (std::vector<std::string>{
                         "fuse_loops", "fuse_cross_scale", "forward_copies",
-                        "eliminate_dead_buffers", "tile_loops", "reuse_arena",
+                        "eliminate_dead_buffers", "reuse_arena",
                         "localize_strips"}));
 }
 
