@@ -1192,14 +1192,6 @@ std::vector<ProfileSite> instrument_profiling(TranslationUnit& tu,
       "};");
   add("static const char* const hcg_prof_site_label[" + len + "] = {" +
       labels + "};");
-  add("#if defined(HCG_PROF_RDTSC) && (defined(__x86_64__) || defined(__i386__))");
-  add("#define HCG_PROF_CLOCK \"rdtsc\"");
-  add("static inline uint64_t hcg_prof_now_ns(void) {");
-  add("  uint32_t hcg_prof_lo, hcg_prof_hi;");
-  add("  __asm__ __volatile__(\"rdtsc\" : \"=a\"(hcg_prof_lo), \"=d\"(hcg_prof_hi));");
-  add("  return ((uint64_t)hcg_prof_hi << 32) | hcg_prof_lo;");
-  add("}");
-  add("#else");
   add("#define HCG_PROF_CLOCK \"monotonic_ns\"");
   add("static inline uint64_t hcg_prof_now_ns(void) {");
   add("  struct timespec hcg_prof_ts;");
@@ -1207,7 +1199,6 @@ std::vector<ProfileSite> instrument_profiling(TranslationUnit& tu,
   add("  return (uint64_t)hcg_prof_ts.tv_sec * 1000000000u +");
   add("         (uint64_t)hcg_prof_ts.tv_nsec;");
   add("}");
-  add("#endif");
   add("#define HCG_PROF_ENTER(idx) const uint64_t hcg_prof_t##idx = hcg_prof_now_ns()");
   add("#define HCG_PROF_LEAVE(idx, n) do { \\");
   add("    hcg_prof_ns[idx] += hcg_prof_now_ns() - hcg_prof_t##idx; \\");

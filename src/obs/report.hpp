@@ -163,7 +163,7 @@ struct Report {
   // then has no "runtime_profile" section at all — the degraded shape).
   std::vector<ReportProfileSite> runtime_profile;
   int profile_reps = 0;
-  std::string profile_clock;  // "monotonic_ns" | "rdtsc"
+  std::string profile_clock;  // "monotonic_ns"
 
   /// Fraction of region nodes that ended up in SIMD code, 0..1.
   double simd_coverage() const;

@@ -177,6 +177,10 @@ CompiledModel::~CompiledModel() {
 
 void CompiledModel::init() { init_(); }
 
+void* CompiledModel::symbol(const std::string& name) const {
+  return ::dlsym(handle_, name.c_str());
+}
+
 void CompiledModel::step(const std::vector<const void*>& inputs,
                          const std::vector<void*>& outputs) {
   step_(inputs.data(), outputs.data());

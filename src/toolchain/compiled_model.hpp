@@ -62,6 +62,10 @@ class CompiledModel {
   std::vector<Tensor> step_tensors(const Model& resolved_model,
                                    const std::vector<Tensor>& inputs);
 
+  /// Looks up another symbol the compiled unit exports (nullptr when
+  /// absent), e.g. the instrumented build's hcg_prof_dump.
+  void* symbol(const std::string& name) const;
+
   double compile_seconds() const { return compile_seconds_; }
   const std::filesystem::path& source_path() const { return source_path_; }
   const std::string& compile_command() const { return command_; }

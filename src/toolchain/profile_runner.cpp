@@ -6,96 +6,33 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/error.hpp"
 #include "support/fileio.hpp"
 #include "support/logging.hpp"
-#include "support/strings.hpp"
-#include "support/subprocess.hpp"
+#include "toolchain/compiled_model.hpp"
 
 namespace hcg::toolchain {
 
 namespace {
 
-/// Scalar components (complex elements count twice) of one port buffer.
-long long component_count(const PortSpec& spec) {
-  return static_cast<long long>(spec.shape.elements()) *
-         (is_complex(spec.type) ? 2 : 1);
-}
-
-/// The element fill expression for deterministic, denormal-free inputs.
-std::string fill_expr(const PortSpec& spec) {
+/// Deterministic, denormal-free input for one Inport: scalar component k
+/// (complex elements count twice) holds (k % 31) - 15, or k % 31 for
+/// unsigned types, scaled by 1/32 for floating point.
+Tensor profile_input(const PortSpec& spec) {
+  Tensor t(spec.type, spec.shape);
   const DataType comp = component_type(spec.type);
-  const std::string ctype(c_name(comp));
-  if (is_float(comp)) {
-    return "(" + ctype + ")((k % 31) - 15) * (" + ctype + ")0.03125";
+  const int components =
+      is_complex(spec.type) ? t.elements() * 2 : t.elements();
+  for (int k = 0; k < components; ++k) {
+    const int value = is_unsigned_int(comp) ? k % 31 : k % 31 - 15;
+    if (comp == DataType::kFloat32) {
+      t.as<float>()[k] = static_cast<float>(value) * 0.03125f;
+    } else if (comp == DataType::kFloat64) {
+      t.as<double>()[k] = value * 0.03125;
+    } else {
+      t.set_double(k, value);
+    }
   }
-  if (is_unsigned_int(comp)) {
-    return "(" + ctype + ")(k % 31)";
-  }
-  return "(" + ctype + ")((k % 31) - 15)";
-}
-
-/// The standalone driver: static I/O buffers sized from the model's ports,
-/// deterministic input fill, init + warm-up + N timed steps, then
-/// hcg_prof_dump().  Kept plain C so it compiles with the same invocation
-/// as the generated unit.
-std::string harness_source(const codegen::GeneratedCode& code,
-                           const Model& model) {
-  const std::vector<ActorId> ins = model.inports();
-  const std::vector<ActorId> outs = model.outports();
-
-  std::string src;
-  src += "/* hcgc profile harness for model '" + code.model_name + "' */\n";
-  src += "#include <stdint.h>\n";
-  src += "#include <stdio.h>\n";
-  src += "#include <stdlib.h>\n\n";
-  src += "void " + code.init_symbol + "(void);\n";
-  src += "void " + code.step_symbol +
-         "(const void* const* inputs, void* const* outputs);\n";
-  src += "int hcg_prof_dump(const char* path);\n\n";
-
-  for (std::size_t k = 0; k < ins.size(); ++k) {
-    const PortSpec& spec = model.actor(ins[k]).output(0);
-    src += "static " + std::string(c_name(component_type(spec.type))) +
-           " hcg_in" + std::to_string(k) + "[" +
-           std::to_string(component_count(spec)) + "];\n";
-  }
-  for (std::size_t k = 0; k < outs.size(); ++k) {
-    const PortSpec& spec = model.actor(outs[k]).input(0);
-    src += "static " + std::string(c_name(component_type(spec.type))) +
-           " hcg_out" + std::to_string(k) + "[" +
-           std::to_string(component_count(spec)) + "];\n";
-  }
-
-  src += "\nint main(int argc, char** argv) {\n";
-  src += "  long reps = argc > 1 ? strtol(argv[1], 0, 10) : 200;\n";
-  src += "  const char* dump_path = argc > 2 ? argv[2] : \"profile.json\";\n";
-  src += "  const void* inputs[" + std::to_string(ins.empty() ? 1 : ins.size()) +
-         "];\n";
-  src += "  void* outputs[" + std::to_string(outs.empty() ? 1 : outs.size()) +
-         "];\n";
-  src += "  long k;\n  long r;\n";
-  for (std::size_t k = 0; k < ins.size(); ++k) {
-    const PortSpec& spec = model.actor(ins[k]).output(0);
-    const std::string name = "hcg_in" + std::to_string(k);
-    src += "  for (k = 0; k < " + std::to_string(component_count(spec)) +
-           "; ++k) " + name + "[k] = " + fill_expr(spec) + ";\n";
-    src += "  inputs[" + std::to_string(k) + "] = " + name + ";\n";
-  }
-  if (ins.empty()) src += "  inputs[0] = 0;\n";
-  for (std::size_t k = 0; k < outs.size(); ++k) {
-    src += "  outputs[" + std::to_string(k) + "] = hcg_out" +
-           std::to_string(k) + ";\n";
-  }
-  if (outs.empty()) src += "  outputs[0] = 0;\n";
-  src += "  " + code.init_symbol + "();\n";
-  src += "  " + code.step_symbol + "(inputs, outputs); /* warm-up */\n";
-  src += "  for (r = 0; r < reps; ++r) " + code.step_symbol +
-         "(inputs, outputs);\n";
-  src += "  if (hcg_prof_dump(dump_path) != 0) return 2;\n";
-  src += "  return 0;\n";
-  src += "}\n";
-  return src;
+  return t;
 }
 
 ProfileResult degrade(ProfileResult result, std::string reason) {
@@ -141,63 +78,42 @@ ProfileResult run_profile(const codegen::GeneratedCode& code,
   }
 
   try {
-    TempDir dir("hcg-prof");
-    if (options.keep_artifacts) dir.keep();
-    const std::filesystem::path unit_path =
-        dir.path() / (code.model_name + "_" + code.tool_name + ".c");
-    const std::filesystem::path main_path = dir.path() / "harness_main.c";
-    const std::filesystem::path exe_path = dir.path() / "harness";
-    const std::filesystem::path dump_path = dir.path() / "profile.json";
-    write_file(unit_path, code.source);
-    write_file(main_path, harness_source(code, resolved_model));
-
-    std::vector<std::string> argv = {options.cc};
-    for (const std::string& flag : split_whitespace(options.opt_flags)) {
-      argv.push_back(flag);
-    }
-    argv.push_back("-fno-math-errno");
-    argv.push_back("-fwrapv");
-    argv.push_back("-DHCG_PROF");
-    for (const std::string& flag : split_whitespace(code.compile_flags)) {
-      argv.push_back(flag);
-    }
-    if (code.needs_neon_sim) {
-      argv.push_back("-I");
-      argv.push_back(HCG_DATA_DIR);
-    }
-    argv.push_back(unit_path.string());
-    argv.push_back(main_path.string());
-    argv.push_back("-o");
-    argv.push_back(exe_path.string());
-    argv.push_back("-lm");
-
-    SubprocessOptions sub;
-    sub.timeout_seconds = options.timeout_seconds;
-    sub.spawn_retries = options.spawn_retries;
-    SubprocessResult compile;
-    {
-      HCG_TRACE_SCOPE("toolchain.spawn");
-      compile = run_subprocess(argv, sub);
-    }
-    if (!compile.ok()) {
-      if (options.keep_artifacts) dir.keep();
+    CompileOptions compile = options.compile;
+    compile.extra_flags.push_back("-DHCG_PROF");
+    CompiledModel compiled(code, compile);
+    using DumpFn = int (*)(const char*);
+    const auto dump_fn =
+        reinterpret_cast<DumpFn>(compiled.symbol("hcg_prof_dump"));
+    if (dump_fn == nullptr) {
       return degrade(std::move(result),
-                     "harness compile " + compile.describe());
+                     "compiled unit does not export hcg_prof_dump");
     }
+
+    std::vector<Tensor> inputs;
+    std::vector<const void*> in_ptrs;
+    for (ActorId id : resolved_model.inports()) {
+      inputs.push_back(profile_input(resolved_model.actor(id).output(0)));
+    }
+    for (const Tensor& t : inputs) in_ptrs.push_back(t.data());
+    std::vector<Tensor> outputs;
+    std::vector<void*> out_ptrs;
+    for (ActorId id : resolved_model.outports()) {
+      const PortSpec& spec = resolved_model.actor(id).input(0);
+      outputs.emplace_back(spec.type, spec.shape);
+    }
+    for (Tensor& t : outputs) out_ptrs.push_back(t.data());
 
     const int reps = options.reps > 0 ? options.reps : 1;
-    SubprocessResult run;
-    {
-      HCG_TRACE_SCOPE("toolchain.spawn");
-      run = run_subprocess({exe_path.string(), std::to_string(reps),
-                            dump_path.string()},
-                           sub);
-    }
-    if (!run.ok()) {
-      if (options.keep_artifacts) dir.keep();
-      return degrade(std::move(result), "harness run " + run.describe());
-    }
+    compiled.init();
+    compiled.step(in_ptrs, out_ptrs);  // warm-up
+    for (int r = 0; r < reps; ++r) compiled.step(in_ptrs, out_ptrs);
 
+    const std::filesystem::path dump_path =
+        compiled.source_path().parent_path() / "profile.json";
+    if (dump_fn(dump_path.c_str()) != 0) {
+      return degrade(std::move(result),
+                     "hcg_prof_dump could not write " + dump_path.string());
+    }
     const obs::JsonValue dump = obs::json_parse(read_file(dump_path));
     if (member_str(dump, "schema") != "hcg-profile-v1") {
       return degrade(std::move(result),
@@ -225,7 +141,8 @@ ProfileResult run_profile(const codegen::GeneratedCode& code,
                          << " reps";
     return result;
   } catch (const std::exception& e) {
-    // FaultInjected from an armed subprocess probe, file I/O errors, or a
+    // ToolchainError from the compile or dlopen, FaultInjected from an armed
+    // toolchain.compile or subprocess.spawn probe, file I/O errors, or a
     // malformed dump: all degrade instead of killing the run.
     return degrade(std::move(result), e.what());
   }

@@ -1,13 +1,15 @@
 // Runtime profiling of generated code (`hcgc profile`; docs/PROFILING.md).
 //
-// Takes a --profile-gen instrumented GeneratedCode, writes it plus a small
-// generated driver to a temp dir, compiles both with -DHCG_PROF into a
-// standalone harness executable, runs it for N repetitions of the step
-// function through the hardened subprocess runner, and ingests the
-// hcg-profile-v1 JSON the harness dumps.  Every failure mode — compiler
-// missing, compile error, harness crash/timeout, unparsable dump — degrades
-// to `ok == false` with a reason instead of throwing, so callers can fall
-// back to a profile-less report (the HCG502 path).
+// Takes a --profile-gen instrumented GeneratedCode, compiles it once with
+// -DHCG_PROF through CompiledModel, runs init, one warm-up step and N timed
+// steps in-process on a deterministic input, then calls the unit's own
+// hcg_prof_dump() and ingests the hcg-profile-v1 JSON it writes.  Every
+// failure the toolchain reports — compiler missing, compile error or
+// timeout, armed toolchain/subprocess fault, unparsable dump — degrades to
+// `ok == false` with a reason instead of throwing, so callers can fall back
+// to a profile-less report (the HCG502 path).  A step that crashes or hangs
+// takes the calling process with it, as in every other in-process run of
+// generated code (hcgc verify, the fuzz differential, perfbench).
 #pragma once
 
 #include <cstdint>
@@ -16,19 +18,15 @@
 
 #include "codegen/generator.hpp"
 #include "model/model.hpp"
+#include "toolchain/compiled_model.hpp"
 
 namespace hcg::toolchain {
 
 struct ProfileRunOptions {
-  std::string cc = "gcc";
-  std::string opt_flags = "-O2";
-  /// step() invocations the harness performs (after one warm-up call).
+  /// Timed step() invocations (after one warm-up call).
   int reps = 200;
-  /// Wall-clock limit for the compile and for the harness run, each.
-  double timeout_seconds = 300.0;
-  int spawn_retries = 2;
-  /// Keep the temp directory with harness source and dump for inspection.
-  bool keep_artifacts = false;
+  /// How the instrumented unit is compiled; -DHCG_PROF is always added.
+  CompileOptions compile;
 };
 
 /// One site's measured totals, straight from the hcg-profile-v1 dump.
@@ -44,15 +42,15 @@ struct ProfileSiteSample {
 struct ProfileResult {
   bool ok = false;
   std::string error;  // degrade reason when !ok
-  std::string clock;  // "monotonic_ns" | "rdtsc"
+  std::string clock;  // "monotonic_ns"
   int reps = 0;
   std::vector<ProfileSiteSample> sites;
 };
 
-/// Compiles and runs the profiling harness.  `code` must have been emitted
-/// with EmitConfig::profile_gen (checked: degrades otherwise), and
+/// Compiles, runs and dumps the instrumented unit.  `code` must have been
+/// emitted with EmitConfig::profile_gen (checked: degrades otherwise), and
 /// `resolved_model` must be the resolved model it was generated from (port
-/// shapes size the harness I/O buffers).
+/// shapes size the step's I/O buffers).
 ProfileResult run_profile(const codegen::GeneratedCode& code,
                           const Model& resolved_model,
                           const ProfileRunOptions& options = {});

@@ -9,7 +9,6 @@
 //                 [--Werror] [--no-remarks] [--sarif FILE] [--report FILE]
 //   hcgc verify   <model.xml> [--tool ...] [--isa ...] [--seed N]
 //                 [--cc-timeout SEC] [--cc-retries N]
-//   hcgc bench    <model.xml> [--isa NAME|FILE] [--seed N]
 //   hcgc profile  <model.xml> [--isa NAME|FILE] [--reps N]
 //                 [--err-threshold PCT] [--report FILE] [--history FILE]
 //                 [--cc-timeout SEC] [--cc-retries N]
@@ -27,13 +26,13 @@
 //           (--Werror promotes warnings to errors first).
 // verify  : generate, compile with the host cc, run one step on random
 //           input, and compare against the built-in simulator.
-// bench   : compile all three tools' output and time steps side by side.
-// profile : generate with --profile-gen instrumentation, compile + run a
-//           standalone harness for N reps, and join each region's measured
-//           runtime against Algorithm 1's selection-time cost
-//           (docs/PROFILING.md).  When the harness cannot run the command
-//           degrades to a profile-less report with an HCG502 warning
-//           instead of failing.
+// profile : generate with --profile-gen instrumentation, compile it with
+//           -DHCG_PROF, run N steps in-process, and join each region's
+//           measured runtime against Algorithm 1's selection-time cost
+//           (docs/PROFILING.md).  When the instrumented unit cannot be
+//           compiled, loaded or dumped the command degrades to a
+//           profile-less report with an HCG502 warning instead of failing;
+//           a step that crashes or hangs ends the command, as in verify.
 // isa     : list the built-in instruction tables, or dump one as text.
 //
 // Observability (docs/OBSERVABILITY.md):
@@ -66,19 +65,19 @@
 // Profiling (docs/PROFILING.md):
 //   --profile-gen   instrument the emitted unit with HCG_PROF counters
 //                   (generate, hcg tool only; off keeps output byte-identical).
-//   --reps N        step() repetitions the profile harness performs.
+//   --reps N        timed step() repetitions of hcgc profile.
 //   --err-threshold PCT  prediction error (percent) above which profile
 //                   emits an HCG501 costmodel-mispredict remark.
 //
 // Robustness (docs/ROBUSTNESS.md):
-//   --cc-timeout S  wall-clock limit per compiler invocation (verify/bench);
+//   --cc-timeout S  wall-clock limit per compiler invocation (verify/profile);
 //                   a hung cc is killed, whole process group.
 //   --cc-retries N  spawn retries when the compiler process cannot start.
 //   HCG_FAULTS      deterministic fault injection spec (testing only).
 //
 // Static analysis (docs/ANALYSIS.md):
 //   --verify-cgir   run the cgir verifier after lowering and after every
-//                   pass (generate/verify/bench); equivalent to
+//                   pass (generate/verify/profile); equivalent to
 //                   HCG_VERIFY=1.
 //
 // Exit codes: 0 ok, 1 verify mismatch/other error, 2 usage, 3 parse error,
@@ -138,7 +137,6 @@ int usage() {
                "                [--report FILE]\n"
                "  hcgc verify   <model.xml> [--tool ...] [--isa ...] [--seed N]\n"
                "                [--cc-timeout SEC] [--cc-retries N]\n"
-               "  hcgc bench    <model.xml> [--isa NAME|FILE] [--seed N]\n"
                "  hcgc profile  <model.xml> [--isa NAME|FILE] [--reps N]\n"
                "                [--err-threshold PCT] [--report FILE]\n"
                "                [--history FILE] [--cc-timeout SEC]\n"
@@ -182,7 +180,7 @@ struct Options {
   double cc_timeout = -1.0;  // < 0 = CompileOptions default
   int cc_retries = -1;       // < 0 = CompileOptions default
   bool profile_gen = false;     // generate: instrument with HCG_PROF counters
-  int reps = 200;               // profile: harness step() repetitions
+  int reps = 200;               // profile: timed step() repetitions
   double err_threshold = 50.0;  // profile: HCG501 remark above this error %
   bool isa_set = false;         // --isa given explicitly (fuzz default keys off this)
   int seeds = 200;              // fuzz: campaign seed count
@@ -195,7 +193,7 @@ struct Options {
 
 bool known_command(const std::string& name) {
   return name == "generate" || name == "inspect" || name == "lint" ||
-         name == "verify" || name == "bench" || name == "profile" ||
+         name == "verify" || name == "profile" ||
          name == "isa" || name == "fuzz" || name == "faults";
 }
 
@@ -547,67 +545,6 @@ int cmd_verify(const Options& opt) {
   return ok ? 0 : 1;
 }
 
-int cmd_bench(const Options& opt) {
-  Model model = resolved(load_model_file(opt.model_path));
-  isa::VectorIsa file_isa;
-  const isa::VectorIsa& table = resolve_isa(opt.isa_name, file_isa);
-
-  std::vector<Tensor> inputs = benchmodels::workload(model, opt.seed);
-  std::vector<const void*> in_ptrs;
-  for (const Tensor& t : inputs) in_ptrs.push_back(t.data());
-  std::vector<Tensor> outputs;
-  for (ActorId id : model.outports()) {
-    outputs.push_back(make_tensor(model.actor(id).input(0)));
-  }
-  std::vector<void*> out_ptrs;
-  for (Tensor& t : outputs) out_ptrs.push_back(t.data());
-
-  struct Row {
-    const char* label;
-    std::unique_ptr<codegen::Generator> tool;
-  };
-  Row rows[3] = {
-      {"simulink", codegen::make_simulink_generator()},
-      {"dfsynth", codegen::make_dfsynth_generator()},
-      {"hcg", nullptr},
-  };
-  synth::SelectionHistory history;
-  synth::BatchOptions batch;
-  batch.min_nodes_for_simd = opt.threshold;
-  rows[2].tool = codegen::make_hcg_generator(table, &history, batch);
-
-  double baseline = 0;
-  for (Row& row : rows) {
-    codegen::GeneratedCode code = row.tool->generate(model);
-    toolchain::CompiledModel compiled(code, compile_options(opt));
-    compiled.init();
-    compiled.step(in_ptrs, out_ptrs);  // warm-up
-    Stopwatch probe;
-    compiled.step(in_ptrs, out_ptrs);
-    const double once = std::max(probe.elapsed_seconds(), 1e-9);
-    const int reps = static_cast<int>(std::max(3.0, 0.2 / once));
-    Stopwatch timer;
-    for (int i = 0; i < reps; ++i) compiled.step(in_ptrs, out_ptrs);
-    const double per_step = timer.elapsed_seconds() / reps;
-    if (row.label == rows[0].label) baseline = per_step;
-    std::printf("%-10s %12.2f us/step  (%d reps)", row.label, per_step * 1e6,
-                reps);
-    if (baseline > 0 && row.label != rows[0].label) {
-      std::printf("  %+.1f%% vs simulink",
-                  (per_step / baseline - 1.0) * 100.0);
-    }
-    if (!code.simd_instructions.empty()) {
-      std::printf("  [SIMD:");
-      for (const auto& name : code.simd_instructions) {
-        std::printf(" %s", name.c_str());
-      }
-      std::printf("]");
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
 /// Joins the measured profile against Algorithm 1's selection-time costs:
 /// an intensive site whose implementation was selected by measurement this
 /// run gets the chosen candidate's pre-calculation time as its prediction.
@@ -673,11 +610,8 @@ int cmd_profile(Options opt) {
   warn_degraded(code);
   if (!opt.history_path.empty()) history.save(opt.history_path);
 
-  toolchain::ProfileRunOptions run;
-  run.reps = opt.reps;
-  if (opt.cc_timeout >= 0) run.timeout_seconds = opt.cc_timeout;
-  if (opt.cc_retries >= 0) run.spawn_retries = opt.cc_retries;
-  const toolchain::ProfileResult prof = toolchain::run_profile(code, model, run);
+  const toolchain::ProfileResult prof = toolchain::run_profile(
+      code, model, {opt.reps, compile_options(opt)});
 
   analysis::DiagnosticEngine diags;
   if (!prof.ok) {
@@ -879,8 +813,6 @@ int main(int argc, char** argv) {
       rc = cmd_lint(opt);
     } else if (opt.command == "verify") {
       rc = cmd_verify(opt);
-    } else if (opt.command == "bench") {
-      rc = cmd_bench(opt);
     } else if (opt.command == "profile") {
       rc = cmd_profile(opt);
     } else {

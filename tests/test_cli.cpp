@@ -179,13 +179,12 @@ TEST_F(CliFixture, VerifyWithExternalIsaFile) {
   EXPECT_NE(r.output.find("VERIFY OK"), std::string::npos);
 }
 
-TEST_F(CliFixture, BenchComparesAllThreeTools) {
+TEST_F(CliFixture, BenchSubcommandIsRemoved) {
+  // perfbench times generated code; hcgc has no timing subcommand.
   CliResult r = run_cli("bench " + model_path_ + " --isa neon_sim");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("simulink"), std::string::npos);
-  EXPECT_NE(r.output.find("dfsynth"), std::string::npos);
-  EXPECT_NE(r.output.find("hcg"), std::string::npos);
-  EXPECT_NE(r.output.find("vmlaq_s32"), std::string::npos);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos);
+  EXPECT_EQ(r.output.find("hcgc bench"), std::string::npos);
 }
 
 TEST_F(CliFixture, MissingModelFileFails) {

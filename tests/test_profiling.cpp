@@ -124,16 +124,23 @@ TEST(ProfileRunner, MeasuresEverySite) {
   const codegen::GeneratedCode code = generate(model, true);
   toolchain::ProfileRunOptions options;
   options.reps = 10;
-  const toolchain::ProfileResult result =
-      toolchain::run_profile(code, model, options);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.reps, 10);
-  EXPECT_FALSE(result.clock.empty());
-  ASSERT_EQ(result.sites.size(), code.profile_sites.size());
-  for (const toolchain::ProfileSiteSample& site : result.sites) {
-    EXPECT_GT(site.calls, 0u) << site.id;
-    // warm-up + reps steps, each hitting every top-level site once
-    EXPECT_EQ(site.calls, 11u) << site.id;
+  // Twice in one process: each run loads a fresh copy of the unit, so its
+  // counters start at zero rather than carrying the first run's totals.
+  for (int run = 0; run < 2; ++run) {
+    const toolchain::ProfileResult result =
+        toolchain::run_profile(code, model, options);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.reps, 10);
+    EXPECT_EQ(result.clock, "monotonic_ns");
+    ASSERT_EQ(result.sites.size(), code.profile_sites.size());
+    for (std::size_t i = 0; i < result.sites.size(); ++i) {
+      const toolchain::ProfileSiteSample& site = result.sites[i];
+      EXPECT_EQ(site.id, code.profile_sites[i].id) << "run " << run;
+      EXPECT_EQ(site.kind, code.profile_sites[i].kind) << site.id;
+      EXPECT_EQ(site.label, code.profile_sites[i].label) << site.id;
+      // warm-up + reps steps, each hitting every top-level site once
+      EXPECT_EQ(site.calls, 11u) << "run " << run << " site " << site.id;
+    }
   }
 }
 
@@ -186,26 +193,32 @@ TEST(ProfileCli, ReportCarriesRuntimeProfile) {
 }
 
 TEST(ProfileCli, SpawnFaultDegradesToPlainReport) {
-  TempDir dir;
-  const std::string report_path = (dir.path() / "report.json").string();
-  CliResult r = run_exe(HCG_HCGC_PATH,
-                        "profile " + fig4_path() +
-                            " --isa neon_sim --reps 5 --report " + report_path,
-                        "HCG_FAULTS='subprocess.spawn=fail'");
-  // Degraded, not dead: exit 0, report written, no runtime_profile section,
-  // HCG502 explains why.
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("HCG502"), std::string::npos);
-  const obs::JsonValue report = obs::json_parse(read_file(report_path));
-  EXPECT_EQ(report.find("runtime_profile"), nullptr);
-  const obs::JsonValue* diags = report.find("diagnostics");
-  ASSERT_NE(diags, nullptr);
-  bool saw_degraded = false;
-  for (const obs::JsonValue& d : diags->array) {
-    const obs::JsonValue* code = d.find("code");
-    saw_degraded |= code != nullptr && code->string == "HCG502";
+  // Either way the instrumented unit cannot be built: the compiler process
+  // never starts, or it runs and reports an error.
+  for (const char* fault :
+       {"subprocess.spawn=fail", "toolchain.compile=fail"}) {
+    TempDir dir;
+    const std::string report_path = (dir.path() / "report.json").string();
+    CliResult r = run_exe(HCG_HCGC_PATH,
+                          "profile " + fig4_path() +
+                              " --isa neon_sim --reps 5 --report " +
+                              report_path,
+                          std::string("HCG_FAULTS='") + fault + "'");
+    // Degraded, not dead: exit 0, report written, no runtime_profile
+    // section, HCG502 explains why.
+    ASSERT_EQ(r.exit_code, 0) << fault << "\n" << r.output;
+    EXPECT_NE(r.output.find("HCG502"), std::string::npos) << fault;
+    const obs::JsonValue report = obs::json_parse(read_file(report_path));
+    EXPECT_EQ(report.find("runtime_profile"), nullptr) << fault;
+    const obs::JsonValue* diags = report.find("diagnostics");
+    ASSERT_NE(diags, nullptr) << fault;
+    bool saw_degraded = false;
+    for (const obs::JsonValue& d : diags->array) {
+      const obs::JsonValue* code = d.find("code");
+      saw_degraded |= code != nullptr && code->string == "HCG502";
+    }
+    EXPECT_TRUE(saw_degraded) << fault;
   }
-  EXPECT_TRUE(saw_degraded);
 }
 
 // ---------------------------------------------------------------------------
