@@ -24,10 +24,8 @@ int main(int argc, char** argv) {
     Model model = resolved(benchmodels::fft_model(n));
     const Actor& fft = model.actor_by_name("fft");
 
-    synth::IntensiveOptions options;
-    options.repetitions = 5;
     synth::IntensiveSelection selection =
-        synth::select_implementation(fft, history, options);
+        synth::select_implementation(fft, history);
 
     std::printf("FFT size %5d -> %s%s\n", n, selection.impl->id.c_str(),
                 selection.from_history ? "  (from history)" : "");
@@ -42,7 +40,7 @@ int main(int argc, char** argv) {
   std::printf("\nre-running size %d hits the history:\n", sizes.front());
   Model model = resolved(benchmodels::fft_model(sizes.front()));
   auto again =
-      synth::select_implementation(model.actor_by_name("fft"), history, {});
+      synth::select_implementation(model.actor_by_name("fft"), history);
   std::printf("  %s (from_history=%s)\n", again.impl->id.c_str(),
               again.from_history ? "true" : "false");
   return 0;

@@ -425,7 +425,7 @@ class Emitter {
       const kernels::KernelImpl* impl = nullptr;
       if (config_.select_intensive) {
         const synth::IntensiveSelection selection =
-            memo_.select(actor, *history, config_.intensive_options);
+            memo_.select(actor, *history);
         impl = selection.impl;
         entry.selected = true;
         entry.from_history = selection.from_history;

@@ -79,7 +79,6 @@ struct EmitConfig {
   /// Algorithm 1 implementation selection; false = generic implementations.
   bool select_intensive = false;
   synth::SelectionHistory* history = nullptr;  // used when select_intensive
-  synth::IntensiveOptions intensive_options;
   synth::BatchOptions batch_options;
 };
 
@@ -123,14 +122,6 @@ struct GeneratedCode {
 /// Emits C code for a model (resolved internally) under a configuration.
 GeneratedCode emit_model(const Model& model, const EmitConfig& config);
 
-/// Per-run emitter tuning shared by the three tool factories: knobs that do
-/// not differentiate the tools but parameterize one invocation (the hcgc
-/// surface).  Defaults to "off" so existing callers are unaffected.
-struct EmitTuning {
-  /// EmitConfig::dump_cgir_after — checkpoint to snapshot, or empty.
-  std::string dump_cgir_after;
-};
-
 /// Abstract tool interface.
 class Generator {
  public:
@@ -141,23 +132,25 @@ class Generator {
 
 /// The HCG generator (this paper): Algorithm 1 + Algorithm 2 against the
 /// given instruction table.  The history is shared across calls.
-/// `opt_level` selects the cgir pass pipeline (default -O1).
+/// `opt_level` selects the cgir pass pipeline (default -O1).  In all three
+/// factories `dump_cgir_after` is EmitConfig::dump_cgir_after: the
+/// checkpoint to snapshot, or empty.
 std::unique_ptr<Generator> make_hcg_generator(const isa::VectorIsa& isa,
                                               synth::SelectionHistory* history = nullptr,
                                               synth::BatchOptions batch_options = {},
                                               int opt_level = 1,
                                               bool profile_gen = false,
-                                              EmitTuning tuning = {});
+                                              std::string dump_cgir_after = {});
 
 /// Simulink-Coder-like baseline: expression folding, variable reuse,
 /// unrolled scalar statements (Figure 2), generic intensive functions.
 /// `scattered_isa` enables the per-actor scattered-SIMD mode of §4.2.
 std::unique_ptr<Generator> make_simulink_generator(
     const isa::VectorIsa* scattered_isa = nullptr, int opt_level = 0,
-    EmitTuning tuning = {});
+    std::string dump_cgir_after = {});
 
 /// DFSynth-like baseline: per-actor loop code, generic intensive functions.
-std::unique_ptr<Generator> make_dfsynth_generator(int opt_level = 0,
-                                                  EmitTuning tuning = {});
+std::unique_ptr<Generator> make_dfsynth_generator(
+    int opt_level = 0, std::string dump_cgir_after = {});
 
 }  // namespace hcg::codegen

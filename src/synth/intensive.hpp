@@ -18,20 +18,6 @@
 
 namespace hcg::synth {
 
-struct IntensiveOptions {
-  /// Timing repetitions per candidate; the minimum is taken.
-  int repetitions = 3;
-  /// Per-candidate measurement budget: once the timed repetitions have
-  /// consumed this much wall clock, the loop stops early (at least one
-  /// repetition always runs).  Long kernel runs are noise-robust, so extra
-  /// repetitions only stretch code generation.  <= 0 disables the budget.
-  double measure_budget_seconds = 2e-3;
-  /// Consult/update the selection history (Algorithm 1 lines 3-6, 18).
-  bool use_history = true;
-  /// Seed for generateTestInput.
-  std::uint64_t seed = 0x4c4f54;
-};
-
 /// One candidate dropped by degraded-mode pre-calculation.  `reason` is one
 /// of "compile" | "crash" | "timeout" | "exception" (docs/ROBUSTNESS.md);
 /// the same strings key the synth.precalc.candidate_failures.* metrics and
@@ -65,7 +51,9 @@ struct IntensiveSelection {
 std::vector<Tensor> generate_test_inputs(const Actor& actor,
                                          std::uint64_t seed);
 
-/// Runs Algorithm 1 for a resolved intensive actor.  Throws
+/// Runs Algorithm 1 for a resolved intensive actor: looks the key up in
+/// `history` first, and stores a fresh (non-degraded) selection there.  A
+/// caller that must not persist a selection passes a fresh history.  Throws
 /// hcg::SynthesisError if the actor type has no implementations.
 ///
 /// Degraded mode: a candidate that throws during warm-up/measurement — or
@@ -74,20 +62,18 @@ std::vector<Tensor> generate_test_inputs(const Actor& actor,
 /// the generation; the general implementation is the guaranteed fallback
 /// when every candidate fails.
 IntensiveSelection select_implementation(const Actor& actor,
-                                         SelectionHistory& history,
-                                         const IntensiveOptions& options = {});
+                                         SelectionHistory& history);
 
 /// In-run memoization over select_implementation.
 ///
 /// The first request for a (actor type, dtype, shapes) key runs the full
 /// pre-calculation; later requests for the same key get its result, marked
 /// `deduped`.  One instance spans one code-generation run, so duplicate
-/// actors in a model never re-measure even with the history disabled.  A
+/// actors in a model never re-measure even with a fresh history.  A
 /// selection that throws is not memoized.
 class SelectionMemo {
  public:
-  IntensiveSelection select(const Actor& actor, SelectionHistory& history,
-                            const IntensiveOptions& options = {});
+  IntensiveSelection select(const Actor& actor, SelectionHistory& history);
 
   /// Requests that were answered from an earlier measurement.
   std::uint64_t dedup_hits() const { return dedup_hits_; }

@@ -316,14 +316,14 @@ const isa::VectorIsa& resolve_isa(const std::string& name,
 std::unique_ptr<codegen::Generator> make_tool(const Options& opt,
                                               const isa::VectorIsa& table,
                                               synth::SelectionHistory* history) {
-  codegen::EmitTuning tuning;
-  tuning.dump_cgir_after = opt.dump_cgir ? "final" : opt.dump_cgir_after;
+  const std::string dump_cgir_after =
+      opt.dump_cgir ? "final" : opt.dump_cgir_after;
   if (opt.tool == "hcg") {
     synth::BatchOptions batch;
     batch.min_nodes_for_simd = opt.threshold;
     return codegen::make_hcg_generator(table, history, batch,
                                        opt.opt_level < 0 ? 1 : opt.opt_level,
-                                       opt.profile_gen, tuning);
+                                       opt.profile_gen, dump_cgir_after);
   }
   if (opt.profile_gen) {
     throw Error("--profile-gen is only supported with --tool hcg");
@@ -331,10 +331,10 @@ std::unique_ptr<codegen::Generator> make_tool(const Options& opt,
   const int level = opt.opt_level < 0 ? 0 : opt.opt_level;
   if (opt.tool == "simulink") {
     return codegen::make_simulink_generator(opt.scattered ? &table : nullptr,
-                                            level, tuning);
+                                            level, dump_cgir_after);
   }
   if (opt.tool == "dfsynth") {
-    return codegen::make_dfsynth_generator(level, tuning);
+    return codegen::make_dfsynth_generator(level, dump_cgir_after);
   }
   throw Error("unknown tool '" + opt.tool + "' (hcg|simulink|dfsynth)");
 }

@@ -302,10 +302,8 @@ TEST(ProfileGen, FinalDumpIsTheInstrumentedUnit) {
   // The "final" checkpoint (hcgc --dump-cgir) comes after instrumentation:
   // the dump holds the HCG_PROF statements and re-prints as the source.
   Model model = resolved(benchmodels::fft_model());
-  EmitTuning tuning;
-  tuning.dump_cgir_after = "final";
   auto hcg = make_hcg_generator(isa::builtin("neon_sim"), nullptr, {},
-                                /*opt_level=*/1, /*profile_gen=*/true, tuning);
+                                /*opt_level=*/1, /*profile_gen=*/true, "final");
   const GeneratedCode code = hcg->generate(model);
   EXPECT_NE(code.cgir_dump_after.find("HCG_PROF_ENTER"), std::string::npos);
   EXPECT_EQ(cgir::print(cgir::parse_dump(code.cgir_dump_after)), code.source);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "actors/resolve.hpp"
@@ -122,9 +123,7 @@ TEST(TestInputs, MatInvInputsAreInvertible) {
 TEST(Select, Pow2FftPrefersFastImplementationOverGeneral) {
   Model model = resolved(benchmodels::fft_model(1024));
   SelectionHistory history;
-  IntensiveOptions options;
-  options.use_history = false;
-  auto selection = select_implementation(fft_actor(model), history, options);
+  auto selection = select_implementation(fft_actor(model), history);
   ASSERT_NE(selection.impl, nullptr);
   EXPECT_FALSE(selection.from_history);
   // Radix-2/radix-4 must beat the naive DFT and Bluestein at 1024; we do not
@@ -141,9 +140,7 @@ TEST(Select, Pow2FftPrefersFastImplementationOverGeneral) {
 TEST(Select, NonPow2SizeFiltersPow2Candidates) {
   Model model = resolved(benchmodels::fft_model(600));  // 600 = 2^3*3*5^2
   SelectionHistory history;
-  IntensiveOptions options;
-  options.use_history = false;
-  auto selection = select_implementation(fft_actor(model), history, options);
+  auto selection = select_implementation(fft_actor(model), history);
   // radix2/radix4 cannot handle 600 (canHandleDataSize filter).
   EXPECT_EQ(selection.measured_costs.count("fft_radix2"), 0u);
   EXPECT_EQ(selection.measured_costs.count("fft_radix4"), 0u);
@@ -155,7 +152,7 @@ TEST(Select, HistoryHitSkipsPreCalculation) {
   Model model = resolved(benchmodels::fft_model(256));
   SelectionHistory history;
   history.store("FFT", DataType::kComplex64, {Shape({256})}, "fft_bluestein");
-  auto selection = select_implementation(fft_actor(model), history, {});
+  auto selection = select_implementation(fft_actor(model), history);
   EXPECT_TRUE(selection.from_history);
   EXPECT_EQ(selection.impl->id, "fft_bluestein");  // honored verbatim
   EXPECT_TRUE(selection.measured_costs.empty());
@@ -165,7 +162,7 @@ TEST(Select, StaleHistoryEntryTriggersFreshPreCalculation) {
   Model model = resolved(benchmodels::fft_model(256));
   SelectionHistory history;
   history.store("FFT", DataType::kComplex64, {Shape({256})}, "no_such_impl");
-  auto selection = select_implementation(fft_actor(model), history, {});
+  auto selection = select_implementation(fft_actor(model), history);
   EXPECT_FALSE(selection.from_history);
   EXPECT_FALSE(selection.measured_costs.empty());
   // The stale entry was overwritten with the fresh choice.
@@ -176,20 +173,11 @@ TEST(Select, StaleHistoryEntryTriggersFreshPreCalculation) {
 TEST(Select, SelectionIsStoredForReuse) {
   Model model = resolved(benchmodels::dct_model(128));
   SelectionHistory history;
-  auto first = select_implementation(model.actor_by_name("dct"), history, {});
+  auto first = select_implementation(model.actor_by_name("dct"), history);
   EXPECT_FALSE(first.from_history);
-  auto second = select_implementation(model.actor_by_name("dct"), history, {});
+  auto second = select_implementation(model.actor_by_name("dct"), history);
   EXPECT_TRUE(second.from_history);
   EXPECT_EQ(first.impl->id, second.impl->id);
-}
-
-TEST(Select, UseHistoryFalseNeverStores) {
-  Model model = resolved(benchmodels::dct_model(64));
-  SelectionHistory history;
-  IntensiveOptions options;
-  options.use_history = false;
-  select_implementation(model.actor_by_name("dct"), history, options);
-  EXPECT_EQ(history.size(), 0u);
 }
 
 TEST(Select, SmallMatrixPrefersSpecializedKernels) {
@@ -199,11 +187,7 @@ TEST(Select, SmallMatrixPrefersSpecializedKernels) {
   b.outport("o", b.actor("mm", "MatMul", {x, y}));
   Model model = resolved(b.take());
   SelectionHistory history;
-  IntensiveOptions options;
-  options.use_history = false;
-  options.repetitions = 5;
-  auto selection =
-      select_implementation(model.actor_by_name("mm"), history, options);
+  auto selection = select_implementation(model.actor_by_name("mm"), history);
   // Both candidates measured; the unrolled kernel is eligible at n=3.
   EXPECT_EQ(selection.measured_costs.size(), 2u);
   EXPECT_TRUE(selection.measured_costs.count("matmul_unrolled"));
@@ -216,7 +200,7 @@ TEST(Select, LargeMatrixOnlyGenericEligible) {
   b.outport("o", b.actor("mm", "MatMul", {x, y}));
   Model model = resolved(b.take());
   SelectionHistory history;
-  auto selection = select_implementation(model.actor_by_name("mm"), history, {});
+  auto selection = select_implementation(model.actor_by_name("mm"), history);
   EXPECT_EQ(selection.impl->id, "matmul_generic");
   EXPECT_EQ(selection.measured_costs.size(), 1u);
 }
@@ -226,10 +210,7 @@ TEST(Select, ConvLongKernelLandsOnFasterThanDirectChoice) {
   // comfortably; at minimum, the chosen impl must not be slower than direct.
   Model model = resolved(benchmodels::conv_model(1024, 256));
   SelectionHistory history;
-  IntensiveOptions options;
-  options.use_history = false;
-  auto selection =
-      select_implementation(model.actor_by_name("conv"), history, options);
+  auto selection = select_implementation(model.actor_by_name("conv"), history);
   const double chosen = selection.measured_costs.at(selection.impl->id);
   const double direct = selection.measured_costs.at("conv_direct");
   EXPECT_LE(chosen, direct);
@@ -241,10 +222,56 @@ TEST(Select, IdentifiesInverseTransformsSeparately) {
   b.outport("y", b.actor("ifft", "IFFT", {x}));
   Model model = resolved(b.take());
   SelectionHistory history;
-  auto selection =
-      select_implementation(model.actor_by_name("ifft"), history, {});
+  auto selection = select_implementation(model.actor_by_name("ifft"), history);
   EXPECT_EQ(selection.impl->actor_type, "IFFT");
   EXPECT_TRUE(history.lookup("IFFT", DataType::kComplex64, {Shape({128})}));
+}
+
+TEST(Select, ReportNamesEveryEligibleCandidate) {
+  // tools/kernel_sweep.py builds Figure 1 and E11 from the report's
+  // intensive[].candidates: each must be an implementation whose can_handle
+  // accepts the shape, every such implementation must be there, and each
+  // must carry a measured time.
+  ModelBuilder b("matmul3");
+  PortRef x = b.inport("x", DataType::kFloat32, Shape({3, 3}));
+  PortRef y = b.inport("y", DataType::kFloat32, Shape({3, 3}));
+  b.outport("o", b.actor("mm", "MatMul", {x, y}));
+  std::vector<Model> models;
+  models.push_back(benchmodels::fft_model(600));
+  models.push_back(benchmodels::fft_model(1024));
+  models.push_back(benchmodels::conv_model(1024, 256));
+  models.push_back(b.take());
+  for (const Model& model : models) {
+    SCOPED_TRACE(model.name());
+    SelectionHistory history;
+    codegen::EmitConfig config;
+    config.isa = &isa::builtin("neon_sim");
+    config.select_intensive = true;
+    config.history = &history;
+    const codegen::GeneratedCode code = codegen::emit_model(model, config);
+    ASSERT_FALSE(code.report.intensive.empty());
+    const obs::ReportIntensive& entry = code.report.intensive[0];
+
+    const Model resolved_model = resolved(model);
+    const Actor& actor = resolved_model.actor_by_name(entry.actor);
+    const DataType dtype = actor.input(0).type;
+    std::vector<Shape> shapes;
+    for (const PortSpec& in : actor.inputs()) shapes.push_back(in.shape);
+    std::set<std::string> eligible;
+    for (const kernels::KernelImpl* impl :
+         kernels::CodeLibrary::instance().implementations(actor.type(),
+                                                          dtype)) {
+      if (impl->can_handle(dtype, shapes)) eligible.insert(impl->id);
+    }
+    std::set<std::string> reported;
+    for (const obs::ReportCandidate& candidate : entry.candidates) {
+      EXPECT_GT(candidate.ms, 0.0) << candidate.impl;
+      reported.insert(candidate.impl);
+    }
+    EXPECT_EQ(entry.candidates.size(), reported.size());
+    EXPECT_EQ(reported, eligible);
+    EXPECT_GE(eligible.size(), 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------

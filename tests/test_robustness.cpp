@@ -441,7 +441,7 @@ TEST(DegradedPrecalc, AllCandidatesFailFallsBackToReference) {
   const std::uint64_t fallbacks_before =
       counter_value("synth.precalc.fallbacks");
   synth::IntensiveSelection selection =
-      synth::select_implementation(fft_actor(model), history, {});
+      synth::select_implementation(fft_actor(model), history);
   ASSERT_NE(selection.impl, nullptr);
   EXPECT_TRUE(selection.impl->general);  // the guaranteed reference fallback
   EXPECT_TRUE(selection.degraded);
@@ -465,7 +465,7 @@ TEST(DegradedPrecalc, PartialFailureSelectsAmongSurvivors) {
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
   synth::IntensiveSelection selection =
-      synth::select_implementation(fft_actor(model), history, {});
+      synth::select_implementation(fft_actor(model), history);
   ASSERT_NE(selection.impl, nullptr);
   EXPECT_FALSE(selection.degraded);
   EXPECT_FALSE(selection.measured_costs.empty());
@@ -486,7 +486,7 @@ TEST(DegradedPrecalc, TimeoutReasonIsDistinct) {
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
   synth::IntensiveSelection selection =
-      synth::select_implementation(fft_actor(model), history, {});
+      synth::select_implementation(fft_actor(model), history);
   ASSERT_EQ(selection.failures.size(), 1u);
   EXPECT_EQ(selection.failures[0].impl, "fft_dft");
   EXPECT_EQ(selection.failures[0].reason, "timeout");
@@ -498,12 +498,11 @@ TEST(DegradedPrecalc, SingleFlightSharesTheDegradedResult) {
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
   synth::SelectionMemo memo;
-  synth::IntensiveSelection first = memo.select(fft_actor(model), history, {});
+  synth::IntensiveSelection first = memo.select(fft_actor(model), history);
   EXPECT_TRUE(first.degraded);
   const std::uint64_t injected_after_first =
       faults::Registry::instance().injected();
-  synth::IntensiveSelection second =
-      memo.select(fft_actor(model), history, {});
+  synth::IntensiveSelection second = memo.select(fft_actor(model), history);
   EXPECT_TRUE(second.deduped);
   EXPECT_TRUE(second.degraded);
   EXPECT_EQ(second.impl, first.impl);
