@@ -430,7 +430,9 @@ class Emitter {
         entry.selected = true;
         entry.from_history = selection.from_history;
         for (const auto& [id, seconds] : selection.measured_costs) {
-          entry.candidates.push_back({id, seconds * 1e3});
+          const int samples = selection.timed_samples.at(id);
+          entry.candidates.push_back(
+              {id, seconds * 1e3, samples, /*screened=*/samples == 0});
         }
         if (!selection.failures.empty()) {
           // Degraded mode: the run survived candidate failures — record

@@ -47,6 +47,8 @@ std::string Report::to_json(bool include_metrics) const {
       w.begin_object();
       w.key("impl").value(candidate.impl);
       w.key("ms").value(candidate.ms);
+      w.key("samples").value(candidate.samples);
+      w.key("screened").value(candidate.screened);
       w.end_object();
     }
     w.end_array();

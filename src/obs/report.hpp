@@ -22,7 +22,9 @@ struct ReportPhase {
 
 struct ReportCandidate {
   std::string impl;
-  double ms = 0.0;  // best-of-N measured run time
+  double ms = 0.0;        // best measured time per call
+  int samples = 0;        // timed samples behind `ms`
+  bool screened = false;  // true: `ms` is one cold warm-up call, never timed
 };
 
 /// One Algorithm 1 decision.

@@ -2,6 +2,8 @@
 // benchmark harness.
 #pragma once
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdint>
 
@@ -29,5 +31,14 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// CPU time the calling thread has used (CLOCK_THREAD_CPUTIME_ID).  Unlike
+/// wall time it does not grow while the thread is preempted.
+inline double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 }  // namespace hcg

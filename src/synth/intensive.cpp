@@ -1,5 +1,7 @@
 #include "synth/intensive.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "actors/exec.hpp"
@@ -15,13 +17,6 @@ namespace hcg::synth {
 
 namespace {
 
-/// Timed repetitions per candidate; the minimum is taken.
-constexpr int kRepetitions = 3;
-/// Per-candidate measurement budget: once the timed repetitions have used
-/// this much wall clock the loop stops early (at least one repetition always
-/// runs).  Long kernel runs are noise-robust, so extra repetitions would only
-/// stretch code generation.
-constexpr double kMeasureBudgetSeconds = 2e-3;
 /// Seed for generateTestInput.
 constexpr std::uint64_t kTestInputSeed = 0x4c4f54;
 
@@ -76,6 +71,93 @@ void drop_candidate(IntensiveSelection& result, const Actor& actor,
 
 }  // namespace
 
+RaceResult race_candidates(std::size_t candidates,
+                           const RaceMeasure& measure) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  RaceResult race;
+  race.lanes.resize(candidates);
+
+  // (1) One warm-up call each: validates the kernel at this size, sizes its
+  // timed samples and screens clear losers by CPU time.
+  std::vector<CallTiming> warmups(candidates);
+  double fastest_cpu = kInf;
+  for (std::size_t i = 0; i < candidates; ++i) {
+    const std::optional<CallTiming> warmup = measure(i, 1);
+    if (!warmup) {
+      race.lanes[i].failed = true;
+      continue;
+    }
+    warmups[i] = *warmup;
+    fastest_cpu = std::min(fastest_cpu, warmup->cpu_seconds);
+  }
+  std::vector<std::size_t> survivors;
+  for (std::size_t i = 0; i < candidates; ++i) {
+    RaceLane& lane = race.lanes[i];
+    if (lane.failed) continue;
+    if (fastest_cpu > 0.0 &&
+        warmups[i].cpu_seconds > kScreenRatio * fastest_cpu) {
+      lane.screened = true;
+      lane.best_seconds = warmups[i].wall_seconds;
+      continue;
+    }
+    const double wall = warmups[i].wall_seconds;
+    lane.calls_per_sample =
+        wall > 0.0 ? static_cast<int>(std::min<double>(
+                         std::ceil(kMinSampleSeconds / wall),
+                         kMaxCallsPerSample))
+                   : kMaxCallsPerSample;
+    survivors.push_back(i);
+  }
+
+  // (2) Rotating rounds over the survivors; a lane leaves when it fails,
+  // when it is dropped, or when its samples have used the budget.
+  std::vector<double> spent(candidates, 0.0);
+  for (int round = 0; round < kRepetitions; ++round) {
+    for (std::size_t k = 0; k < survivors.size(); ++k) {
+      const std::size_t i = survivors[(round + k) % survivors.size()];
+      RaceLane& lane = race.lanes[i];
+      if (lane.failed || lane.dropped || spent[i] >= kMeasureBudgetSeconds) {
+        continue;
+      }
+      const std::optional<CallTiming> sample =
+          measure(i, lane.calls_per_sample);
+      if (!sample) {
+        lane.failed = true;
+        continue;
+      }
+      spent[i] += sample->wall_seconds;
+      lane.best_seconds = std::min(
+          lane.best_seconds, sample->wall_seconds / lane.calls_per_sample);
+      ++lane.samples;
+    }
+    double leader = kInf;
+    for (std::size_t i : survivors) {
+      const RaceLane& lane = race.lanes[i];
+      if (!lane.failed && !lane.dropped) {
+        leader = std::min(leader, lane.best_seconds);
+      }
+    }
+    for (std::size_t i : survivors) {
+      RaceLane& lane = race.lanes[i];
+      if (!lane.failed && lane.samples >= 2 &&
+          lane.best_seconds > kDropRatio * leader) {
+        lane.dropped = true;
+      }
+    }
+  }
+
+  // (3) The fastest remaining survivor; candidate order breaks exact ties.
+  for (std::size_t i : survivors) {
+    const RaceLane& lane = race.lanes[i];
+    if (lane.failed || lane.dropped) continue;
+    if (race.winner < 0 ||
+        lane.best_seconds < race.lanes[race.winner].best_seconds) {
+      race.winner = static_cast<int>(i);
+    }
+  }
+  return race;
+}
+
 std::vector<Tensor> generate_test_inputs(const Actor& actor,
                                          std::uint64_t seed) {
   Rng rng(seed);
@@ -100,6 +182,8 @@ IntensiveSelection select_implementation(const Actor& actor,
       obs::Registry::instance().counter("synth.precalc.candidates");
   static obs::Histogram& candidate_ns_metric =
       obs::Registry::instance().histogram("synth.precalc.candidate_ns");
+  static obs::Counter& screened_metric =
+      obs::Registry::instance().counter("synth.precalc.screened");
   require(actor.is_resolved(), "select_implementation: unresolved actor");
   const DataType dtype = actor.input(0).type;
   const std::vector<Shape> shapes = input_shapes(actor);
@@ -141,51 +225,56 @@ IntensiveSelection select_implementation(const Actor& actor,
   // Lines 11-17: filter, measure, keep the cheapest.  A candidate that
   // fails — for real or through an armed precalc.measure fault — is dropped
   // with a warning instead of aborting the run (degraded mode).
-  double min_cost = std::numeric_limits<double>::infinity();
+  std::vector<const kernels::KernelImpl*> entrants;
   for (const kernels::KernelImpl* impl : impls) {
     if (!impl->can_handle(dtype, shapes)) continue;  // lines 12-13
     switch (faults::probe("precalc.measure", impl->id)) {
       case faults::Action::kNone:
+        entrants.push_back(impl);
         break;
       case faults::Action::kFail:
         drop_candidate(result, actor, impl->id, "compile",
                        "injected candidate compile failure");
-        continue;
+        break;
       case faults::Action::kTimeout:
         drop_candidate(result, actor, impl->id, "timeout",
                        "injected measurement timeout");
-        continue;
+        break;
       default:  // kThrow / kTorn: a simulated candidate crash
         drop_candidate(result, actor, impl->id, "crash",
                        "injected candidate crash");
-        continue;
-    }
-    double best = std::numeric_limits<double>::infinity();
-    try {
-      // Warm-up run (also validates the kernel doesn't blow up on this
-      // size).
-      kernels::run_kernel(*impl, input_ptrs, &output);
-      Stopwatch budget;
-      for (int rep = 0; rep < kRepetitions; ++rep) {
-        Stopwatch timer;
-        kernels::run_kernel(*impl, input_ptrs, &output);
-        best = std::min(best, timer.elapsed_seconds());
-        if (budget.elapsed_seconds() >= kMeasureBudgetSeconds) {
-          break;  // slow kernel: one long run is already noise-robust
-        }
-      }
-    } catch (const std::exception& e) {
-      drop_candidate(result, actor, impl->id, "exception", e.what());
-      continue;
-    }
-    result.measured_costs[impl->id] = best;
-    candidate_metric.add();
-    candidate_ns_metric.observe(best * 1e9);
-    if (best < min_cost) {  // lines 15-17
-      min_cost = best;
-      result.impl = impl;
+        break;
     }
   }
+  const RaceResult race = race_candidates(
+      entrants.size(),
+      [&](std::size_t i, int calls) -> std::optional<CallTiming> {
+        try {
+          const double cpu_start = thread_cpu_seconds();
+          Stopwatch wall;
+          for (int call = 0; call < calls; ++call) {
+            kernels::run_kernel(*entrants[i], input_ptrs, &output);
+          }
+          CallTiming timing;
+          timing.wall_seconds = wall.elapsed_seconds();
+          timing.cpu_seconds = thread_cpu_seconds() - cpu_start;
+          return timing;
+        } catch (const std::exception& e) {
+          drop_candidate(result, actor, entrants[i]->id, "exception",
+                         e.what());
+          return std::nullopt;
+        }
+      });
+  for (std::size_t i = 0; i < entrants.size(); ++i) {
+    const RaceLane& lane = race.lanes[i];
+    if (lane.failed) continue;
+    result.measured_costs[entrants[i]->id] = lane.best_seconds;
+    result.timed_samples[entrants[i]->id] = lane.samples;
+    candidate_metric.add();
+    candidate_ns_metric.observe(lane.best_seconds * 1e9);
+    if (lane.screened) screened_metric.add();
+  }
+  if (race.winner >= 0) result.impl = entrants[race.winner];  // lines 15-17
 
   if (result.measured_costs.empty() && !result.failures.empty()) {
     // Every candidate that could handle the size failed: the general

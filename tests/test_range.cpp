@@ -145,7 +145,7 @@ TEST(RangeAnalysis, GrowingDelayLoopWidensToTop) {
   // y(t+1) = y(t) + 1 through a UnitDelay: the state interval grows every
   // round, so widening must kick in and count the delay as widened.
   ModelBuilder b("grow");
-  PortRef one = b.constant("one", DataType::kInt32, Shape{4}, "1");
+  b.constant("one", DataType::kInt32, Shape{4}, "1");
   Model model = b.take();
   const ActorId add = model.add_actor("add", "Add");
   const ActorId d = model.add_actor("d", "UnitDelay");

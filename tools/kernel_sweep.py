@@ -12,7 +12,9 @@ took and chose from.  This script adds no timing loop of its own.
 
 One markdown table per family: per size, each candidate's median time over
 the runs with its interquartile range, and how many runs picked each winner.
-Exits 1 when hcgc fails or a row has no measured candidate.
+A cell marked `*` was screened out on its warm-up in at least one run, so its
+time there is one cold call, not a timed sample.  Exits 1 when hcgc fails or
+a row has no measured candidate.
 
     tools/kernel_sweep.py [--runs N] [build-dir]
 """
@@ -74,7 +76,8 @@ def sweep_model(actor_type, dtype, sizes):
 
 
 def run_once(hcgc, model_path, work):
-    """One cold generate; returns {actor: (chosen impl, {impl: ms})}."""
+    """One cold generate; returns {actor: (chosen impl, {impl: (ms,
+    screened)})}."""
     report = os.path.join(work, "report.json")
     cmd = [hcgc, "generate", model_path, "-O2", "--isa", "neon_sim",
            "--report", report, "--out", os.path.join(work, "out.c")]
@@ -84,8 +87,8 @@ def run_once(hcgc, model_path, work):
                  f"{proc.stderr}")
     with open(report) as f:
         data = json.load(f)
-    return {e["actor"]: (e["impl"], {c["impl"]: c["ms"] for c in
-                                     e["candidates"]})
+    return {e["actor"]: (e["impl"], {c["impl"]: (c["ms"], c["screened"])
+                                     for c in e["candidates"]})
             for e in data["intensive"]}
 
 
@@ -137,7 +140,9 @@ def main():
           f"{host_line()}, N = {args.runs} cold `hcgc generate -O2 --isa "
           f"neon_sim` runs.")
     print("Cell: median µs [interquartile range µs] over the N runs; "
-          "`-`: the implementation cannot handle the size.")
+          "`*`: screened out on its warm-up in at least one run (one cold "
+          "call, never timed); `-`: the implementation cannot handle the "
+          "size.")
     empty_rows = 0
     with tempfile.TemporaryDirectory(prefix="kernel_sweep_") as work:
         for family, actor_type, dtype, sizes in FAMILIES:
@@ -159,10 +164,11 @@ def main():
                 rows = [run.get(actor, ("(none)", {})) for run in runs]
                 cells = []
                 for impl in impls:
-                    times = [costs[impl] for _, costs in rows if impl in costs]
-                    if times:
-                        med, iqr = median_iqr(times)
-                        cells.append(f"{fmt_us(med)} [{fmt_us(iqr)}]")
+                    seen = [costs[impl] for _, costs in rows if impl in costs]
+                    if seen:
+                        med, iqr = median_iqr([ms for ms, _ in seen])
+                        mark = "*" if any(s for _, s in seen) else ""
+                        cells.append(f"{fmt_us(med)}{mark} [{fmt_us(iqr)}]")
                     else:
                         cells.append("-")
                 if any(not costs for _, costs in rows):
