@@ -1,6 +1,6 @@
 // Golden-file regression tests: the exact generated source for each paper
 // model and tool is pinned under tests/golden/, plus one -O2 farm model that
-// pins the cgir pass pipeline at scale.  Any change to the emitters or the
+// pins the cgir pass pipeline at scale and one -O2 range-narrowed pipeline.  Any change to the emitters or the
 // passes shows up as a reviewable diff.
 //
 // Algorithm 1's choices are timing-dependent, so each case pre-seeds the
@@ -26,7 +26,7 @@ namespace {
 
 struct GoldenCase {
   const char* name;   // golden file stem
-  int model;          // index into paper_models(), or kFarm64
+  int model;          // index into paper_models(), kFarm64 or kRangepipe
   const char* tool;   // "hcg" | "simulink" | "dfsynth" | "scattered"
 };
 
@@ -35,6 +35,11 @@ struct GoldenCase {
 /// statements, so its file pins the order of its 59 loop fusions (hoists
 /// included) and the arena slot naming.
 constexpr int kFarm64 = -1;
+
+/// rangepipe_model(1024) under HCG -O2 on neon_sim: pins range-driven lane
+/// narrowing together with the -O2 fuse_cross_scale and localize_strips
+/// rewrites of the boundary casts it inserts.
+constexpr int kRangepipe = -2;
 
 // Without this, gtest prints the parameter as raw bytes, which include the
 // addresses of the string literals; the test IDs that ctest discovers would
@@ -52,6 +57,7 @@ constexpr GoldenCase kCases[] = {
     {"fir_hcg", 5, "hcg"},
     {"fir_dfsynth", 5, "dfsynth"},
     {"farm64_hcg_o2", kFarm64, "hcg"},
+    {"rangepipe_hcg_o2", kRangepipe, "hcg"},
 };
 
 std::filesystem::path golden_dir() {
@@ -95,6 +101,11 @@ std::string generate_case(const GoldenCase& c) {
     auto tool = codegen::make_hcg_generator(isa::builtin("neon_sim"), &history,
                                             {}, /*opt_level=*/2);
     return tool->generate(benchmodels::intensive_farm_model(64, false)).source;
+  }
+  if (c.model == kRangepipe) {
+    auto tool = codegen::make_hcg_generator(isa::builtin("neon_sim"), nullptr,
+                                            {}, /*opt_level=*/2);
+    return tool->generate(benchmodels::rangepipe_model(1024)).source;
   }
   std::vector<Model> models = benchmodels::paper_models();
   const Model& model = models.at(static_cast<size_t>(c.model));
