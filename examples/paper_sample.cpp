@@ -8,6 +8,7 @@
 
 #include "actors/resolve.hpp"
 #include "benchmodels/benchmodels.hpp"
+#include "cgir/cgir.hpp"
 #include "codegen/generator.hpp"
 #include "graph/regions.hpp"
 #include "isa/builtin.hpp"
@@ -36,7 +37,8 @@ int main() {
   for (const auto& name : result.instructions_used) {
     std::printf("  %s\n", name.c_str());
   }
-  std::printf("\n== synthesized SIMD loop ==\n%s\n", result.code.c_str());
+  std::printf("\n== synthesized SIMD loop ==\n%s\n",
+              cgir::print(result.loops).c_str());
 
   std::printf("== full generated translation unit (HCG) ==\n");
   auto generator = codegen::make_hcg_generator(neon);

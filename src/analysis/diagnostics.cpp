@@ -118,6 +118,10 @@ const std::vector<DiagnosticRule>& diagnostic_rules() {
        "a batch region would narrow but the value range could not be proven "
        "to fit the narrower type",
        Severity::kRemark},
+      {"HCG413", "narrowing-unsupported",
+       "a batch region's value ranges fit a narrower type, but the ISA has "
+       "no instruction for one of its ops at that type",
+       Severity::kRemark},
 
       // ---- HCG5xx: runtime profiling (docs/PROFILING.md) ----------------
       {"HCG501", "costmodel-mispredict",

@@ -23,7 +23,7 @@
 //   * `hcgc lint` — the HCG6xx numeric-safety diagnostics (possible signed
 //     overflow, possible division by zero, lossy narrowing cast, dead
 //     Switch branch, constant-foldable subgraph);
-//   * the codegen lane-narrowing pass (src/codegen/emit.cpp) — a batch
+//   * range-driven lane narrowing (src/analysis/narrow.hpp) — a batch
 //     region whose proven ranges fit a narrower element type is re-planned
 //     at the narrow width, doubling (or quadrupling) SIMD lanes;
 //   * the fuzz harness — the soundness cross-check above.

@@ -59,6 +59,12 @@ std::string print_decl(const BufferDecl& decl) {
          std::to_string(decl.components) + "];";
 }
 
+std::string print(const std::vector<Stmt>& body, int depth) {
+  std::string out;
+  for (const Stmt& stmt : body) print_stmt(stmt, depth, out);
+  return out;
+}
+
 std::string print(const TranslationUnit& tu) {
   std::string out;
   for (const std::string& line : tu.header_lines) out += line + "\n";
@@ -72,12 +78,8 @@ std::string print(const TranslationUnit& tu) {
   out += "/* ---- signal buffers ---- */\n";
   for (const BufferDecl& decl : tu.buffers) out += print_decl(decl) + "\n";
   out += "\n";
-  out += tu.init.opener + "\n";
-  for (const Stmt& stmt : tu.init.body) print_stmt(stmt, 1, out);
-  out += "}\n\n";
-  out += tu.step.opener + "\n";
-  for (const Stmt& stmt : tu.step.body) print_stmt(stmt, 1, out);
-  out += "}\n";
+  out += tu.init.opener + "\n" + print(tu.init.body) + "}\n\n";
+  out += tu.step.opener + "\n" + print(tu.step.body) + "}\n";
   return out;
 }
 

@@ -119,6 +119,10 @@ struct TranslationUnit {
 /// (or the single-iteration block form), body at depth d+1, and `}`.
 std::string print(const TranslationUnit& tu);
 
+/// Prints statements exactly as print() prints a function body at `depth`
+/// (1 = the body of init or step).
+std::string print(const std::vector<Stmt>& body, int depth = 1);
+
 /// The C declaration line for one buffer (exactly as print() emits it).
 std::string print_decl(const BufferDecl& decl);
 

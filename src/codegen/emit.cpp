@@ -1,18 +1,17 @@
 // The emitter: lowers a resolved model — scheduled actors plus Algorithm 2's
-// matched batch regions — into the cgir translation unit, runs the cgir pass
-// pipeline over it, and prints the result.  Lowering gives every signal its
+// batch-region loops — into the cgir translation unit, runs the cgir pass
+// pipeline over it, and prints the result.  At -O1 and up the model is first
+// rewritten by range-driven lane narrowing (analysis/narrow.hpp), so the
+// emitter itself only lowers.  Lowering gives every signal its
 // own buffer; the arena pass (cgir/passes.hpp) alone decides which of them
 // share storage, at every -O level: at -O0 it is the only pass, -O1 adds
 // loop fusion and copy forwarding before it, -O2 the restructuring passes.
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <set>
 
 #include "actors/catalog.hpp"
 #include "actors/exec.hpp"
-#include "analysis/range.hpp"
+#include "analysis/narrow.hpp"
 #include "analysis/verifier.hpp"
 #include "cgir/cgir.hpp"
 #include "cgir/passes.hpp"
@@ -58,7 +57,7 @@ class Emitter {
     Stopwatch phase;
     {
       HCG_TRACE_SCOPE("emit.regions");
-      build_regions(narrow_regions_by_range());
+      build_regions();
       order_ = emission_order(model_, regions_);
     }
     finish_phase("regions", phase);
@@ -114,270 +113,14 @@ class Emitter {
   // Planning
   // ------------------------------------------------------------------
 
-  // ------------------------------------------------------------------
-  // Range-driven lane narrowing (docs/ANALYSIS.md)
-  // ------------------------------------------------------------------
-
-  /// Narrower same-signedness integer candidates, narrowest first.
-  static std::vector<DataType> narrowing_candidates(DataType cur) {
-    std::vector<DataType> out;
-    const std::vector<DataType> pool =
-        is_signed_int(cur)
-            ? std::vector<DataType>{DataType::kInt8, DataType::kInt16,
-                                    DataType::kInt32}
-            : std::vector<DataType>{DataType::kUInt8, DataType::kUInt16,
-                                    DataType::kUInt32};
-    if (!is_integer(cur)) return out;
-    for (DataType t : pool) {
-      if (bit_width(t) < bit_width(cur)) out.push_back(t);
-    }
-    return out;
-  }
-
-  /// A model actor name no existing actor uses.
-  std::string fresh_actor_name(int* counter) {
-    for (;; ++*counter) {
-      std::string name = "hcg_nw_" + std::to_string(*counter);
-      if (model_.find_actor(name) == kNoActor) {
-        ++*counter;
-        return name;
-      }
-    }
-  }
-
-  /// Everything except the value-range proof that narrowing one region to
-  /// `nar` needs: more lanes than the current type, a viable plan at the
-  /// narrow width, a single-instruction implementation for every node, and
-  /// representable scalar constants / in-range shift immediates.
-  bool narrowing_isa_ok(const BatchRegion& region, DataType cur,
-                        DataType nar) const {
-    const isa::VectorIsa& isa = *config_.isa;
-    const int lanes_nar = isa.lanes(nar);
-    if (lanes_nar <= 0 || lanes_nar <= isa.lanes(cur)) return false;
-    if (!isa.predicated(nar) && region.graph.length() < lanes_nar) {
-      return false;
-    }
-    if (region.graph.node_count() <
-        config_.batch_options.min_nodes_for_simd) {
-      return false;
-    }
-    for (const DfgNode& node : region.graph.nodes()) {
-      if (!isa.supports(node.op, nar, nar)) return false;
-      for (const ValueRef& operand : node.operands) {
-        if (operand.kind == ValueRef::Kind::kScalarConst) {
-          const double t = std::trunc(operand.scalar);
-          if (!analysis::interval_fits({t, t}, nar)) return false;
-        }
-        if (operand.kind == ValueRef::Kind::kImmediate &&
-            operand.imm >= bit_width(nar)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  /// The value-range proof: every node result and every array entering the
-  /// region provably fits `nar`.  (A node interval that would wrap at the
-  /// *current* width is top, which never fits, so a region that passes here
-  /// computes identical values at either width.)
-  bool narrowing_range_ok(const BatchRegion& region,
-                          const analysis::RangeAnalysis& ranges,
-                          DataType nar) const {
-    for (const DfgNode& node : region.graph.nodes()) {
-      const analysis::Interval* iv = ranges.find(node.actor, 0);
-      if (iv == nullptr || !analysis::interval_fits(*iv, nar)) return false;
-    }
-    for (const DfgExternal& ext : region.graph.externals()) {
-      const analysis::Interval* iv = ranges.find(ext.src, ext.src_port);
-      if (iv == nullptr || !analysis::interval_fits(*iv, nar)) return false;
-    }
-    return true;
-  }
-
-  /// Splices Cast actors around one region so it re-resolves at `nar`:
-  /// a Cast-down on every external input signal, a Cast-up back to `cur`
-  /// on every signal leaving the region.  A Constant feeding only this
-  /// region is instead retyped in place — its value provably fits `nar`,
-  /// and folding the conversion into the initializer avoids a per-step
-  /// cast pass over the whole array.  The region's own actors keep their
-  /// types param-free (elementwise actors inherit operand types), so
-  /// re-resolution retypes the whole chain.
-  void rewrite_region_narrow(const BatchRegion& region, DataType cur,
-                             DataType nar, int* name_counter) {
-    const std::set<ActorId> members(region.actors.begin(),
-                                    region.actors.end());
-    for (const DfgExternal& ext : region.graph.externals()) {
-      const std::vector<Connection> consumers =
-          model_.outgoing(ext.src, ext.src_port);
-      Actor& producer = model_.actor(ext.src);
-      if (producer.type() == "Constant") {
-        bool all_in_region = true;
-        for (const Connection& c : model_.outgoing_all(ext.src)) {
-          all_in_region &= members.count(c.dst) > 0;
-        }
-        if (all_in_region) {
-          producer.set_param("dtype", short_name(nar));
-          continue;
-        }
-      }
-      const ActorId down =
-          model_.add_actor(fresh_actor_name(name_counter), "Cast");
-      model_.actor(down).set_param("to", short_name(nar));
-      model_.connect(ext.src, ext.src_port, down, 0);
-      for (const Connection& c : consumers) {
-        if (members.count(c.dst)) {
-          model_.rewire_input(c.dst, c.dst_port, down, 0);
-        }
-      }
-    }
-    for (int node_index : region.graph.outputs()) {
-      const ActorId src = region.graph.node(node_index).actor;
-      const std::vector<Connection> consumers = model_.outgoing(src, 0);
-      ActorId up = kNoActor;
-      for (const Connection& c : consumers) {
-        if (members.count(c.dst)) continue;
-        if (up == kNoActor) {
-          up = model_.add_actor(fresh_actor_name(name_counter), "Cast");
-          model_.actor(up).set_param("to", short_name(cur));
-          model_.connect(src, 0, up, 0);
-        }
-        model_.rewire_input(c.dst, c.dst_port, up, 0);
-      }
-    }
-  }
-
-  /// The range-driven lane-narrowing pass: re-plans an integer batch region
-  /// at a narrower element type when the interval analysis proves every
-  /// value fits, doubling (or quadrupling) the SIMD lanes Algorithm 2 gets
-  /// to use.  Runs before build_regions() so the rebuilt regions are the
-  /// narrow chains (the inserted mixed-width Casts fall out of regions by
-  /// the HCG404 rule).  Off at -O0; regions-mode only.
-  ///
-  /// Returns the batch regions of the final model, or nothing when the pass
-  /// is off.  The last round rewrote no region, so its scan is current; the
-  /// HCG412 scan and build_regions() reuse it instead of scanning again.
-  std::optional<std::vector<BatchRegion>> narrow_regions_by_range() {
-    const bool enabled = config_.opt_level >= 1 &&
-                         config_.batch_mode == BatchMode::kRegions &&
-                         config_.isa != nullptr;
-    if (!enabled) return std::nullopt;
-
-    int narrowed = 0;
-    int blocked = 0;
-    int name_counter = 0;
-    std::set<ActorId> narrowed_members;
-    auto remark = [this](std::string code, std::string message) {
-      obs::ReportDiagnostic diag;
-      diag.code = std::move(code);
-      diag.severity = "remark";
-      diag.location = model_.name() + ": regions";
-      diag.message = std::move(message);
-      out_.report.diagnostics.push_back(std::move(diag));
-    };
-    auto region_names = [this](const BatchRegion& region) {
-      std::string out;
-      for (ActorId id : region.actors) {
-        if (!out.empty()) out += ", ";
-        out += model_.actor(id).name();
-      }
-      return out;
-    };
-    // Uniform-type integer chains only: a same-width Cast (e.g. i32 to
-    // f32) inside a region gives it two element types, and narrowing a
-    // mixed chain is not expressible as one retype.
-    auto narrowable_type = [](const BatchRegion& region) {
-      const DataType cur = region.graph.nodes().front().out_type;
-      if (!is_integer(cur) || bit_width(cur) < 16) return std::optional<DataType>();
-      for (const DfgNode& node : region.graph.nodes()) {
-        if (node.out_type != cur) return std::optional<DataType>();
-      }
-      for (const DfgExternal& ext : region.graph.externals()) {
-        if (ext.type != cur) return std::optional<DataType>();
-      }
-      return std::optional<DataType>(cur);
-    };
-
-    // One region is rewritten per round, then regions and intervals are
-    // recomputed from the rewritten model — a rewrite moves wires other
-    // regions' snapshots may reference, so stale snapshots must never be
-    // rewritten.  Rewritten chains are remembered and skipped, which bounds
-    // the loop by the region count.
-    analysis::RangeAnalysis ranges;
-    std::vector<BatchRegion> regions;
-    for (bool progress = true; progress;) {
-      progress = false;
-      ranges = analysis::analyze_ranges(model_, nullptr);
-      regions = find_batch_regions(model_, *config_.isa);
-      for (const BatchRegion& region : regions) {
-        const std::optional<DataType> cur = narrowable_type(region);
-        if (!cur) continue;
-        bool member_done = false;
-        for (ActorId id : region.actors) {
-          if (narrowed_members.count(id)) member_done = true;
-        }
-        if (member_done) continue;
-        for (DataType nar : narrowing_candidates(*cur)) {
-          if (!narrowing_isa_ok(region, *cur, nar)) continue;
-          if (!narrowing_range_ok(region, ranges, nar)) continue;
-          rewrite_region_narrow(region, *cur, nar, &name_counter);
-          resolve_model(model_);
-          narrowed_members.insert(region.actors.begin(),
-                                  region.actors.end());
-          ++narrowed;
-          remark("HCG411",
-                 "region {" + region_names(region) + "} re-planned at " +
-                     std::string(short_name(nar)) + " (" +
-                     std::to_string(config_.isa->lanes(nar)) +
-                     " lanes, was " + std::string(short_name(*cur)) +
-                     " at " + std::to_string(config_.isa->lanes(*cur)) +
-                     "): proven value ranges fit the narrower type");
-          progress = true;
-          break;
-        }
-        if (progress) break;
-      }
-    }
-
-    // Final scan: regions that would narrow but for an unprovable range.
-    for (const BatchRegion& region : regions) {
-      const std::optional<DataType> cur = narrowable_type(region);
-      if (!cur) continue;
-      bool member_done = false;
-      for (ActorId id : region.actors) {
-        if (narrowed_members.count(id)) member_done = true;
-      }
-      if (member_done) continue;
-      for (DataType nar : narrowing_candidates(*cur)) {
-        if (!narrowing_isa_ok(region, *cur, nar)) continue;
-        if (narrowing_range_ok(region, ranges, nar)) continue;
-        ++blocked;
-        remark("HCG412",
-               "region {" + region_names(region) +
-                   "} could use more SIMD lanes at " +
-                   std::string(short_name(nar)) +
-                   ", but the value range could not be proven to fit; "
-                   "declare Inport range_min/range_max to enable narrowing");
-        break;
-      }
-    }
-
-    out_.report.range_ran = true;
-    out_.report.range_actors_analyzed = ranges.actors_analyzed;
-    out_.report.range_bounded_outputs = ranges.bounded_outputs;
-    out_.report.range_widened_delays = ranges.widened_delays;
-    out_.report.regions_narrowed = narrowed;
-    out_.report.narrowing_blocked = blocked;
-    return regions;
-  }
-
-  /// `scanned` holds the current model's batch regions when
-  /// narrow_regions_by_range() already found them.
-  void build_regions(std::optional<std::vector<BatchRegion>> scanned) {
+  void build_regions() {
     if (config_.batch_mode == BatchMode::kRegions) {
       require(config_.isa != nullptr, "BatchMode::kRegions needs an ISA");
-      regions_ = scanned ? std::move(*scanned)
-                         : find_batch_regions(model_, *config_.isa);
+      if (config_.opt_level >= 1) {
+        narrow_model();
+      } else {
+        regions_ = find_batch_regions(model_, *config_.isa);
+      }
     } else if (config_.batch_mode == BatchMode::kScattered) {
       require(config_.isa != nullptr, "BatchMode::kScattered needs an ISA");
       // One region per batch actor: each actor gets its own load/compute/
@@ -407,6 +150,26 @@ class Emitter {
         if (!region.graph.is_output(node_index)) register_only_.insert(actor);
       }
     }
+  }
+
+  /// Range-driven lane narrowing (analysis/narrow.hpp, -O1 and up): the
+  /// model is rewritten before anything is lowered, and its regions are
+  /// the narrowed chains.
+  void narrow_model() {
+    analysis::NarrowingResult narrowed = analysis::narrow_lanes(
+        model_, *config_.isa, config_.batch_options.min_nodes_for_simd);
+    regions_ = std::move(narrowed.regions);
+    for (const analysis::Diagnostic& diag : narrowed.remarks.diagnostics()) {
+      out_.report.diagnostics.push_back(
+          {diag.code, std::string(severity_name(diag.severity)),
+           diag.location, diag.message});
+    }
+    out_.report.range_ran = true;
+    out_.report.range_actors_analyzed = narrowed.ranges.actors_analyzed;
+    out_.report.range_bounded_outputs = narrowed.ranges.bounded_outputs;
+    out_.report.range_widened_delays = narrowed.ranges.widened_delays;
+    out_.report.regions_narrowed = narrowed.regions_narrowed;
+    out_.report.narrowing_blocked = narrowed.narrowing_blocked;
   }
 
   void select_intensive_implementations() {
@@ -467,7 +230,7 @@ class Emitter {
       region_synth_.push_back(synth::synthesize_batch(
           model_, region, *config_.isa,
           [this](ActorId id, int port) { return buffer_name_.at({id, port}); },
-          config_.batch_options, /*indent=*/1));
+          config_.batch_options));
     }
   }
 
@@ -561,8 +324,7 @@ class Emitter {
     cgir::BufferDecl decl;
     decl.name = name;
     decl.ctype = std::string(c_name(spec.type));
-    decl.components =
-        is_complex(spec.type) ? spec.shape.elements() * 2 : spec.shape.elements();
+    decl.components = components_of(spec);
     decl.elem_bytes = byte_width(component_type(spec.type));
     decl.arena_eligible = arena_eligible;
     if (constant_source != nullptr) {
@@ -578,18 +340,19 @@ class Emitter {
     tu_.buffers.push_back(std::move(decl));
   }
 
+  /// Scalar components of a signal (a complex element holds two).
+  static int components_of(const PortSpec& spec) {
+    return spec.shape.elements() * (is_complex(spec.type) ? 2 : 1);
+  }
+
   static std::string component_literal(const Tensor& value, int i) {
     const DataType comp = component_type(value.type());
+    // Complex tensors store interleaved components, so index i is already
+    // the i-th component either way.
     if (comp == DataType::kFloat32) {
-      if (is_complex(value.type())) {
-        return std::to_string(value.as<float>()[i]) + "f";
-      }
       return std::to_string(value.as<float>()[i]) + "f";
     }
-    if (comp == DataType::kFloat64) {
-      if (is_complex(value.type())) return std::to_string(value.as<double>()[i]);
-      return std::to_string(value.as<double>()[i]);
-    }
+    if (comp == DataType::kFloat64) return std::to_string(value.as<double>()[i]);
     return std::to_string(value.get_int(i));
   }
 
@@ -781,22 +544,22 @@ class Emitter {
             std::to_string(blocked.components) + "];");
         decl.defines = snap;
         push(std::move(decl));
-        push(delay_copy_stmt(snap, blocked.state, blocked.components,
-                             blocked.c_type));
+        push(memcpy_stmt(snap, blocked.state, blocked.components,
+                         blocked.c_type));
         for (DelayUpdate& u : pending) {
           if (u.src == blocked.state) u.src = snap;
         }
         continue;
       }
       const DelayUpdate& u = pending[pick];
-      push(delay_copy_stmt(u.state, u.src, u.components, u.c_type));
+      push(memcpy_stmt(u.state, u.src, u.components, u.c_type));
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
     }
   }
 
-  static cgir::Stmt delay_copy_stmt(const std::string& dst,
-                                    const std::string& src, int components,
-                                    const std::string& c_type) {
+  /// `memcpy(dst, src, components * sizeof(c_type));` with its accesses.
+  static cgir::Stmt memcpy_stmt(const std::string& dst, const std::string& src,
+                                int components, const std::string& c_type) {
     cgir::Stmt stmt = cgir::Stmt::text_line(
         "memcpy(" + dst + ", " + src + ", " + std::to_string(components) +
         " * sizeof(" + c_type + "));");
@@ -807,8 +570,6 @@ class Emitter {
 
   void emit_region(size_t region_index) {
     const BatchRegion& region = regions_[region_index];
-    // Algorithm 2 already ran (concurrently) in synthesize_regions; this
-    // merge step is serial and follows the deterministic emission order.
     synth::BatchSynthResult& result = region_synth_[region_index];
 
     obs::ReportRegion entry;
@@ -824,65 +585,17 @@ class Emitter {
     entry.instructions = result.instructions_used;
     out_.report.regions.push_back(std::move(entry));
 
-    if (result.used_simd) {
-      for (std::string& name : result.instructions_used) {
-        out_.simd_instructions.push_back(std::move(name));
-      }
-      if (region.actors.size() > 1) ++out_.fused_regions;
-      simd_emitted_ = true;
-
-      // The batch-region banner attaches to the first loop of the region
-      // (the scalar remainder when one exists — Algorithm 2 line 26 puts it
-      // "at the front" — otherwise the vector loop).
-      bool banner_pending = true;
-      if (result.offset != 0) {
-        cgir::Stmt remainder;
-        remainder.kind = cgir::Stmt::Kind::kLoop;
-        remainder.begin = 0;
-        remainder.end = result.offset;
-        remainder.step = 1;
-        remainder.fusible = true;
-        remainder.banner_actors = static_cast<int>(region.actors.size());
-        remainder.banner_isa = config_.isa->name;
-        remainder.body = std::move(result.remainder_body);
-        banner_pending = false;
-        push(std::move(remainder));
-      }
-      cgir::Stmt main;
-      main.kind = cgir::Stmt::Kind::kLoop;
-      if (result.predicated) {
-        // One vector-length-agnostic loop over [0, n): the runtime-stride
-        // expression replaces the constant step, the predicate handles the
-        // tail, and no pass may reshape the iteration domain (not a
-        // vector_loop, not fusible).
-        main.predicated = true;
-        main.step_expr = result.step_expr;
-        main.begin = 0;
-        main.end = region.graph.length();
-        main.step = result.batch_size;  // granule lanes, for trip estimates
-        ++out_.report.loops_predicated;
-      } else {
-        main.vector_loop = true;
-        main.fusible = true;
-        main.begin = result.offset;
-        main.step = result.batch_size;
-        if (result.batch_count >= 2) {
-          main.end = region.graph.length();
-        } else {
-          main.single_iteration = true;
-          main.end = result.offset + result.batch_size;
-        }
-      }
-      if (banner_pending) {
-        main.banner_actors = static_cast<int>(region.actors.size());
-        main.banner_isa = config_.isa->name;
-      }
-      main.body = std::move(result.vector_body);
-      push(std::move(main));
+    if (!result.used_simd) {
+      // Algorithm 2 lines 3-4: conventionalTranslate.
+      for (ActorId id : region.actors) emit_actor(model_.actor(id));
       return;
     }
-    // Algorithm 2 lines 3-4: conventionalTranslate.
-    for (ActorId id : region.actors) emit_actor(model_.actor(id));
+    for (std::string& name : result.instructions_used) {
+      out_.simd_instructions.push_back(std::move(name));
+    }
+    if (region.actors.size() > 1) ++out_.fused_regions;
+    if (result.predicated) ++out_.report.loops_predicated;
+    for (cgir::Stmt& loop : result.loops) push(std::move(loop));
   }
 
   void emit_actor(const Actor& actor) {
@@ -906,16 +619,9 @@ class Emitter {
         push(std::move(stmt));
       } else {
         const PortSpec& spec = actor.input(0);
-        const int components = is_complex(spec.type)
-                                   ? spec.shape.elements() * 2
-                                   : spec.shape.elements();
-        cgir::Stmt stmt = cgir::Stmt::text_line(
-            "memcpy(" + out_name + ", " + buffer_name_.at(src) + ", " +
-            std::to_string(components) + " * sizeof(" +
-            std::string(c_name(spec.type)) + "));");
-        stmt.accesses.push_back({out_name, true, false});
-        stmt.accesses.push_back({buffer_name_.at(src), false, false});
-        push(std::move(stmt));
+        push(memcpy_stmt(out_name, buffer_name_.at(src),
+                             components_of(spec),
+                             std::string(c_name(spec.type))));
       }
       return;
     }
@@ -926,10 +632,8 @@ class Emitter {
       // full latency).
       const SignalId src = source_of(actor.id(), 0);
       const PortSpec& spec = actor.output(0);
-      const int components = is_complex(spec.type) ? spec.shape.elements() * 2
-                                                   : spec.shape.elements();
       delay_updates_.push_back({buffer_name_.at({actor.id(), 0}),
-                                buffer_name_.at(src), components,
+                                buffer_name_.at(src), components_of(spec),
                                 std::string(c_name(spec.type))});
       return;
     }
@@ -953,29 +657,16 @@ class Emitter {
     const bool unroll = config_.batch_mode == BatchMode::kUnrollThenLoops &&
                         n <= config_.unroll_threshold;
     if (n == 1) {
-      cgir::Stmt stmt;
-      access_sink_ = &stmt.accesses;
-      stmt.text = dst + "[0] = " + elementwise_expr(actor, "0") + ";";
-      access_sink_ = nullptr;
-      stmt.accesses.push_back({dst, true, false});
-      push(std::move(stmt));
+      push(element_assign(actor, dst, "0"));
     } else if (unroll) {
       // Paper Figure 2: one statement per element.
       for (int i = 0; i < n; ++i) {
-        const std::string idx = std::to_string(i);
-        cgir::Stmt stmt;
-        access_sink_ = &stmt.accesses;
-        stmt.text = dst + "[" + idx + "] = " + elementwise_expr(actor, idx) + ";";
-        access_sink_ = nullptr;
-        stmt.accesses.push_back({dst, true, false});
-        push(std::move(stmt));
+        push(element_assign(actor, dst, std::to_string(i)));
       }
     } else {
       cgir::Stmt loop;
       loop.kind = cgir::Stmt::Kind::kLoop;
-      loop.begin = 0;
       loop.end = n;
-      loop.step = 1;
       // At -O2 conventional scalar loops join the fusion candidate set: the
       // same-shape fuser merges equal-length chains, and cross-scale fusion
       // strip-mines the survivors into adjacent vector loops.  These are
@@ -983,81 +674,76 @@ class Emitter {
       // scale-mismatch, ...) excluded from batch regions.  Kept off below
       // -O2 so -O0/-O1 output stays pinned.
       loop.fusible = config_.opt_level >= 2;
-      cgir::Stmt body_line;
-      access_sink_ = &body_line.accesses;
-      body_line.text = dst + "[i] = " + elementwise_expr(actor, "i") + ";";
-      access_sink_ = nullptr;
-      body_line.accesses.push_back({dst, true, true});
-      loop.body.push_back(std::move(body_line));
+      loop.body.push_back(element_assign(actor, dst, "i"));
       push(std::move(loop));
     }
+  }
+
+  /// `dst[index] = <elementwise expression>;` with its buffer accesses.
+  cgir::Stmt element_assign(const Actor& actor, const std::string& dst,
+                            const std::string& index) {
+    cgir::Stmt stmt;
+    access_sink_ = &stmt.accesses;
+    stmt.text =
+        dst + "[" + index + "] = " + elementwise_expr(actor, index) + ";";
+    access_sink_ = nullptr;
+    stmt.accesses.push_back({dst, true, index == "i"});
+    return stmt;
   }
 
   void emit_intensive(const Actor& actor) {
     const kernels::KernelImpl& impl = *intensive_impl_.at(actor.id());
     const std::string out = buffer_name_.at({actor.id(), 0});
     const std::string in0 = buffer_name_.at(source_of(actor.id(), 0));
-    const bool inverse =
-        actor.type() == "IFFT" || actor.type() == "IFFT2D";
+    const std::string inverse =
+        actor.type() == "IFFT" || actor.type() == "IFFT2D" ? "1" : "0";
     const Shape& shape0 = actor.input(0).shape;
+    const std::string n0 = std::to_string(shape0.elements());
+    auto dim = [](const Shape& shape, int d) {
+      return std::to_string(shape.dims[static_cast<size_t>(d)]);
+    };
 
-    std::string call;
+    std::vector<std::string> args;
     std::string in1;
     switch (impl.sig) {
       case kernels::KernelSig::kFft1D:
-        call = impl.c_function + "(" + in0 + ", " + out + ", " +
-               std::to_string(shape0.elements()) + ", " +
-               (inverse ? "1" : "0") + ");";
+        args = {in0, out, n0, inverse};
         break;
       case kernels::KernelSig::kFft2D:
-        call = impl.c_function + "(" + in0 + ", " + out + ", " +
-               std::to_string(shape0.dims[0]) + ", " +
-               std::to_string(shape0.dims[1]) + ", " + (inverse ? "1" : "0") +
-               ");";
+        args = {in0, out, dim(shape0, 0), dim(shape0, 1), inverse};
         break;
       case kernels::KernelSig::kXform1D:
-        call = impl.c_function + "(" + in0 + ", " + out + ", " +
-               std::to_string(shape0.elements()) + ");";
+        args = {in0, out, n0};
         break;
       case kernels::KernelSig::kXform2D:
-        call = impl.c_function + "(" + in0 + ", " + out + ", " +
-               std::to_string(shape0.dims[0]) + ", " +
-               std::to_string(shape0.dims[1]) + ");";
+        args = {in0, out, dim(shape0, 0), dim(shape0, 1)};
         break;
-      case kernels::KernelSig::kConv1D: {
+      case kernels::KernelSig::kConv1D:
         in1 = buffer_name_.at(source_of(actor.id(), 1));
-        const Shape& shape1 = actor.input(1).shape;
-        call = impl.c_function + "(" + in0 + ", " +
-               std::to_string(shape0.elements()) + ", " + in1 + ", " +
-               std::to_string(shape1.elements()) + ", " + out + ");";
+        args = {in0, n0, in1,
+                std::to_string(actor.input(1).shape.elements()), out};
         break;
-      }
       case kernels::KernelSig::kConv2D: {
         in1 = buffer_name_.at(source_of(actor.id(), 1));
         const Shape& shape1 = actor.input(1).shape;
-        call = impl.c_function + "(" + in0 + ", " +
-               std::to_string(shape0.dims[0]) + ", " +
-               std::to_string(shape0.dims[1]) + ", " + in1 + ", " +
-               std::to_string(shape1.dims[0]) + ", " +
-               std::to_string(shape1.dims[1]) + ", " + out + ");";
+        args = {in0, dim(shape0, 0), dim(shape0, 1), in1,
+                dim(shape1, 0), dim(shape1, 1), out};
         break;
       }
-      case kernels::KernelSig::kMatMul: {
+      case kernels::KernelSig::kMatMul:
         in1 = buffer_name_.at(source_of(actor.id(), 1));
-        call = impl.c_function + "(" + in0 + ", " + in1 + ", " + out + ", " +
-               std::to_string(shape0.dims[0]) + ");";
+        args = {in0, in1, out, dim(shape0, 0)};
         break;
-      }
       case kernels::KernelSig::kMatInv:
       case kernels::KernelSig::kMatDet:
-        call = impl.c_function + "(" + in0 + ", " + out + ", " +
-               std::to_string(shape0.dims[0]) + ");";
+        args = {in0, out, dim(shape0, 0)};
         break;
     }
-    if (call.empty()) {
+    if (args.empty()) {
       throw CodegenError("emit_intensive: bad kernel signature");
     }
-    cgir::Stmt stmt = cgir::Stmt::text_line(std::move(call));
+    cgir::Stmt stmt = cgir::Stmt::text_line(impl.c_function + "(" +
+                                            join(args, ", ") + ");");
     stmt.accesses.push_back({out, true, false});
     stmt.accesses.push_back({in0, false, false});
     if (!in1.empty()) stmt.accesses.push_back({in1, false, false});
@@ -1175,7 +861,6 @@ class Emitter {
     std::string c_type;  // element C type for sizeof
   };
   std::vector<DelayUpdate> delay_updates_;
-  bool simd_emitted_ = false;
   double resolve_ms_ = 0.0;
 };
 

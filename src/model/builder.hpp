@@ -43,11 +43,6 @@ class ModelBuilder {
   /// Adds an external output fed by `src`.
   void outport(std::string_view name, PortRef src);
 
-  /// Output port `port` of the same actor (for multi-output actors).
-  static PortRef output_of(PortRef ref, int port) {
-    return PortRef{ref.actor, port};
-  }
-
   Model& model() { return model_; }
 
   /// Finishes construction and returns the model by value.

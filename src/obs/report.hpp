@@ -118,15 +118,16 @@ struct Report {
   std::size_t static_buffer_bytes = 0;
   int fused_regions = 0;
 
-  // cgir optimization pipeline (PR 3): the -O level the run used and what
-  // the passes did.  All zero at -O0.
+  // cgir optimization pipeline: the -O level the run used and what the
+  // passes did.  The trailing comments name each field's path in the
+  // report JSON (to_json()); none of them is a metrics-registry name.
   int opt_level = 0;
   int loops_predicated = 0;            // codegen.loops.predicated
   int loops_fused = 0;                 // codegen.fusion.loops_fused
   int copies_elided = 0;               // codegen.fusion.copies_elided
   std::size_t arena_bytes_saved = 0;   // codegen.arena.bytes_saved
 
-  // -O2 passes (PR 7).  All zero below -O2.
+  // -O2 passes.  All zero below -O2.
   int cross_scale_fused = 0;   // codegen.fusion.cross_scale_fused
   int loops_tiled = 0;         // always 0 (no tiling pass); perfbench reads it
   int strips_localized = 0;    // codegen.layout.strips_localized
@@ -135,11 +136,12 @@ struct Report {
   /// entry per pass that ran).  Empty when verification was off for the run.
   std::vector<std::string> verified_passes;
 
-  /// Static-analysis findings attached to this run (hcgc lint).
+  /// Static-analysis findings attached to this run: hcgc lint's, and the
+  /// narrowing (HCG411-HCG413) and -O2 (HCG408) remarks codegen records.
   std::vector<ReportDiagnostic> diagnostics;
 
   // Interval value-range analysis summary (src/analysis/range.hpp; filled
-  // by `hcgc lint` and by the codegen narrowing pass).  range_ran false
+  // by `hcgc lint` and by lane narrowing, src/analysis/narrow.hpp).  range_ran false
   // means the analysis never ran and the serialized report has no
   // "range_analysis" section.
   bool range_ran = false;

@@ -27,9 +27,6 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed) {}
 
-  /// The next raw 64-bit engine word.
-  std::uint64_t next_u64() { return engine_(); }
-
   /// Uniform integer in [0, range); range == 0 means the full 64-bit span.
   /// Lemire's multiply-shift reduction, with rejection of the biased low
   /// slice so every value is exactly equally likely.
@@ -70,13 +67,6 @@ class Rng {
   std::vector<float> signal_f32(std::size_t n) {
     std::vector<float> out(n);
     for (float& v : out) v = static_cast<float>(uniform_real(-1.0, 1.0));
-    return out;
-  }
-
-  /// Vector of `n` doubles in [-1, 1).
-  std::vector<double> signal_f64(std::size_t n) {
-    std::vector<double> out(n);
-    for (double& v : out) v = uniform_real(-1.0, 1.0);
     return out;
   }
 

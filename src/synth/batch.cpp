@@ -17,14 +17,13 @@ class BatchSynthesizer {
  public:
   BatchSynthesizer(const Model& model, const BatchRegion& region,
                    const isa::VectorIsa& isa, const BufferNameFn& buffer_name,
-                   const BatchOptions& options, int indent)
+                   const BatchOptions& options)
       : model_(model),
         region_(region),
         graph_(region.graph),
         isa_(isa),
         buffer_name_(buffer_name),
-        options_(options),
-        pad_(static_cast<size_t>(indent) * 2, ' ') {}
+        options_(options) {}
 
   BatchSynthResult run() {
     HCG_TRACE_SCOPE("synth.batch");
@@ -59,25 +58,21 @@ class BatchSynthesizer {
       pred_ = isa_.find_pred(graph_.node(0).out_type);
       require(pred_ != nullptr, "batch synth: missing predicate after filter");
       result.predicated = true;
-      result.step_expr = pred_->vl_expr;
     }
 
     // Map the dataflow graph onto instructions (lines 10-22).
     std::vector<cgir::Stmt> calc_lines = map_graph(result);
 
-    // Structured bodies: loads, calculations, stores for the vector loop;
-    // the element-wise recomputation for the scalar remainder.
-    result.vector_body = vector_body(std::move(calc_lines));
-    if (result.offset != 0) result.remainder_body = remainder_body();
-
-    // Assemble the text form: remainder first (line 25-26: "added to the
-    // front"), then the main vector loop.
-    std::string code;
+    // The remainder goes first (lines 25-26: "added to the front"), and the
+    // region banner sits on whichever loop opens the region.
     if (result.offset != 0) {
-      code += render_remainder(result.remainder_body, result.offset);
+      result.loops.push_back(remainder_loop(result.offset));
     }
-    code += render_loop(result.vector_body, result);
-    result.code = std::move(code);
+    result.loops.push_back(
+        vector_loop(vector_body(std::move(calc_lines)), result));
+    result.loops.front().banner_actors =
+        static_cast<int>(region_.actors.size());
+    result.loops.front().banner_isa = isa_.name;
     result.used_simd = true;
     simd_metric.add();
     return result;
@@ -272,9 +267,34 @@ class BatchSynthesizer {
     return body;
   }
 
-  /// Lines 24-26: the scalar remainder, same computation element-wise.
-  std::vector<cgir::Stmt> remainder_body() const {
-    std::vector<cgir::Stmt> body;
+  /// Lines 7-8 (addBatchLoop): the main loop over [offset, length), or the
+  /// one-batch block.  A predicated loop covers [0, length) by itself: the
+  /// runtime stride replaces the constant step (which keeps the granule
+  /// lanes for trip estimates), and no pass may reshape its domain.
+  cgir::Stmt vector_loop(std::vector<cgir::Stmt> body,
+                         const BatchSynthResult& result) const {
+    cgir::Stmt loop;
+    loop.kind = cgir::Stmt::Kind::kLoop;
+    loop.begin = result.offset;
+    loop.step = result.batch_size;
+    loop.predicated = predicated_;
+    if (predicated_) loop.step_expr = pred_->vl_expr;
+    loop.vector_loop = loop.fusible = !predicated_;
+    loop.single_iteration = !predicated_ && result.batch_count < 2;
+    loop.end = loop.single_iteration ? result.offset + result.batch_size
+                                     : graph_.length();
+    loop.body = std::move(body);
+    return loop;
+  }
+
+  /// Lines 24-26: the scalar remainder over [0, offset), the same
+  /// computation element-wise.
+  cgir::Stmt remainder_loop(int offset) const {
+    cgir::Stmt loop;
+    loop.kind = cgir::Stmt::Kind::kLoop;
+    loop.end = offset;
+    loop.fusible = true;
+    std::vector<cgir::Stmt>& body = loop.body;
     for (int n = 0; n < graph_.node_count(); ++n) {
       const DfgNode& node = graph_.node(n);
       cgir::Stmt stmt =
@@ -299,41 +319,7 @@ class BatchSynthesizer {
       stmt.accesses.push_back({buffer, true, true});
       body.push_back(std::move(stmt));
     }
-    return body;
-  }
-
-  std::string render_loop(const std::vector<cgir::Stmt>& body,
-                          const BatchSynthResult& result) const {
-    const std::string body_pad = pad_ + "  ";
-    std::string code;
-    if (result.predicated) {
-      // One vector-length-agnostic loop over the whole domain; the final
-      // partial trip is handled by the predicate, never by a remainder.
-      code += pad_ + "for (int i = 0; i < " +
-              std::to_string(graph_.length()) +
-              "; i += " + result.step_expr + ") {\n";
-    } else if (result.batch_count >= 2) {  // lines 7-8: addBatchLoop
-      code += pad_ + "for (int i = " + std::to_string(result.offset) +
-              "; i < " + std::to_string(graph_.length()) +
-              "; i += " + std::to_string(result.batch_size) + ") {\n";
-    } else {
-      code += pad_ + "{\n";
-      code += body_pad + "const int i = " + std::to_string(result.offset) +
-              ";\n";
-    }
-    for (const cgir::Stmt& line : body) code += body_pad + line.text + "\n";
-    code += pad_ + "}\n";
-    return code;
-  }
-
-  std::string render_remainder(const std::vector<cgir::Stmt>& body,
-                               int offset) const {
-    const std::string body_pad = pad_ + "  ";
-    std::string code = pad_ + "for (int i = 0; i < " + std::to_string(offset) +
-                       "; ++i) {\n";
-    for (const cgir::Stmt& line : body) code += body_pad + line.text + "\n";
-    code += pad_ + "}\n";
-    return code;
+    return loop;
   }
 
   std::string scalar_operand(const ValueRef& value) const {
@@ -375,7 +361,6 @@ class BatchSynthesizer {
   const isa::VectorIsa& isa_;
   const BufferNameFn& buffer_name_;
   const BatchOptions& options_;
-  std::string pad_;
   bool predicated_ = false;
   const isa::PredCode* pred_ = nullptr;
 };
@@ -385,9 +370,8 @@ class BatchSynthesizer {
 BatchSynthResult synthesize_batch(const Model& model, const BatchRegion& region,
                                   const isa::VectorIsa& isa,
                                   const BufferNameFn& buffer_name,
-                                  const BatchOptions& options, int indent) {
-  return BatchSynthesizer(model, region, isa, buffer_name, options, indent)
-      .run();
+                                  const BatchOptions& options) {
+  return BatchSynthesizer(model, region, isa, buffer_name, options).run();
 }
 
 }  // namespace hcg::synth

@@ -1,9 +1,9 @@
 // Algorithm 2: code synthesis for batch computing actors.
 //
 // Maps a batch region's dataflow graph onto SIMD instructions by iterative
-// largest-subgraph-first matching from the topmost-leftmost node, and emits
-// the main vector loop plus the scalar remainder that handles lengths not
-// divisible by the vector width.
+// largest-subgraph-first matching from the topmost-leftmost node, and returns
+// the region's cgir loops: the main vector loop plus the scalar remainder
+// that handles lengths not divisible by the vector width.
 #pragma once
 
 #include <functional>
@@ -32,26 +32,22 @@ struct BatchSynthResult {
   /// back to conventionalTranslate (BatchCount < 1, Algorithm 2 lines 3-4,
   /// or the §4.3 threshold).
   bool used_simd = false;
-  /// The emitted C snippet (remainder + main loop), `indent`-prefixed lines.
-  /// Rendered from `remainder_body` + `vector_body`, so the string and the
-  /// structured form always agree.
-  std::string code;
+  /// The region's finished loops, annotated for the cgir passes: the scalar
+  /// remainder over [0, offset) when one exists (lines 24-26 put it "at the
+  /// front"), then the vector loop over [offset, length), or a
+  /// single-iteration block when there is one batch.  The first loop
+  /// carries the batch-region banner.  Empty when used_simd is false.
+  std::vector<cgir::Stmt> loops;
   /// Instruction names selected, in emission order — white-box test surface.
   std::vector<std::string> instructions_used;
   int batch_size = 0;
   int batch_count = 0;
   int offset = 0;
-  /// Scalable ISAs: the whole [0, length) domain is covered by one
-  /// predicated loop — offset is 0, remainder_body stays empty, and the
-  /// loop strides by the runtime lane-count expression `step_expr`.
-  /// batch_size/batch_count then describe the minimum-granule geometry.
+  /// Scalable ISAs: `loops` is one predicated loop over the whole
+  /// [0, length) domain that strides by the runtime lane-count expression;
+  /// offset is 0, and batch_size/batch_count describe the minimum-granule
+  /// geometry.
   bool predicated = false;
-  std::string step_expr;
-  /// Structured body lines (annotated with defines/loads/stores/accesses)
-  /// for the cgir lowering: the main vector loop and the scalar remainder.
-  /// Empty when used_simd is false.
-  std::vector<cgir::Stmt> vector_body;
-  std::vector<cgir::Stmt> remainder_body;
 };
 
 /// Synthesizes one batch region against an instruction table.  `buffer_name`
@@ -61,7 +57,6 @@ struct BatchSynthResult {
 BatchSynthResult synthesize_batch(const Model& model, const BatchRegion& region,
                                   const isa::VectorIsa& isa,
                                   const BufferNameFn& buffer_name,
-                                  const BatchOptions& options = {},
-                                  int indent = 1);
+                                  const BatchOptions& options = {});
 
 }  // namespace hcg::synth

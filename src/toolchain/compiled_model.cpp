@@ -110,12 +110,15 @@ CompiledModel::CompiledModel(const codegen::GeneratedCode& code,
 
   // -fwrapv: generated element-wise code assumes two's-complement wrap on
   // integer overflow, matching the oracle and every SIMD lowering.
+  // -falign-functions=64: the embedded kernels start on a cache line, as
+  // the host copies Algorithm 1 times do (src/kernels/CMakeLists.txt).
   std::vector<std::string> argv = {options.cc, "-shared", "-fPIC"};
   for (const std::string& flag : split_whitespace(options.opt_flags)) {
     argv.push_back(flag);
   }
   argv.push_back("-fno-math-errno");
   argv.push_back("-fwrapv");
+  argv.push_back("-falign-functions=64");
   for (const std::string& flag : split_whitespace(code.compile_flags)) {
     argv.push_back(flag);
   }

@@ -1,7 +1,6 @@
 #include "xml/xml.hpp"
 
 #include "support/error.hpp"
-#include "support/fileio.hpp"
 #include "support/strings.hpp"
 
 namespace hcg::xml {
@@ -352,7 +351,5 @@ class Parser {
 }  // namespace
 
 Document parse(std::string_view text) { return Parser(text).parse_document(); }
-
-Document parse_file(const std::string& path) { return parse(read_file(path)); }
 
 }  // namespace hcg::xml

@@ -87,9 +87,6 @@ class Document {
 /// information on malformed input.
 Document parse(std::string_view text);
 
-/// Parses the file at `path`.
-Document parse_file(const std::string& path);
-
 /// Escapes the five XML special characters in `text`.
 std::string escape(std::string_view text);
 

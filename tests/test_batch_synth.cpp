@@ -5,12 +5,18 @@
 
 #include "actors/resolve.hpp"
 #include "benchmodels/benchmodels.hpp"
+#include "cgir/cgir.hpp"
 #include "graph/regions.hpp"
 #include "isa/builtin.hpp"
 #include "synth/batch.hpp"
 
 namespace hcg::synth {
 namespace {
+
+/// The region's loops as the generated step function prints them.
+std::string code_of(const BatchSynthResult& result) {
+  return cgir::print(result.loops);
+}
 
 struct Synthesized {
   Model model;
@@ -47,7 +53,7 @@ TEST(BatchSynth, Fig4SelectsExactlyThePaperInstructions) {
 TEST(BatchSynth, Fig4EmitsListing1CodeShape) {
   auto [model, result] = run_fig4(4, isa::builtin("neon"));
   ASSERT_TRUE(result.used_simd);
-  const std::string& code = result.code;
+  const std::string code = code_of(result);
   // Loads for the four inputs.
   EXPECT_NE(code.find("vld1q_s32(&buf_a[i])"), std::string::npos);
   EXPECT_NE(code.find("vld1q_s32(&buf_b[i])"), std::string::npos);
@@ -82,23 +88,29 @@ TEST(BatchSynth, BatchGeometryExactMultiple) {
   EXPECT_EQ(result.batch_size, 4);
   EXPECT_EQ(result.batch_count, 4);
   EXPECT_EQ(result.offset, 0);
-  EXPECT_NE(result.code.find("for (int i = 0; i < 16; i += 4)"),
+  EXPECT_NE(code_of(result).find("for (int i = 0; i < 16; i += 4)"),
             std::string::npos);
   // No scalar remainder.
-  EXPECT_EQ(result.code.find("for (int i = 0; i < 0"), std::string::npos);
+  EXPECT_EQ(code_of(result).find("for (int i = 0; i < 0"),
+            std::string::npos);
 }
 
 TEST(BatchSynth, RemainderGoesInFrontOfTheLoop) {
   auto [model, result] = run_fig4(19, isa::builtin("neon"));
   ASSERT_TRUE(result.used_simd);
   EXPECT_EQ(result.offset, 3);
-  const size_t remainder_pos = result.code.find("for (int i = 0; i < 3; ++i)");
-  const size_t loop_pos = result.code.find("for (int i = 3; i < 19; i += 4)");
+  const std::string code = code_of(result);
+  const size_t remainder_pos = code.find("for (int i = 0; i < 3; ++i)");
+  const size_t loop_pos = code.find("for (int i = 3; i < 19; i += 4)");
   ASSERT_NE(remainder_pos, std::string::npos);
   ASSERT_NE(loop_pos, std::string::npos);
   EXPECT_LT(remainder_pos, loop_pos);  // "added to the front"
+  // The region banner opens the region, on the remainder.
+  ASSERT_EQ(result.loops.size(), 2u);
+  EXPECT_EQ(result.loops[0].banner_actors, 5);
+  EXPECT_EQ(result.loops[1].banner_actors, 0);
   // Scalar remainder computes the same ops.
-  EXPECT_NE(result.code.find(">> 1"), std::string::npos);
+  EXPECT_NE(code.find(">> 1"), std::string::npos);
 }
 
 TEST(BatchSynth, SingleBatchEmitsStraightLineBlock) {
@@ -106,15 +118,15 @@ TEST(BatchSynth, SingleBatchEmitsStraightLineBlock) {
   ASSERT_TRUE(result.used_simd);
   EXPECT_EQ(result.batch_count, 1);
   // No loop: a block with a fixed index.
-  EXPECT_EQ(result.code.find("i += 4"), std::string::npos);
-  EXPECT_NE(result.code.find("const int i = 0;"), std::string::npos);
+  EXPECT_EQ(code_of(result).find("i += 4"), std::string::npos);
+  EXPECT_NE(code_of(result).find("const int i = 0;"), std::string::npos);
 }
 
 TEST(BatchSynth, TooShortForVectorFallsBack) {
   // Length 3 < 4 lanes: BatchCount < 1 -> conventionalTranslate.
   auto [model, result] = run_fig4(3, isa::builtin("neon"));
   EXPECT_FALSE(result.used_simd);
-  EXPECT_TRUE(result.code.empty());
+  EXPECT_TRUE(result.loops.empty());
 }
 
 TEST(BatchSynth, Avx2UsesEightLanesForI32) {
@@ -151,7 +163,7 @@ TEST(BatchSynth, GainUsesMulByScalarInstruction) {
     if (name == "vmulq_n_f32") has_mul_n = true;
   }
   EXPECT_TRUE(has_mul_n);
-  EXPECT_NE(result.code.find("vmulq_n_f32(a_b, 0.5"), std::string::npos);
+  EXPECT_NE(code_of(result).find("vmulq_n_f32(a_b, 0.5"), std::string::npos);
 }
 
 TEST(BatchSynth, CastEmitsCvtInstruction) {
@@ -168,9 +180,9 @@ TEST(BatchSynth, CastEmitsCvtInstruction) {
       model, regions[0], isa::builtin("neon"),
       [&model](ActorId id, int) { return model.actor(id).name(); });
   ASSERT_TRUE(result.used_simd);
-  EXPECT_NE(result.code.find("vcvtq_s32_f32"), std::string::npos);
+  EXPECT_NE(code_of(result).find("vcvtq_s32_f32"), std::string::npos);
   // The cvt result feeds the integer bit-not.
-  EXPECT_NE(result.code.find("vmvnq_s32(c_b)"), std::string::npos);
+  EXPECT_NE(code_of(result).find("vmvnq_s32(c_b)"), std::string::npos);
 }
 
 TEST(BatchSynth, FirFusesIntoSingleMla) {
@@ -243,7 +255,7 @@ TEST(BatchSynth, SwitchMapsToVectorBitSelect) {
       [&model](ActorId id, int) { return model.actor(id).name(); });
   ASSERT_TRUE(result.used_simd);
   EXPECT_EQ(result.instructions_used, std::vector<std::string>{"vbslq_f32"});
-  EXPECT_NE(result.code.find("vbslq_f32(vcgtq_f32(ctrl_b"), std::string::npos);
+  EXPECT_NE(code_of(result).find("vbslq_f32(vcgtq_f32(ctrl_b"), std::string::npos);
 }
 
 TEST(BatchSynth, SwitchJoinsSurroundingRegion) {
@@ -282,7 +294,7 @@ TEST(BatchSynth, SwitchScalarRemainderUsesTernary) {
       [&model](ActorId id, int) { return model.actor(id).name(); });
   ASSERT_TRUE(result.used_simd);
   EXPECT_EQ(result.offset, 3);
-  EXPECT_NE(result.code.find("ctrl[i] > 0 ? a[i] : alt[i]"),
+  EXPECT_NE(code_of(result).find("ctrl[i] > 0 ? a[i] : alt[i]"),
             std::string::npos);
 }
 
