@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,112 +20,186 @@ namespace {
 // ---------------------------------------------------------------------------
 // Access summaries.
 //
-// A statement's effect on memory is summarized as a list of (buffer, write,
-// range) entries.  Elementwise accesses inside a loop cover exactly the
-// loop's iteration domain [begin, end); everything else is treated as
-// touching the whole buffer.  Two ranged accesses with disjoint domains
-// never alias, which is what lets a scalar remainder loop over [0, off)
-// slide past a vector loop over [off, len).
+// A statement's effect on memory is summarized per buffer: whether it reads
+// or writes the buffer, and whether the access is ranged.  Elementwise
+// accesses inside a loop are ranged: they cover exactly the loop's
+// iteration domain [begin, end), so every ranged access of one statement
+// covers the same domain.  Everything else is treated as touching the whole
+// buffer.  Two ranged accesses with disjoint domains never alias, which is
+// what lets a scalar remainder loop over [0, off) slide past a vector loop
+// over [off, len).
+//
+// Buffer names are interned to small integer ids once per fusion call, so
+// summaries hold one (id, mode) entry per buffer, sorted by id, and the
+// conflict checks compare integers.
 // ---------------------------------------------------------------------------
 
+/// Small integer ids for the names one fusion call sees, in first-seen
+/// order.  Only the ids are ever read, never the table's iteration order.
+class Interner {
+ public:
+  int id(const std::string& name) {
+    return ids_.try_emplace(name, static_cast<int>(ids_.size())).first->second;
+  }
+  std::size_t size() const { return ids_.size(); }
+
+ private:
+  std::unordered_map<std::string, int> ids_;
+};
+
+enum : unsigned char {
+  kWholeRead = 1,
+  kWholeWrite = 2,
+  kRangedRead = 4,
+  kRangedWrite = 8,
+  kWhole = kWholeRead | kWholeWrite,
+  kWrites = kWholeWrite | kRangedWrite,
+};
+
+struct BufferTouch {
+  int buffer = 0;
+  unsigned char mode = 0;  // kWhole*/kRanged* bits
+};
+
 struct AccessSummary {
-  std::string buffer;
-  bool write = false;
-  bool ranged = false;
-  int begin = 0;
+  std::vector<BufferTouch> touches;  // one per buffer, sorted by id
+  int begin = 0;  // domain of every ranged access
   int end = 0;
 };
 
-/// Appends every access under `stmt`, all unranged (whole-buffer).
-void summarize_conservative(const Stmt& stmt, std::vector<AccessSummary>& out) {
+bool before(const BufferTouch& touch, int buffer) {
+  return touch.buffer < buffer;
+}
+
+/// Adds `touch` to the sorted `touches`, joining it with an entry for the
+/// same buffer.
+void add_touch(std::vector<BufferTouch>& touches, BufferTouch touch) {
+  auto it = std::lower_bound(touches.begin(), touches.end(), touch.buffer, before);
+  if (it != touches.end() && it->buffer == touch.buffer) {
+    it->mode |= touch.mode;
+  } else {
+    touches.insert(it, touch);
+  }
+}
+
+void add_access(const BufferAccess& access, bool ranged, Interner& buffers,
+                std::vector<BufferTouch>& touches) {
+  const unsigned char mode =
+      ranged ? (access.write ? kRangedWrite : kRangedRead)
+             : (access.write ? kWholeWrite : kWholeRead);
+  add_touch(touches, {buffers.id(access.buffer), mode});
+}
+
+/// Adds every access under `stmt`, all whole-buffer.
+void add_conservative(const Stmt& stmt, Interner& buffers,
+                      std::vector<BufferTouch>& touches) {
   if (stmt.kind == Stmt::Kind::kText) {
     for (const BufferAccess& access : stmt.accesses) {
-      out.push_back({access.buffer, access.write, false, 0, 0});
+      add_access(access, false, buffers, touches);
     }
     return;
   }
-  for (const Stmt& line : stmt.body) summarize_conservative(line, out);
+  for (const Stmt& line : stmt.body) add_conservative(line, buffers, touches);
 }
 
-/// Appends one body line's accesses; elementwise ones are ranged over the
-/// enclosing loop's [begin, end) iteration domain.
-void summarize_line(const Stmt& line, int begin, int end,
-                    std::vector<AccessSummary>& out) {
-  for (const BufferAccess& access : line.accesses) {
-    if (access.elementwise) {
-      out.push_back({access.buffer, access.write, true, begin, end});
-    } else {
-      out.push_back({access.buffer, access.write, false, 0, 0});
+/// Adds one loop-body line's accesses; elementwise ones are ranged over the
+/// enclosing loop's domain.
+void add_body_line(const Stmt& line, Interner& buffers,
+                   std::vector<BufferTouch>& touches) {
+  if (line.kind == Stmt::Kind::kText) {
+    for (const BufferAccess& access : line.accesses) {
+      add_access(access, access.elementwise, buffers, touches);
     }
-  }
-}
-
-std::vector<AccessSummary> summarize(const Stmt& stmt) {
-  std::vector<AccessSummary> out;
-  if (stmt.kind == Stmt::Kind::kText) {
-    summarize_conservative(stmt, out);
-    return out;
-  }
-  for (const Stmt& line : stmt.body) {
-    if (line.kind == Stmt::Kind::kText) {
-      summarize_line(line, stmt.begin, stmt.end, out);
-    } else if (line.strip_mined) {
-      // A strip-mined lane loop iterates [0, step) while the enclosing loop
-      // strides by step: together they cover exactly the enclosing loop's
-      // domain, so its elementwise accesses are ranged at the outer level.
-      for (const Stmt& inner : line.body) {
-        if (inner.kind == Stmt::Kind::kText) {
-          summarize_line(inner, stmt.begin, stmt.end, out);
-        } else {
-          summarize_conservative(inner, out);
-        }
+  } else if (line.strip_mined) {
+    // A strip-mined lane loop iterates [0, step) while the enclosing loop
+    // strides by step: together they cover exactly the enclosing loop's
+    // domain, so its elementwise accesses are ranged at the outer level.
+    for (const Stmt& inner : line.body) {
+      if (inner.kind == Stmt::Kind::kText) {
+        add_body_line(inner, buffers, touches);
+      } else {
+        add_conservative(inner, buffers, touches);
       }
-    } else {
-      summarize_conservative(line, out);
     }
+  } else {
+    add_conservative(line, buffers, touches);
   }
-  return out;
 }
 
-bool disjoint(const AccessSummary& a, const AccessSummary& b) {
-  return a.ranged && b.ranged && (a.end <= b.begin || b.end <= a.begin);
+AccessSummary summarize(const Stmt& stmt, Interner& buffers) {
+  AccessSummary summary;
+  if (stmt.kind == Stmt::Kind::kText) {
+    add_conservative(stmt, buffers, summary.touches);
+    return summary;
+  }
+  summary.begin = stmt.begin;
+  summary.end = stmt.end;
+  for (const Stmt& line : stmt.body) add_body_line(line, buffers, summary.touches);
+  return summary;
 }
 
-bool conflicts(const std::vector<AccessSummary>& a,
-               const std::vector<AccessSummary>& b) {
-  for (const AccessSummary& lhs : a) {
-    for (const AccessSummary& rhs : b) {
-      if (lhs.buffer != rhs.buffer) continue;
-      if (!lhs.write && !rhs.write) continue;
-      if (disjoint(lhs, rhs)) continue;
+bool domains_overlap(int a_begin, int a_end, int b_begin, int b_end) {
+  return !(a_end <= b_begin || b_end <= a_begin);
+}
+
+/// Whether two statements' accesses to one buffer conflict: some pair of
+/// accesses includes a write and may alias.  Ranged pairs alias only when
+/// the two domains overlap; a whole-buffer access aliases everything.
+bool modes_conflict(unsigned char a, unsigned char b, bool ranges_overlap) {
+  if (ranges_overlap) return ((a & kWrites) && b) || (a && (b & kWrites));
+  return ((a & kWholeWrite) && b) || ((a & kWhole) && (b & kWrites)) ||
+         ((b & kWholeWrite) && a) || ((b & kWhole) && (a & kWrites));
+}
+
+/// Looks each buffer of the smaller summary up in the larger one.
+bool conflicts(const AccessSummary& a, const AccessSummary& b,
+               bool ranges_overlap) {
+  const bool a_smaller = a.touches.size() <= b.touches.size();
+  const std::vector<BufferTouch>& small = a_smaller ? a.touches : b.touches;
+  const std::vector<BufferTouch>& large = a_smaller ? b.touches : a.touches;
+  for (const BufferTouch& touch : small) {
+    auto it = std::lower_bound(large.begin(), large.end(), touch.buffer, before);
+    if (it != large.end() && it->buffer == touch.buffer &&
+        modes_conflict(touch.mode, it->mode, ranges_overlap)) {
       return true;
     }
   }
   return false;
 }
 
+bool conflicts(const AccessSummary& a, const AccessSummary& b) {
+  return conflicts(a, b, domains_overlap(a.begin, a.end, b.begin, b.end));
+}
+
 // ---------------------------------------------------------------------------
 // Loop fusion.
 // ---------------------------------------------------------------------------
 
-/// What decides whether two loops have the same shape, kept apart from the
-/// statement so the candidate scan reads a small array.  Statements that are
-/// not fusible loops all get the default value, which no fusible loop has.
+/// What decides whether two fusible loops have the same shape.
 struct FusionShape {
-  bool fusible_loop = false;
   bool vector_loop = false;
   bool single_iteration = false;
   int begin = 0;
   int end = 0;
   int step = 0;
 
-  bool operator==(const FusionShape&) const = default;
+  auto operator<=>(const FusionShape&) const = default;
 };
 
-FusionShape fusion_shape(const Stmt& stmt) {
-  if (stmt.kind != Stmt::Kind::kLoop || !stmt.fusible) return {};
-  return {true,       stmt.vector_loop, stmt.single_iteration,
-          stmt.begin, stmt.end,         stmt.step};
+/// Numbers the distinct shapes of the fusible loops in `body`; every other
+/// statement gets -1.
+std::vector<int> fusion_shapes(const std::vector<Stmt>& body) {
+  std::map<FusionShape, int> ids;
+  std::vector<int> shape_of(body.size(), -1);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const Stmt& stmt = body[i];
+    if (stmt.kind != Stmt::Kind::kLoop || !stmt.fusible) continue;
+    const FusionShape shape{stmt.vector_loop, stmt.single_iteration,
+                            stmt.begin, stmt.end, stmt.step};
+    shape_of[i] =
+        ids.try_emplace(shape, static_cast<int>(ids.size())).first->second;
+  }
+  return shape_of;
 }
 
 const std::string* read_buffer(const Stmt& line) {
@@ -138,15 +214,6 @@ const std::string* write_buffer(const Stmt& line) {
     if (access.write) return &access.buffer;
   }
   return nullptr;
-}
-
-std::set<std::string> stored_buffers(const Stmt& loop) {
-  std::set<std::string> stored;
-  for (const Stmt& line : loop.body) {
-    if (!line.is_store) continue;
-    if (const std::string* buf = write_buffer(line)) stored.insert(*buf);
-  }
-  return stored;
 }
 
 /// Flattens one body line's accesses to the enclosing loop's iteration
@@ -167,41 +234,93 @@ void effective_accesses(const Stmt& line, bool elementwise_ok,
   }
 }
 
-std::vector<BufferAccess> body_accesses(const Stmt& loop) {
-  std::vector<BufferAccess> out;
-  for (const Stmt& line : loop.body) effective_accesses(line, true, out);
-  return out;
+/// The ids merging reads of one fusible loop body line.
+struct LineIds {
+  int defines = -1;  // local the line declares
+  int loaded = -1;   // buffer an is_load line reads
+  int stored = -1;   // buffer an is_store line writes
+};
+
+/// What merging needs of a fusible loop besides its access summary, kept
+/// beside it and extended (not rebuilt) when a later loop merges in.
+struct LoopIndex {
+  bool built = false;
+  std::vector<LineIds> lines;                // parallel to the loop's body
+  std::vector<std::pair<int, int>> defined;  // local -> first defining line
+  std::vector<int> stored;                   // buffers is_store lines write
+};
+
+LineIds line_ids(const Stmt& line, Interner& buffers, Interner& locals) {
+  LineIds ids;
+  if (!line.defines.empty()) ids.defines = locals.id(line.defines);
+  if (line.is_load) {
+    if (const std::string* buf = read_buffer(line)) ids.loaded = buffers.id(*buf);
+  }
+  if (line.is_store) {
+    if (const std::string* buf = write_buffer(line)) ids.stored = buffers.id(*buf);
+  }
+  return ids;
+}
+
+/// Enters index.lines[from, end) into the defined-locals and stored-buffers
+/// index; a local keeps the first line that defines it.
+void index_lines(LoopIndex& index, std::size_t from) {
+  for (std::size_t j = from; j < index.lines.size(); ++j) {
+    const LineIds& ids = index.lines[j];
+    if (ids.defines >= 0) {
+      auto it = std::lower_bound(index.defined.begin(), index.defined.end(),
+                                 std::make_pair(ids.defines, -1));
+      if (it == index.defined.end() || it->first != ids.defines) {
+        index.defined.insert(it, {ids.defines, static_cast<int>(j)});
+      }
+    }
+    if (ids.stored >= 0) {
+      auto it = std::lower_bound(index.stored.begin(), index.stored.end(),
+                                 ids.stored);
+      if (it == index.stored.end() || *it != ids.stored) {
+        index.stored.insert(it, ids.stored);
+      }
+    }
+  }
+}
+
+/// The body line of the indexed loop that defines `local`, or -1.
+int defining_line(const LoopIndex& index, int local) {
+  auto it = std::lower_bound(index.defined.begin(), index.defined.end(),
+                             std::make_pair(local, -1));
+  return it != index.defined.end() && it->first == local ? it->second : -1;
+}
+
+bool stores(const LoopIndex& index, int buffer) {
+  return buffer >= 0 &&
+         std::binary_search(index.stored.begin(), index.stored.end(), buffer);
 }
 
 /// Merging `later` into `earlier` preserves semantics when every buffer the
 /// two bodies share (with at least one write) is accessed elementwise on
 /// both sides: with identical iteration domains, running the bodies
 /// back-to-back per iteration sees exactly the values the separate loops
-/// saw.  Local-variable collisions are allowed only when forwarding or
-/// deduplication is guaranteed to remove the colliding line.
-bool merge_compatible(const Stmt& earlier, const Stmt& later) {
-  const std::vector<BufferAccess> earlier_accesses = body_accesses(earlier);
-  const std::vector<BufferAccess> later_accesses = body_accesses(later);
-  for (const BufferAccess& lhs : earlier_accesses) {
-    for (const BufferAccess& rhs : later_accesses) {
-      if (lhs.buffer != rhs.buffer) continue;
-      if (!lhs.write && !rhs.write) continue;
-      if (!lhs.elementwise || !rhs.elementwise) return false;
-    }
+/// saw.  In summary terms, the two would not conflict if their ranged
+/// accesses were disjoint.  Local-variable collisions are allowed only when
+/// forwarding or deduplication is guaranteed to remove the colliding line.
+bool merge_compatible(const Stmt& earlier, const AccessSummary& earlier_summary,
+                      const LoopIndex& earlier_index, const Stmt& later,
+                      const AccessSummary& later_summary,
+                      const LoopIndex& later_index) {
+  if (conflicts(earlier_summary, later_summary, /*ranges_overlap=*/false)) {
+    return false;
   }
-  std::map<std::string, const Stmt*> defined;
-  for (const Stmt& a : earlier.body) {
-    if (!a.defines.empty()) defined.emplace(a.defines, &a);
-  }
-  std::set<std::string> stored = stored_buffers(earlier);
-  for (const Stmt& b : later.body) {
-    if (b.defines.empty()) continue;
-    auto it = defined.find(b.defines);
-    if (it == defined.end()) continue;
+  for (std::size_t j = 0; j < later.body.size(); ++j) {
+    const LineIds& ids = later_index.lines[j];
+    if (ids.defines < 0) continue;
+    const int at = defining_line(earlier_index, ids.defines);
+    if (at < 0) continue;
+    const Stmt& b = later.body[j];
     if (b.is_load) {
-      const std::string* buf = read_buffer(b);
-      if (buf != nullptr && stored.count(*buf)) continue;   // forwarded away
-      if (it->second->text == b.text) continue;             // shared load
+      if (stores(earlier_index, ids.loaded)) continue;       // forwarded away
+      if (earlier.body[static_cast<std::size_t>(at)].text == b.text) {
+        continue;                                            // shared load
+      }
     }
     return false;
   }
@@ -209,27 +328,37 @@ bool merge_compatible(const Stmt& earlier, const Stmt& later) {
 }
 
 /// Appends `later`'s body to `earlier`'s, dropping loads that duplicate a
-/// load `earlier` already performs (same variable, same text).
-void merge_bodies(Stmt& earlier, Stmt&& later, PassStats& stats) {
-  // Index earlier's own lines before appending: the reserve keeps the
-  // pointers valid while the appends below grow the body.
-  earlier.body.reserve(earlier.body.size() + later.body.size());
-  std::map<std::string, const Stmt*> defined;
-  for (const Stmt& a : earlier.body) {
-    if (!a.defines.empty()) defined.emplace(a.defines, &a);
-  }
-  std::set<std::string> stored = stored_buffers(earlier);
-  for (Stmt& line : later.body) {
-    if (line.is_load && !line.defines.empty()) {
-      auto it = defined.find(line.defines);
-      const std::string* buf = read_buffer(line);
-      if (it != defined.end() && it->second->text == line.text &&
-          (buf == nullptr || !stored.count(*buf))) {
+/// load `earlier` already performs (same variable, same text), and extends
+/// `earlier`'s summary and index by the appended lines.
+void merge_bodies(Stmt& earlier, AccessSummary& summary, LoopIndex& index,
+                  Stmt&& later, const AccessSummary& later_summary,
+                  const LoopIndex& later_index, Interner& buffers,
+                  PassStats& stats) {
+  const std::size_t own_lines = earlier.body.size();
+  for (std::size_t j = 0; j < later.body.size(); ++j) {
+    Stmt& line = later.body[j];
+    const LineIds& ids = later_index.lines[j];
+    if (line.is_load && ids.defines >= 0) {
+      const int at = defining_line(index, ids.defines);
+      if (at >= 0 &&
+          earlier.body[static_cast<std::size_t>(at)].text == line.text &&
+          !stores(index, ids.loaded)) {
         ++stats.copies_elided;
         continue;
       }
     }
     earlier.body.push_back(std::move(line));
+    index.lines.push_back(ids);
+  }
+  index_lines(index, own_lines);
+  if (earlier.body.size() - own_lines == later.body.size()) {
+    for (const BufferTouch& touch : later_summary.touches) {
+      add_touch(summary.touches, touch);
+    }
+  } else {
+    for (std::size_t j = own_lines; j < earlier.body.size(); ++j) {
+      add_body_line(earlier.body[j], buffers, summary.touches);
+    }
   }
   earlier.banner_actors += later.banner_actors;
   // An earlier loop without a banner (e.g. a strip-mined scalar loop) takes
@@ -238,6 +367,56 @@ void merge_bodies(Stmt& earlier, Stmt&& later, PassStats& stats) {
     earlier.banner_isa = std::move(later.banner_isa);
   }
 }
+
+/// The accesses of the statements that stay behind a candidate merge,
+/// chained per buffer, so a possible hoist is checked against all of them
+/// in one lookup per buffer it touches.
+class StayIndex {
+ public:
+  void add(const AccessSummary& summary, std::size_t buffer_count) {
+    if (head_.size() < buffer_count) head_.resize(buffer_count, -1);
+    for (const BufferTouch& touch : summary.touches) {
+      int& head = head_[static_cast<std::size_t>(touch.buffer)];
+      entries_.push_back(
+          {touch.buffer, touch.mode, summary.begin, summary.end, head});
+      head = static_cast<int>(entries_.size()) - 1;
+    }
+  }
+
+  bool conflicts_with(const AccessSummary& summary) const {
+    for (const BufferTouch& touch : summary.touches) {
+      if (static_cast<std::size_t>(touch.buffer) >= head_.size()) continue;
+      for (int e = head_[static_cast<std::size_t>(touch.buffer)]; e >= 0;
+           e = entries_[static_cast<std::size_t>(e)].next) {
+        const Entry& entry = entries_[static_cast<std::size_t>(e)];
+        if (modes_conflict(touch.mode, entry.mode,
+                           domains_overlap(summary.begin, summary.end,
+                                           entry.begin, entry.end))) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  void clear() {
+    for (const Entry& entry : entries_) {
+      head_[static_cast<std::size_t>(entry.buffer)] = -1;
+    }
+    entries_.clear();
+  }
+
+ private:
+  struct Entry {
+    int buffer;
+    unsigned char mode;
+    int begin;
+    int end;
+    int next;  // previous entry for the same buffer, -1 at the chain's end
+  };
+  std::vector<int> head_;  // buffer id -> its newest entry, -1 when none
+  std::vector<Entry> entries_;
+};
 
 /// Same-shape loop fusion over one statement list.  The scan visits each
 /// fusible loop `later` (position p) in order and looks back for the nearest
@@ -253,67 +432,104 @@ void merge_bodies(Stmt& earlier, Stmt&& later, PassStats& stats) {
 /// merges therefore happen in exactly the order of a scan that restarts from
 /// the top after every merge.
 ///
-/// Each statement is summarized once; a merge re-summarizes only the merged
-/// loop.  The scan works on an index order over `body` and moves the
-/// statements into their final order once at the end.
+/// Each statement is summarized once.  A fusible loop's defined-locals and
+/// stored-buffers index is built the first time it is a merge candidate; a
+/// merge extends the merged loop's summary and index by the appended lines
+/// only.  The candidates for `later` come from a per-shape chain through the
+/// fusible loops before p, so the look-back never visits a loop of another
+/// shape; resuming at q pops the chain entries at q and after.  The scan
+/// works on an index order over `body` and moves the statements into their
+/// final order once at the end.
 void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
-  std::vector<FusionShape> shapes(body.size());
-  std::vector<std::vector<AccessSummary>> summaries(body.size());
+  Interner buffers;
+  Interner locals;
+  const std::vector<int> shape_of = fusion_shapes(body);
+  std::vector<AccessSummary> summaries(body.size());
   for (std::size_t i = 0; i < body.size(); ++i) {
-    shapes[i] = fusion_shape(body[i]);
-    summaries[i] = summarize(body[i]);
+    summaries[i] = summarize(body[i], buffers);
   }
+  std::vector<LoopIndex> indexes(body.size());
+  auto index_of = [&](std::size_t i) -> LoopIndex& {
+    LoopIndex& index = indexes[i];
+    if (!index.built) {
+      for (const Stmt& line : body[i].body) {
+        index.lines.push_back(line_ids(line, buffers, locals));
+      }
+      index_lines(index, 0);
+      index.built = true;
+    }
+    return index;
+  };
   std::vector<std::size_t> order(body.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // The fusible loops at positions before p, in position order; each entry
+  // links to the previous one of its shape.
+  struct Seen {
+    std::size_t position;
+    int shape;
+    int previous;
+  };
+  std::vector<Seen> seen;
+  std::vector<int> newest(body.size(), -1);  // shape -> its newest entry
+
+  StayIndex staying;
   std::vector<std::size_t> stay;
   std::vector<std::size_t> hoist;
   std::vector<std::size_t> moved;
   for (std::size_t p = 0; p < order.size();) {
-    const FusionShape& shape = shapes[order[p]];
-    const std::vector<AccessSummary>& later_summary = summaries[order[p]];
+    while (!seen.empty() && seen.back().position >= p) {
+      newest[static_cast<std::size_t>(seen.back().shape)] = seen.back().previous;
+      seen.pop_back();
+    }
+    const int shape = shape_of[order[p]];
+    if (shape < 0) {
+      ++p;
+      continue;
+    }
+    const AccessSummary& later_summary = summaries[order[p]];
     std::size_t target = p;
-    if (shape.fusible_loop) {
-      for (std::size_t q = p; q-- > 0;) {
-        if (shapes[order[q]] != shape) continue;
-
-        stay.clear();
-        hoist.clear();
-        bool ok = true;
-        for (std::size_t m = q + 1; m < p && ok; ++m) {
-          const std::vector<AccessSummary>& between = summaries[order[m]];
-          if (!conflicts(between, later_summary)) {
-            stay.push_back(m);
-            continue;
-          }
-          bool can_hoist = !conflicts(between, summaries[order[q]]);
-          for (std::size_t t : stay) {
-            if (!can_hoist) break;
-            can_hoist = !conflicts(between, summaries[order[t]]);
-          }
-          if (can_hoist) {
-            hoist.push_back(m);
-          } else {
-            ok = false;
-          }
+    for (int e = newest[static_cast<std::size_t>(shape)]; e >= 0;
+         e = seen[static_cast<std::size_t>(e)].previous) {
+      const std::size_t q = seen[static_cast<std::size_t>(e)].position;
+      const AccessSummary& earlier_summary = summaries[order[q]];
+      stay.clear();
+      hoist.clear();
+      staying.clear();
+      bool ok = true;
+      for (std::size_t m = q + 1; m < p && ok; ++m) {
+        const AccessSummary& between = summaries[order[m]];
+        if (!conflicts(between, later_summary)) {
+          stay.push_back(m);
+          staying.add(between, buffers.size());
+        } else if (!conflicts(between, earlier_summary) &&
+                   !staying.conflicts_with(between)) {
+          hoist.push_back(m);
+        } else {
+          ok = false;
         }
-        if (ok && merge_compatible(body[order[q]], body[order[p]])) {
-          target = q;
-          break;
-        }
+      }
+      if (ok && merge_compatible(body[order[q]], earlier_summary,
+                                 index_of(order[q]), body[order[p]],
+                                 later_summary, index_of(order[p]))) {
+        target = q;
+        break;
       }
     }
     if (target == p) {
+      seen.push_back({p, shape, newest[static_cast<std::size_t>(shape)]});
+      newest[static_cast<std::size_t>(shape)] = static_cast<int>(seen.size()) - 1;
       ++p;
       continue;
     }
 
-    Stmt& earlier = body[order[target]];
-    merge_bodies(earlier, std::move(body[order[p]]), stats);
-    summaries[order[target]] = summarize(earlier);
+    const std::size_t into = order[target];
+    merge_bodies(body[into], summaries[into], indexes[into],
+                 std::move(body[order[p]]), later_summary, indexes[order[p]],
+                 buffers, stats);
     moved.clear();
     for (std::size_t m : hoist) moved.push_back(order[m]);
-    moved.push_back(order[target]);
+    moved.push_back(into);
     for (std::size_t m : stay) moved.push_back(order[m]);
     std::copy(moved.begin(), moved.end(),
               order.begin() + static_cast<std::ptrdiff_t>(target));
@@ -323,10 +539,16 @@ void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
   }
   if (order.size() == body.size()) return;  // nothing merged
 
-  std::vector<Stmt> fused;
-  fused.reserve(order.size());
-  for (std::size_t i : order) fused.push_back(std::move(body[i]));
-  body = std::move(fused);
+  // Statements before the first merge kept their places; move the rest.
+  std::size_t kept = 0;
+  while (kept < order.size() && order[kept] == kept) ++kept;
+  std::vector<Stmt> rest;
+  rest.reserve(order.size() - kept);
+  for (std::size_t i = kept; i < order.size(); ++i) {
+    rest.push_back(std::move(body[order[i]]));
+  }
+  body.erase(body.begin() + static_cast<std::ptrdiff_t>(kept), body.end());
+  std::move(rest.begin(), rest.end(), std::back_inserter(body));
 }
 
 // ---------------------------------------------------------------------------
@@ -533,20 +755,27 @@ struct LiveRange {
   int last_access = -1;
 };
 
-void record_liveness(std::vector<Stmt>& body, int& position,
+/// Records every access under `stmt` at whole-statement `position`.
+void record_accesses(const Stmt& stmt, int position,
                      std::map<std::string, LiveRange>& ranges) {
-  for (Stmt& top : body) {
-    for (const AccessSummary& access : summarize(top)) {
-      auto it = ranges.find(access.buffer);
-      if (it == ranges.end()) continue;
-      if (access.write &&
-          (it->second.first_write < 0 || position < it->second.first_write)) {
-        it->second.first_write = position;
-      }
-      it->second.last_access = std::max(it->second.last_access, position);
-    }
-    ++position;
+  if (stmt.kind == Stmt::Kind::kLoop) {
+    for (const Stmt& line : stmt.body) record_accesses(line, position, ranges);
+    return;
   }
+  for (const BufferAccess& access : stmt.accesses) {
+    auto it = ranges.find(access.buffer);
+    if (it == ranges.end()) continue;
+    if (access.write &&
+        (it->second.first_write < 0 || position < it->second.first_write)) {
+      it->second.first_write = position;
+    }
+    it->second.last_access = std::max(it->second.last_access, position);
+  }
+}
+
+void record_liveness(const std::vector<Stmt>& body, int& position,
+                     std::map<std::string, LiveRange>& ranges) {
+  for (const Stmt& top : body) record_accesses(top, position++, ranges);
 }
 
 /// Applies `renames` to the text and buffer accesses of every text line.
@@ -979,7 +1208,23 @@ void localize_strips_under(Stmt& loop,
   }
 }
 
+bool has_strip_mined_child(const Stmt& stmt) {
+  for (const Stmt& child : stmt.body) {
+    if (child.kind == Stmt::Kind::kLoop &&
+        (child.strip_mined || has_strip_mined_child(child))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void localize_strips(TranslationUnit& tu, PassStats& stats) {
+  // Without a strip-mined lane loop (no cross-scale fusion happened) there
+  // is nothing to localize, so skip parsing the lane types.
+  if (std::none_of(tu.step.body.begin(), tu.step.body.end(),
+                   has_strip_mined_child)) {
+    return;
+  }
   const std::map<std::string, std::string> types = lane_array_types(tu);
   int next_id = 0;
   for (Stmt& stmt : tu.step.body) {

@@ -47,8 +47,8 @@
 //     loads/stores (which would defeat store-to-load forwarding).
 //
 // Every pass is followed by the after_pass checkpoint (the verifier, when
-// installed).  All passes are deterministic: they iterate the tree in order
-// and never consult addresses, hashes, or time.
+// installed).  All passes are deterministic: they iterate the tree in order,
+// and no address, hash order, or time decides a result.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "graph/regions.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <functional>
 #include <set>
 
@@ -364,9 +365,10 @@ std::vector<EmissionItem> emission_order(
     const int item = *it;
     ready.erase(it);
     order.push_back(items[static_cast<size_t>(item)]);
-    for (const auto& [a, b] : edges) {
-      if (a == item && --pending[static_cast<size_t>(b)] == 0) {
-        ready.push_back(b);
+    for (auto edge = edges.lower_bound({item, INT_MIN});
+         edge != edges.end() && edge->first == item; ++edge) {
+      if (--pending[static_cast<size_t>(edge->second)] == 0) {
+        ready.push_back(edge->second);
       }
     }
   }

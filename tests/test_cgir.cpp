@@ -439,6 +439,152 @@ TEST(CgirCrossScale, RolledBackAttemptRestoresBodyAndCounters) {
             "}\n");
 }
 
+TEST(CgirFusion, FarmOfShapeGroupsFusesInScanOrder) {
+  // A kernel farm: per actor a kernel call, a region loop in one of four
+  // shapes, and a whole-buffer call that reads the loop's output.  Each
+  // loop of actors 4-7 merges into the same-shape loop four actors back:
+  // the kernel call feeding it hoists above the merged loop, and everything
+  // else between the two stays behind it.
+  std::vector<Stmt> body;
+  for (int k = 0; k < 8; ++k) {
+    const std::string n = std::to_string(k);
+    const std::string sig = "sig_" + n;
+    const std::string out = "out_" + n;
+    body.push_back(kernel_call("kern", "in_x" + n, sig));
+    Stmt loop;
+    switch (k % 4) {
+      case 0:
+        loop = vloop(0, 8, 4,
+                     {load("w_b", "in_w"), load("s" + n + "_b", sig),
+                      calc("g" + n + "_b", "vmulq_f32(s" + n + "_b, w_b)"),
+                      store(out, "g" + n + "_b")});
+        break;
+      case 1:
+        loop = scalar_loop(
+            0, 3, {scalar_line(out + "[i] = " + sig + "[i] * 0.5f;", out, sig)});
+        break;
+      case 2:
+        loop = vloop(3, 259, 4, {load("s" + n + "_b", sig), store(out, "s" + n + "_b")});
+        break;
+      default:
+        loop = vloop(0, 4, 4, {load("s" + n + "_b", sig), store(out, "s" + n + "_b")});
+        loop.vector_loop = false;
+        loop.single_iteration = true;
+        break;
+    }
+    body.push_back(std::move(loop));
+    body.push_back(kernel_call("post", out, "res_" + n));
+  }
+  TranslationUnit tu = unit_with_step(std::move(body));
+  PassStats stats = run_passes(tu, {});
+  EXPECT_EQ(stats.loops_fused, 4);
+  EXPECT_EQ(stats.copies_elided, 1);  // the second load of in_w
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  kern(in_x0, sig_0);\n"
+            "  kern(in_x4, sig_4);\n"
+            "  for (int i = 0; i < 8; i += 4) {\n"
+            "    float32x4_t w_b = vld1q_f32(&in_w[i]);\n"
+            "    float32x4_t s0_b = vld1q_f32(&sig_0[i]);\n"
+            "    float32x4_t g0_b = vmulq_f32(s0_b, w_b);\n"
+            "    vst1q_f32(&out_0[i], g0_b);\n"
+            "    float32x4_t s4_b = vld1q_f32(&sig_4[i]);\n"
+            "    float32x4_t g4_b = vmulq_f32(s4_b, w_b);\n"
+            "    vst1q_f32(&out_4[i], g4_b);\n"
+            "  }\n"
+            "  post(out_0, res_0);\n"
+            "  kern(in_x1, sig_1);\n"
+            "  kern(in_x5, sig_5);\n"
+            "  for (int i = 0; i < 3; ++i) {\n"
+            "    out_1[i] = sig_1[i] * 0.5f;\n"
+            "    out_5[i] = sig_5[i] * 0.5f;\n"
+            "  }\n"
+            "  post(out_1, res_1);\n"
+            "  kern(in_x2, sig_2);\n"
+            "  kern(in_x6, sig_6);\n"
+            "  for (int i = 3; i < 259; i += 4) {\n"
+            "    float32x4_t s2_b = vld1q_f32(&sig_2[i]);\n"
+            "    vst1q_f32(&out_2[i], s2_b);\n"
+            "    float32x4_t s6_b = vld1q_f32(&sig_6[i]);\n"
+            "    vst1q_f32(&out_6[i], s6_b);\n"
+            "  }\n"
+            "  post(out_2, res_2);\n"
+            "  kern(in_x3, sig_3);\n"
+            "  kern(in_x7, sig_7);\n"
+            "  {\n"
+            "    const int i = 0;\n"
+            "    float32x4_t s3_b = vld1q_f32(&sig_3[i]);\n"
+            "    vst1q_f32(&out_3[i], s3_b);\n"
+            "    float32x4_t s7_b = vld1q_f32(&sig_7[i]);\n"
+            "    vst1q_f32(&out_7[i], s7_b);\n"
+            "  }\n"
+            "  post(out_3, res_3);\n"
+            "  post(out_4, res_4);\n"
+            "  post(out_5, res_5);\n"
+            "  post(out_6, res_6);\n"
+            "  post(out_7, res_7);\n"
+            "}\n");
+}
+
+TEST(CgirFusion, InternedBuffersNeitherMergeNorSplit) {
+  // fill(b10) writes what the second vector loop reads, so it hoists above
+  // the merged loop; that is legal only because b10 is not b1, which the
+  // first loop writes.  The remainder loop between the vector loops writes
+  // out_q over [0, 2), disjoint from the second loop's [2, 10), so it stays
+  // behind the merged loop.
+  Stmt fill = Stmt::text_line("fill(b10);");
+  fill.accesses.push_back({"b10", true, false});
+  TranslationUnit tu = unit_with_step(
+      {vloop(2, 10, 4, {load("a_b", "in_a"), store("b1", "a_b")}),
+       scalar_loop(0, 2, {scalar_line("out_q[i] = b1[i];", "out_q", "b1")}),
+       fill,
+       vloop(2, 10, 4, {load("t_b", "b10"), store("out_q", "t_b")})});
+  PassStats stats = run_passes(tu, {});
+  EXPECT_EQ(stats.loops_fused, 1);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  fill(b10);\n"
+            "  for (int i = 2; i < 10; i += 4) {\n"
+            "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
+            "    vst1q_f32(&b1[i], a_b);\n"
+            "    float32x4_t t_b = vld1q_f32(&b10[i]);\n"
+            "    vst1q_f32(&out_q[i], t_b);\n"
+            "  }\n"
+            "  for (int i = 0; i < 2; ++i) {\n"
+            "    out_q[i] = b1[i];\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(CgirFusion, NearestCandidateRejectedFartherOneMerges) {
+  // The third loop cannot join the second (both define c_b, with different
+  // loads), so it looks further back and joins the first; the second loop
+  // is independent of it and stays behind the merged loop.  The second
+  // loop cannot join the first either (a_b collides the same way).
+  TranslationUnit tu = unit_with_step(
+      {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
+       vloop(0, 64, 4,
+             {load("a_b", "in_c"), calc("c_b", "vaddq_f32(a_b, a_b)"),
+              store("out_r", "c_b")}),
+       vloop(0, 64, 4, {load("c_b", "in_d"), store("out_s", "c_b")})});
+  PassStats stats = run_passes(tu, {});
+  EXPECT_EQ(stats.loops_fused, 1);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
+            "    vst1q_f32(&out_p[i], a_b);\n"
+            "    float32x4_t c_b = vld1q_f32(&in_d[i]);\n"
+            "    vst1q_f32(&out_s[i], c_b);\n"
+            "  }\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t a_b = vld1q_f32(&in_c[i]);\n"
+            "    float32x4_t c_b = vaddq_f32(a_b, a_b);\n"
+            "    vst1q_f32(&out_r[i], c_b);\n"
+            "  }\n"
+            "}\n");
+}
+
 // ---------------------------------------------------------------------------
 // Copy forwarding
 // ---------------------------------------------------------------------------

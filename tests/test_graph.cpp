@@ -310,5 +310,46 @@ TEST(EmissionOrder, CoversEveryActorExactlyOnce) {
   EXPECT_EQ(actors_covered, m.actor_count());
 }
 
+TEST(EmissionOrder, SmallestReadyItemGoesFirst) {
+  // Items are numbered regions first, then the other actors by id; among
+  // the items whose producers are all emitted, the smallest goes next.
+  // The UnitDelay's output is no dependency, so the region reading it waits
+  // only for its Inport, and x fans out to two regions.
+  ModelBuilder b("m");
+  PortRef x = b.inport("x", DataType::kFloat32, Shape({16}));
+  PortRef y = b.inport("y", DataType::kFloat32, Shape({16}));
+  PortRef a = b.actor("a", "Abs", {x});
+  PortRef t = b.actor("t", "DCT", {a});
+  PortRef c = b.actor("c", "Abs", {t});
+  PortRef d = b.actor("d", "UnitDelay", {c},
+                      {{"dtype", "f32"}, {"shape", "16"}});
+  PortRef e = b.actor("e", "Add", {d, y});
+  PortRef f = b.actor("f", "Abs", {x});
+  b.outport("o1", c);
+  b.outport("o2", e);
+  b.outport("o3", f);
+  Model m = resolved(b.take());
+  auto regions = find_batch_regions(m, AllOpsSupport());
+  auto order = emission_order(m, regions);
+
+  std::string names;
+  for (const EmissionItem& item : order) {
+    if (!names.empty()) names += " ";
+    if (item.actor != kNoActor) {
+      names += m.actor(item.actor).name();
+      continue;
+    }
+    names += "{";
+    for (ActorId id : regions[static_cast<size_t>(item.region)].actors) {
+      if (names.back() != '{') names += ",";
+      names += m.actor(id).name();
+    }
+    names += "}";
+  }
+  // y waits behind the regions x makes ready; o2, ready once {e} is out,
+  // waits behind t, {c} and d, which carry smaller numbers.
+  EXPECT_EQ(names, "x {a} {f} y {e} t {c} d o1 o2 o3");
+}
+
 }  // namespace
 }  // namespace hcg
