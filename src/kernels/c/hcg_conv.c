@@ -5,7 +5,7 @@
  *
  * Implementations:
  *   conv_direct  : textbook shift-multiply-accumulate (general fallback)
- *   conv_blocked : direct form with 4-way unrolled inner accumulation
+ *   conv_blocked : 8 outputs summed in registers; gcc -O2 vectorizes it
  *   conv_fft     : pointwise product of zero-padded radix-2 FFTs; wins for
  *                  long kernels, loses for short ones — the Figure-1-style
  *                  crossover Algorithm 1's pre-calculation discovers.
@@ -70,38 +70,35 @@ static void hcg_conv_priv_fft(double* a, int n, int inverse) {
     }                                                                         \
   }                                                                           \
                                                                               \
-  void hcg_conv_blocked_##SUF(const T* a, int na, const T* b, int nb,         \
-                              T* out) {                                       \
-    const int nout = na + nb - 1;                                             \
-    for (int k = 0; k < nout; ++k) {                                          \
-      const int lo = k - nb + 1 > 0 ? k - nb + 1 : 0;                         \
-      const int hi = k < na - 1 ? k : na - 1;                                 \
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;                          \
-      int i = lo;                                                             \
-      for (; i + 3 <= hi; i += 4) {                                           \
-        s0 += (double)a[i] * (double)b[k - i];                                \
-        s1 += (double)a[i + 1] * (double)b[k - i - 1];                        \
-        s2 += (double)a[i + 2] * (double)b[k - i - 2];                        \
-        s3 += (double)a[i + 3] * (double)b[k - i - 3];                        \
-      }                                                                       \
-      for (; i <= hi; ++i) s0 += (double)a[i] * (double)b[k - i];             \
-      out[k] = (T)(s0 + s1 + s2 + s3);                                        \
-    }                                                                         \
+  /* out[k] summed over taps j ascending, valid terms only. */                \
+  static T hcg_conv_priv_at_##SUF(const T* a, int na, const T* b, int nb,     \
+                                  int k) {                                    \
+    const int lo = k - na + 1 > 0 ? k - na + 1 : 0;                           \
+    const int hi = k < nb - 1 ? k : nb - 1;                                   \
+    T acc = (T)0;                                                             \
+    for (int j = lo; j <= hi; ++j) acc += b[j] * a[k - j];                    \
+    return acc;                                                               \
   }                                                                           \
                                                                               \
-  /* Outer-product (saxpy) form: for each tap j, out[j..j+na) += b[j]*a[..]. \
-   * Both streams in the hot loop are contiguous and the multiplier is       \
-   * scalar, so compilers vectorize it fully — the shape a SIMD-aware        \
-   * library ships for mid-sized kernels. */                                 \
-  void hcg_conv_saxpy_##SUF(const T* a, int na, const T* b, int nb, T* out) { \
-    const int nout = na + nb - 1;                                            \
-    for (int k = 0; k < nout; ++k) out[k] = (T)0;                            \
-    for (int j = 0; j < nb; ++j) {                                           \
-      const T w = b[j];                                                      \
-      T* dst = out + j;                                                      \
-      for (int i = 0; i < na; ++i) dst[i] += w * a[i];                       \
-    }                                                                        \
-  }                                                                          \
+  /* Outputs nb-1..na-1 see every tap: blocks of 8 of them keep their sums    \
+   * in registers, one broadcast multiply-add per tap.  The head and tail     \
+   * use the helper, whose per-output order is the block's. */                \
+  void hcg_conv_blocked_##SUF(const T* restrict a, int na,                    \
+                              const T* restrict b, int nb, T* restrict out) { \
+    const int nout = na + nb - 1;                                             \
+    int k = 0;                                                                \
+    for (; k < nb - 1; ++k) out[k] = hcg_conv_priv_at_##SUF(a, na, b, nb, k); \
+    for (; k + 8 <= na; k += 8) {                                             \
+      T acc[8] = {0};                                                         \
+      for (int j = 0; j < nb; ++j) {                                          \
+        const T w = b[j];                                                     \
+        const T* x = a + k - j;                                               \
+        for (int l = 0; l < 8; ++l) acc[l] += w * x[l];                       \
+      }                                                                       \
+      for (int l = 0; l < 8; ++l) out[k + l] = acc[l];                        \
+    }                                                                         \
+    for (; k < nout; ++k) out[k] = hcg_conv_priv_at_##SUF(a, na, b, nb, k);   \
+  }                                                                           \
                                                                               \
   void hcg_conv_fft_##SUF(const T* a, int na, const T* b, int nb, T* out) {   \
     const int nout = na + nb - 1;                                             \

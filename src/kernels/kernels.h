@@ -33,7 +33,6 @@ void hcg_fft2d_radix2(const float* in, float* out, int rows, int cols,
   void hcg_conv_direct_##SUF(const T* a, int na, const T* b, int nb, T* out);\
   void hcg_conv_blocked_##SUF(const T* a, int na, const T* b, int nb,        \
                               T* out);                                       \
-  void hcg_conv_saxpy_##SUF(const T* a, int na, const T* b, int nb, T* out); \
   void hcg_conv_fft_##SUF(const T* a, int na, const T* b, int nb, T* out);   \
   void hcg_conv2d_direct_##SUF(const T* a, int ar, int ac, const T* b,       \
                                int br, int bc, T* out);                      \

@@ -141,9 +141,6 @@ std::vector<KernelImpl> build_registry() {
     add("conv_blocked", "Conv", t.dtype, KernelSig::kConv1D, SizeRule::kAny,
         "hcg_conv_blocked_" + suf, "hcg_conv.c", false,
         fn(&hcg_conv_blocked_f32, &hcg_conv_blocked_f64));
-    add("conv_saxpy", "Conv", t.dtype, KernelSig::kConv1D, SizeRule::kAny,
-        "hcg_conv_saxpy_" + suf, "hcg_conv.c", false,
-        fn(&hcg_conv_saxpy_f32, &hcg_conv_saxpy_f64));
     add("conv_fft", "Conv", t.dtype, KernelSig::kConv1D, SizeRule::kAny,
         "hcg_conv_fft_" + suf, "hcg_conv.c", false,
         fn(&hcg_conv_fft_f32, &hcg_conv_fft_f64));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <mutex>
+#include <unordered_set>
 
 #include "actors/exec.hpp"
 #include "obs/metrics.hpp"
@@ -67,6 +69,24 @@ void drop_candidate(IntensiveSelection& result, const Actor& actor,
                     << " for " << actor.type() << " '" << actor.name()
                     << "' (" << reason << "): " << detail;
   result.failures.push_back({impl_id, reason, detail});
+}
+
+/// Calls `impl` once, untimed, the first time this process races it, so no
+/// warm-up screen sees first-call costs (cold code pages, first libm or
+/// allocator use), which can be many times a warm call and screen out a
+/// winner.  Once per process, not once per race.
+void prime_once(const kernels::KernelImpl& impl,
+                const std::vector<const Tensor*>& inputs, Tensor* output) {
+  static obs::Counter& primed_metric =
+      obs::Registry::instance().counter("synth.precalc.primed");
+  static std::mutex mutex;
+  static std::unordered_set<const kernels::KernelImpl*> primed;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!primed.insert(&impl).second) return;
+  }
+  primed_metric.add();
+  kernels::run_kernel(impl, inputs, output);
 }
 
 }  // namespace
@@ -250,6 +270,7 @@ IntensiveSelection select_implementation(const Actor& actor,
       entrants.size(),
       [&](std::size_t i, int calls) -> std::optional<CallTiming> {
         try {
+          prime_once(*entrants[i], input_ptrs, &output);
           const double cpu_start = thread_cpu_seconds();
           Stopwatch wall;
           for (int call = 0; call < calls; ++call) {

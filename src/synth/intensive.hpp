@@ -4,7 +4,8 @@
 // adaptively pre-calculating: every candidate that can handle the data type
 // and size is run on randomly generated test input of exactly that size, and
 // the cheapest wins.  The candidates race (race_candidates): one warm-up call
-// each screens out clear losers, the rest are timed in rotating rounds.
+// each screens out clear losers, the rest are timed in rotating rounds.  A
+// kernel's first race in a process is preceded by one untimed call.
 // Results are memoized in a SelectionHistory.
 //
 // SelectionMemo adds in-run memoization on top: duplicate (type, dtype,

@@ -11,6 +11,7 @@
 #include "cgir/cgir.hpp"
 #include "codegen/generator.hpp"
 #include "isa/builtin.hpp"
+#include "kernels/library.hpp"
 #include "model/builder.hpp"
 #include "synth/history.hpp"
 #include "toolchain/compiled_model.hpp"
@@ -314,12 +315,13 @@ TEST(ProfileGen, FinalDumpIsTheInstrumentedUnit) {
 // no other oracle test compiles on the same code path
 // ---------------------------------------------------------------------------
 
-/// A history that answers every MatMul key of `model` with `impl`, so the
+/// A history that answers every `type` key of `model` with `impl`, so the
 /// generated code calls that kernel whatever the pre-calculation would pick.
-synth::SelectionHistory forced_matmul(const Model& model, const char* impl) {
+synth::SelectionHistory forced(const Model& model, const std::string& type,
+                               const std::string& impl) {
   synth::SelectionHistory history;
   for (const Actor& actor : model.actors()) {
-    if (actor.type() != "MatMul") continue;
+    if (actor.type() != type) continue;
     std::vector<Shape> shapes;
     for (const PortSpec& in : actor.inputs()) shapes.push_back(in.shape);
     history.store(actor.type(), actor.input(0).type, shapes, impl);
@@ -327,10 +329,30 @@ synth::SelectionHistory forced_matmul(const Model& model, const char* impl) {
   return history;
 }
 
-GeneratedCode hcg_o2_with_matmul(const Model& model, const char* impl) {
-  synth::SelectionHistory history = forced_matmul(model, impl);
+GeneratedCode hcg_o2_forcing(const Model& model, const std::string& type,
+                             const std::string& impl) {
+  synth::SelectionHistory history = forced(model, type, impl);
   return make_hcg_generator(isa::builtin("neon_sim"), &history, {}, 2)
       ->generate(model);
+}
+
+/// Compiles `code` and runs one step of it and of the VM oracle on the
+/// seed-42 workload; every output must agree within `tolerance`.
+void expect_compiled_matches_oracle(const Model& model,
+                                    const GeneratedCode& code,
+                                    double tolerance) {
+  const std::vector<Tensor> inputs = benchmodels::workload(model, 42);
+  Interpreter oracle(model);
+  oracle.init();
+  const std::vector<Tensor> expected = oracle.step(inputs);
+  toolchain::CompiledModel compiled(code);
+  compiled.init();
+  const std::vector<Tensor> got = compiled.step_tensors(model, inputs);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_LE(got[i].max_abs_difference(expected[i]), tolerance)
+        << "output " << i;
+  }
 }
 
 struct OracleCell {
@@ -369,11 +391,15 @@ const OracleCell kOracleCells[] = {
      },
      0, nullptr},
     {"matmul96_blocked8_o2", [] { return benchmodels::matmul_pipeline_model(96); },
-     [](const Model& m) { return hcg_o2_with_matmul(m, "matmul_blocked8"); },
+     [](const Model& m) {
+       return hcg_o2_forcing(m, "MatMul", "matmul_blocked8");
+     },
      1e-3, "matmul_blocked8"},
     {"matmul96_blocked32_o2",
      [] { return benchmodels::matmul_pipeline_model(96); },
-     [](const Model& m) { return hcg_o2_with_matmul(m, "matmul_blocked32"); },
+     [](const Model& m) {
+       return hcg_o2_forcing(m, "MatMul", "matmul_blocked32");
+     },
      1e-3, "matmul_blocked32"},
 };
 
@@ -390,19 +416,7 @@ TEST_P(CompiledCell, MatchesOracle) {
     ASSERT_EQ(code.intensive_choices.size(), 1u);
     EXPECT_EQ(code.intensive_choices.begin()->second, cell.choice);
   }
-
-  const std::vector<Tensor> inputs = benchmodels::workload(model, 42);
-  Interpreter oracle(model);
-  oracle.init();
-  const std::vector<Tensor> expected = oracle.step(inputs);
-  toolchain::CompiledModel compiled(code);
-  compiled.init();
-  const std::vector<Tensor> got = compiled.step_tensors(model, inputs);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_LE(got[i].max_abs_difference(expected[i]), cell.tolerance)
-        << "output " << i;
-  }
+  expect_compiled_matches_oracle(model, code, cell.tolerance);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -410,6 +424,25 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OracleCell>& info) {
       return std::string(info.param.name);
     });
+
+TEST(CompiledConv, EveryCandidateMatchesOracle) {
+  if (!toolchain::compiler_available()) {
+    GTEST_SKIP() << "no C compiler available";
+  }
+  // 1021 samples, 13 taps: conv_blocked runs a 12-output head, 126 blocks
+  // of 8, and a 13-output tail (one interior output left over).
+  const Model model = resolved(benchmodels::conv_model(1021, 13));
+  const auto candidates = kernels::CodeLibrary::instance().implementations(
+      "Conv", DataType::kFloat32);
+  ASSERT_FALSE(candidates.empty());
+  for (const kernels::KernelImpl* impl : candidates) {
+    SCOPED_TRACE(impl->id);
+    const GeneratedCode code = hcg_o2_forcing(model, "Conv", impl->id);
+    ASSERT_EQ(code.intensive_choices.size(), 1u);
+    EXPECT_EQ(code.intensive_choices.begin()->second, impl->id);
+    expect_compiled_matches_oracle(model, code, 1e-4);
+  }
+}
 
 }  // namespace
 }  // namespace hcg::codegen

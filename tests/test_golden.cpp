@@ -88,7 +88,7 @@ synth::SelectionHistory farm_history() {
     history.store("FFT", DataType::kComplex64, {Shape({4 * (v + 1)})}, fft[v]);
     history.store("DCT", DataType::kFloat32, {Shape({8 * (v + 1)})}, dct[v]);
     history.store("Conv", DataType::kFloat32,
-                  {Shape({256}), Shape({4 * (v + 1)})}, "conv_saxpy");
+                  {Shape({256}), Shape({4 * (v + 1)})}, "conv_blocked");
     const Shape square({v + 2, v + 2});
     history.store("MatMul", DataType::kFloat32, {square, square}, matmul[v]);
   }

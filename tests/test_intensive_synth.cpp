@@ -171,6 +171,41 @@ TEST(Select, StaleHistoryEntryTriggersFreshPreCalculation) {
             selection.impl->id);
 }
 
+TEST(Select, HistoryNamingADeletedKernelIsRemeasured) {
+  // conv_saxpy left the library once conv_blocked beat it at every swept
+  // size; a history file written before that still names it.
+  Model model = resolved(benchmodels::conv_model(256, 8));
+  const std::vector<Shape> shapes = {Shape({256}), Shape({8})};
+  SelectionHistory history;
+  history.store("Conv", DataType::kFloat32, shapes, "conv_saxpy");
+  auto selection = select_implementation(model.actor_by_name("conv"), history);
+  EXPECT_FALSE(selection.from_history);
+  EXPECT_EQ(selection.measured_costs.count("conv_saxpy"), 0u);
+  EXPECT_TRUE(selection.measured_costs.count("conv_blocked"));
+  EXPECT_NE(selection.impl->id, "conv_saxpy");
+  EXPECT_EQ(*history.lookup("Conv", DataType::kFloat32, shapes),
+            selection.impl->id);
+}
+
+#ifndef HCG_DISABLE_TRACING  // metric updates are no-ops in notrace builds
+TEST(Select, KernelsArePrimedOncePerProcess) {
+  // The untimed priming call runs before a kernel's first race in the
+  // process, never again: a second race at another size primes nothing.
+  obs::Counter& primed =
+      obs::Registry::instance().counter("synth.precalc.primed");
+  Model first = resolved(benchmodels::conv_model(64, 4));
+  SelectionHistory history;
+  auto selection = select_implementation(first.actor_by_name("conv"), history);
+  ASSERT_FALSE(selection.measured_costs.empty());
+  const std::uint64_t after_first = primed.value();
+  EXPECT_GT(after_first, 0u);
+  Model second = resolved(benchmodels::conv_model(96, 5));
+  selection = select_implementation(second.actor_by_name("conv"), history);
+  ASSERT_FALSE(selection.from_history);
+  EXPECT_EQ(primed.value(), after_first);
+}
+#endif
+
 TEST(Select, SelectionIsStoredForReuse) {
   Model model = resolved(benchmodels::dct_model(128));
   SelectionHistory history;

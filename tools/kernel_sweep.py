@@ -13,7 +13,7 @@ took and chose from.  This script adds no timing loop of its own.
 One markdown table per family: per size, each candidate's median time over
 the runs with its interquartile range, and how many runs picked each winner.
 A cell marked `*` was screened out on its warm-up in at least one run, so its
-time there is one cold call, not a timed sample.  Exits 1 when hcgc fails or
+time there is one single call, not a timed sample.  Exits 1 when hcgc fails or
 a row has no measured candidate.
 
     tools/kernel_sweep.py [--runs N] [build-dir]
@@ -140,7 +140,7 @@ def main():
           f"{host_line()}, N = {args.runs} cold `hcgc generate -O2 --isa "
           f"neon_sim` runs.")
     print("Cell: median µs [interquartile range µs] over the N runs; "
-          "`*`: screened out on its warm-up in at least one run (one cold "
+          "`*`: screened out on its warm-up in at least one run (one "
           "call, never timed); `-`: the implementation cannot handle the "
           "size.")
     empty_rows = 0
