@@ -3,7 +3,6 @@
 #include "actors/batch_op.hpp"
 #include "actors/catalog.hpp"
 #include "model/schedule.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 
@@ -261,10 +260,6 @@ bool resolve_actors(Model& model, const ResolveFailureFn* on_failure) {
 
 void resolve_model(Model& model) {
   HCG_TRACE_SCOPE("resolve");
-  static obs::Counter& resolved_metric =
-      obs::Registry::instance().counter("resolve.actors");
-  resolved_metric.add(static_cast<std::uint64_t>(model.actor_count()));
-
   resolve_actors(model, nullptr);
 
   // Every connection must reference live ports, even on dead branches the

@@ -19,7 +19,6 @@
 #include "actors/resolve.hpp"
 #include "graph/regions.hpp"
 #include "kernels/library.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -94,9 +93,6 @@ class Emitter {
     out_.report.emit_bytes = source_.size();
     out_.report.static_buffer_bytes = out_.static_buffer_bytes;
     out_.report.fused_regions = out_.fused_regions;
-    static obs::Counter& models_metric =
-        obs::Registry::instance().counter("codegen.models");
-    models_metric.add();
 
     out_.source = std::move(source_);
     return std::move(out_);

@@ -3,7 +3,6 @@
 #include <map>
 
 #include "model/subsystem.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/fileio.hpp"
@@ -159,15 +158,8 @@ Model model_from_element(const xml::Element& root) {
 
 Model load_model(std::string_view xml_text) {
   HCG_TRACE_SCOPE("model.load");
-  static obs::Counter& loads_metric =
-      obs::Registry::instance().counter("model.loads");
-  static obs::Counter& actors_metric =
-      obs::Registry::instance().counter("model.actors_loaded");
   xml::Document doc = xml::parse(xml_text);
-  Model model = model_from_element(doc.root());
-  loads_metric.add();
-  actors_metric.add(static_cast<std::uint64_t>(model.actor_count()));
-  return model;
+  return model_from_element(doc.root());
 }
 
 Model load_model_file(const std::filesystem::path& path) {

@@ -1,16 +1,11 @@
-// Process-wide metrics registry: counters, gauges and log2-bucketed
-// histograms with lock-free updates.
+// Process-wide named counters with lock-free updates.
 //
-// Call sites cache a reference once and update it with plain atomic adds:
-//
-//   static obs::Counter& hits =
-//       obs::Registry::instance().counter("synth.history.hits");
-//   hits.add();
-//
-// Metric names are stable identifiers (documented in docs/OBSERVABILITY.md);
-// the registry deduplicates by name, so independent call sites may look up
-// the same metric.  Configuring CMake with -DHCG_DISABLE_TRACING=ON compiles
-// every update to a no-op (reads then report zeros) while keeping the API.
+// Per-run facts belong in obs::Report; a counter exists only where a reader
+// needs a total across runs (docs/OBSERVABILITY.md lists each counter and
+// its reader).  A call site keeps the reference from Registry::counter() in
+// a function-local static and updates it with a plain atomic add.  The
+// registry deduplicates by name, so independent call sites may look up the
+// same counter.  Nothing resets a counter: readers take deltas.
 #pragma once
 
 #include <atomic>
@@ -26,91 +21,27 @@ namespace hcg::obs {
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-#ifndef HCG_DISABLE_TRACING
     value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void set(double v) {
-#ifndef HCG_DISABLE_TRACING
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Histogram over positive values with power-of-two buckets: bucket i counts
-/// observations in [2^i, 2^(i+1)).  Also tracks count/sum/min/max exactly.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void observe(double v);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double min() const;
-  double max() const;
-  double mean() const;
-  std::uint64_t bucket(int i) const {
-    return buckets_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-  }
-  /// Approximate quantile (0..1) from the bucket boundaries.
-  double quantile(double q) const;
-  /// The latency-reporting percentiles (the same values the registry's JSON
-  /// export carries for every histogram).
-  double p50() const { return quantile(0.50); }
-  double p95() const { return quantile(0.95); }
-  double p99() const { return quantile(0.99); }
-  void reset();
-
- private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
 };
 
 class Registry {
  public:
   static Registry& instance();
 
-  /// Returns the named metric, creating it on first use.  The returned
+  /// Returns the named counter, creating it on first use.  The returned
   /// reference stays valid for the process lifetime.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
-
-  /// Zeroes every registered metric (names stay registered).
-  void reset();
-
-  /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string to_json() const;
 
  private:
   Registry() = default;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace hcg::obs

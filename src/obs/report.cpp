@@ -1,7 +1,6 @@
 #include "obs/report.hpp"
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace hcg::obs {
 
@@ -15,7 +14,7 @@ double Report::simd_coverage() const {
   return total == 0 ? 0.0 : static_cast<double>(covered) / total;
 }
 
-std::string Report::to_json(bool include_metrics) const {
+std::string Report::to_json() const {
   JsonWriter w;
   w.begin_object();
   w.key("schema").value("hcg-report-v1");
@@ -179,14 +178,6 @@ std::string Report::to_json(bool include_metrics) const {
     w.end_object();
   }
 
-  if (include_metrics) {
-    // Splice the registry's own JSON object in as a sub-document.
-    w.key("metrics");
-    std::string json = w.take();
-    json += Registry::instance().to_json();
-    json += '}';
-    return json;
-  }
   w.end_object();
   return w.take();
 }

@@ -120,7 +120,7 @@ struct Report {
 
   // cgir optimization pipeline: the -O level the run used and what the
   // passes did.  The trailing comments name each field's path in the
-  // report JSON (to_json()); none of them is a metrics-registry name.
+  // report JSON (to_json()).
   int opt_level = 0;
   int loops_predicated = 0;            // codegen.loops.predicated
   int loops_fused = 0;                 // codegen.fusion.loops_fused
@@ -172,9 +172,8 @@ struct Report {
   /// Fraction of region nodes that ended up in SIMD code, 0..1.
   double simd_coverage() const;
 
-  /// Serializes the report; when `include_metrics` is set the process-wide
-  /// obs::Registry snapshot is embedded under "metrics".
-  std::string to_json(bool include_metrics = true) const;
+  /// Serializes the report (schema hcg-report-v1).
+  std::string to_json() const;
 };
 
 }  // namespace hcg::obs

@@ -39,7 +39,7 @@ std::string format_ms(std::int64_t ns) {
 Tracer::Tracer() : epoch_ns_(now_ns()) {}
 
 Tracer& Tracer::instance() {
-  // Leaked like Registry::instance(): spans may close from static
+  // Intentionally leaked: spans may close from static
   // destructors / atexit handlers after a plain local static would be gone.
   static Tracer* tracer = new Tracer();
   return *tracer;

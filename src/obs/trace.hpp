@@ -15,9 +15,6 @@
 //   * trace_json(): Chrome trace-event format (array of complete "X" events
 //     with name/ph/ts/dur/pid/tid), loadable in chrome://tracing / Perfetto.
 //   * summary(): an indented human-readable tree with durations.
-//
-// Configuring CMake with -DHCG_DISABLE_TRACING=ON compiles the macro (and
-// the metric update macros in obs/metrics.hpp) to nothing.
 #pragma once
 
 #include <atomic>
@@ -89,9 +86,5 @@ class ScopedSpan {
 #define HCG_OBS_CONCAT_IMPL(a, b) a##b
 #define HCG_OBS_CONCAT(a, b) HCG_OBS_CONCAT_IMPL(a, b)
 
-#ifdef HCG_DISABLE_TRACING
-#define HCG_TRACE_SCOPE(name) static_cast<void>(0)
-#else
 #define HCG_TRACE_SCOPE(name) \
   ::hcg::obs::ScopedSpan HCG_OBS_CONCAT(hcg_trace_span_, __LINE__)(name)
-#endif

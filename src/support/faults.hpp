@@ -21,9 +21,8 @@
 // the probe site; see the per-site table in docs/ROBUSTNESS.md.
 //
 // The registry costs one relaxed atomic load per probe when no faults are
-// armed, and configuring CMake with -DHCG_DISABLE_FAULTS=ON (the same
-// pattern as HCG_DISABLE_TRACING) compiles every probe to a constant so the
-// whole mechanism vanishes from production builds.
+// armed, and configuring CMake with -DHCG_DISABLE_FAULTS=ON compiles every
+// probe to a constant so the whole mechanism vanishes from production builds.
 #pragma once
 
 #include <atomic>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
@@ -27,13 +26,6 @@ class BatchSynthesizer {
 
   BatchSynthResult run() {
     HCG_TRACE_SCOPE("synth.batch");
-    static obs::Counter& regions_metric =
-        obs::Registry::instance().counter("batch.regions");
-    static obs::Counter& simd_metric =
-        obs::Registry::instance().counter("batch.simd_regions");
-    static obs::Counter& scalar_metric =
-        obs::Registry::instance().counter("batch.scalar_fallbacks");
-    regions_metric.add();
     BatchSynthResult result;
 
     // Algorithm 2 lines 1-4: batch size / batch count — the same early
@@ -47,7 +39,6 @@ class BatchSynthesizer {
       // BatchCount < 1, the §4.3 threshold, or a node type the table cannot
       // vectorize at this width; conventional translation.
       result.used_simd = false;
-      scalar_metric.add();
       return result;
     }
     if (plan.predicated) {
@@ -74,7 +65,6 @@ class BatchSynthesizer {
         static_cast<int>(region_.actors.size());
     result.loops.front().banner_isa = isa_.name;
     result.used_simd = true;
-    simd_metric.add();
     return result;
   }
 

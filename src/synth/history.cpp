@@ -1,6 +1,5 @@
 #include "synth/history.hpp"
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/fileio.hpp"
 #include "support/logging.hpp"
@@ -43,20 +42,14 @@ SelectionHistory& SelectionHistory::operator=(
 std::optional<std::string> SelectionHistory::lookup(
     std::string_view actor_type, DataType dtype,
     const std::vector<Shape>& in_shapes) const {
-  static obs::Counter& hit_metric =
-      obs::Registry::instance().counter("synth.history.hits");
-  static obs::Counter& miss_metric =
-      obs::Registry::instance().counter("synth.history.misses");
   const std::string key = selection_key(actor_type, dtype, in_shapes);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
-    miss_metric.add();
     return std::nullopt;
   }
   ++hits_;
-  hit_metric.add();
   return it->second;
 }
 
@@ -118,8 +111,6 @@ SelectionHistory SelectionHistory::deserialize(std::string_view text) {
 
 SelectionHistory SelectionHistory::deserialize_tolerant(std::string_view text,
                                                         LoadStats* stats) {
-  static obs::Counter& dropped_metric =
-      obs::Registry::instance().counter("synth.history.dropped_lines");
   SelectionHistory history;
   LoadStats local;
   for (std::string line : split(text, '\n')) {
@@ -134,7 +125,6 @@ SelectionHistory SelectionHistory::deserialize_tolerant(std::string_view text,
       // Corrupt or truncated entry (a torn legacy write, stray bytes, a
       // half-flushed final line): skip it, keep the rest of the cache.
       ++local.dropped;
-      dropped_metric.add();
       continue;
     }
     history.entries_[std::move(key)] = std::move(value);

@@ -45,8 +45,7 @@ class SelectionHistory {
   void clear();
 
   /// Lookup statistics since construction (a warm history shows hits, a cold
-  /// one only misses).  Also mirrored into the process-wide metrics as
-  /// synth.history.hits / synth.history.misses.
+  /// one only misses).
   std::uint64_t hits() const;
   std::uint64_t misses() const;
   void reset_stats();
@@ -56,8 +55,7 @@ class SelectionHistory {
   std::string serialize() const;
   static SelectionHistory deserialize(std::string_view text);
 
-  /// What a tolerant load saw: entries kept, lines dropped as unparseable
-  /// (also counted by the synth.history.dropped_lines metric).
+  /// What a tolerant load saw: entries kept, lines dropped as unparseable.
   struct LoadStats {
     std::size_t loaded = 0;
     std::size_t dropped = 0;

@@ -54,17 +54,11 @@ void fill_random(Tensor& t, Rng& rng, bool diagonally_dominant) {
   }
 }
 
-/// Degraded-mode bookkeeping for one dropped candidate: warning log, the
-/// per-reason failure metrics, and the failure record on the selection.
+/// Degraded-mode bookkeeping for one dropped candidate: warning log and the
+/// failure record on the selection.
 void drop_candidate(IntensiveSelection& result, const Actor& actor,
                     const std::string& impl_id, const char* reason,
                     const std::string& detail) {
-  static obs::Counter& failures_metric =
-      obs::Registry::instance().counter("synth.precalc.candidate_failures");
-  failures_metric.add();
-  obs::Registry::instance()
-      .counter(std::string("synth.precalc.candidate_failures.") + reason)
-      .add();
   log_warn("synth") << "Algorithm 1: dropping candidate " << impl_id
                     << " for " << actor.type() << " '" << actor.name()
                     << "' (" << reason << "): " << detail;
@@ -194,16 +188,8 @@ std::vector<Tensor> generate_test_inputs(const Actor& actor,
 IntensiveSelection select_implementation(const Actor& actor,
                                          SelectionHistory& history) {
   HCG_TRACE_SCOPE("synth.intensive");
-  static obs::Counter& stale_metric =
-      obs::Registry::instance().counter("synth.history.stale");
   static obs::Counter& precalc_metric =
       obs::Registry::instance().counter("synth.precalc.runs");
-  static obs::Counter& candidate_metric =
-      obs::Registry::instance().counter("synth.precalc.candidates");
-  static obs::Histogram& candidate_ns_metric =
-      obs::Registry::instance().histogram("synth.precalc.candidate_ns");
-  static obs::Counter& screened_metric =
-      obs::Registry::instance().counter("synth.precalc.screened");
   require(actor.is_resolved(), "select_implementation: unresolved actor");
   const DataType dtype = actor.input(0).type;
   const std::vector<Shape> shapes = input_shapes(actor);
@@ -221,7 +207,6 @@ IntensiveSelection select_implementation(const Actor& actor,
     }
     // A stale entry (library changed since it was stored): fall through to
     // a fresh pre-calculation, which will overwrite it.
-    stale_metric.add();
   }
   precalc_metric.add();
 
@@ -291,18 +276,12 @@ IntensiveSelection select_implementation(const Actor& actor,
     if (lane.failed) continue;
     result.measured_costs[entrants[i]->id] = lane.best_seconds;
     result.timed_samples[entrants[i]->id] = lane.samples;
-    candidate_metric.add();
-    candidate_ns_metric.observe(lane.best_seconds * 1e9);
-    if (lane.screened) screened_metric.add();
   }
   if (race.winner >= 0) result.impl = entrants[race.winner];  // lines 15-17
 
   if (result.measured_costs.empty() && !result.failures.empty()) {
     // Every candidate that could handle the size failed: the general
     // implementation (already in result.impl since line 8) carries the run.
-    static obs::Counter& fallback_metric =
-        obs::Registry::instance().counter("synth.precalc.fallbacks");
-    fallback_metric.add();
     result.degraded = true;
     log_warn("synth") << "Algorithm 1: all " << result.failures.size()
                       << " candidate(s) for " << actor.type() << " '"
@@ -324,6 +303,8 @@ IntensiveSelection select_implementation(const Actor& actor,
 
 IntensiveSelection SelectionMemo::select(const Actor& actor,
                                          SelectionHistory& history) {
+  // The name predates SelectionMemo (it counted a thread pool's dedup) and
+  // stays because perfbench reads it.
   static obs::Counter& dedup_metric =
       obs::Registry::instance().counter("synth.pool.dedup_hits");
   require(actor.is_resolved(), "SelectionMemo: unresolved actor");

@@ -85,8 +85,7 @@ RaceResult race_candidates(std::size_t candidates, const RaceMeasure& measure);
 
 /// One candidate dropped by degraded-mode pre-calculation.  `reason` is one
 /// of "compile" | "crash" | "timeout" | "exception" (docs/ROBUSTNESS.md);
-/// the same strings key the synth.precalc.candidate_failures.* metrics and
-/// the report's degraded section.
+/// the same strings appear in the report's degraded section.
 struct CandidateFailure {
   std::string impl;
   std::string reason;

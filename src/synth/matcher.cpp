@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 
 namespace hcg::synth {
@@ -127,15 +126,9 @@ std::optional<MatchBinding> match_instruction(const Dataflow& graph,
 std::optional<InstructionMatch> find_matching_instruction(
     const Dataflow& graph, const std::vector<int>& subgraph,
     const isa::VectorIsa& isa) {
-  static obs::Counter& attempts_metric =
-      obs::Registry::instance().counter("matcher.match_attempts");
-  static obs::Counter& matched_metric =
-      obs::Registry::instance().counter("matcher.matches");
   const DfgNode& sink = graph.node(subgraph.back());
   for (const isa::Instruction* ins : isa.candidates(sink.op, sink.out_type)) {
-    attempts_metric.add();
     if (auto binding = match_instruction(graph, subgraph, *ins)) {
-      matched_metric.add();
       return InstructionMatch{ins, std::move(*binding)};
     }
   }

@@ -3,7 +3,6 @@
 #include <dlfcn.h>
 
 #include "actors/exec.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/faults.hpp"
@@ -36,10 +35,6 @@ std::string log_tail(const std::string& log, int max_lines = 30,
 SubprocessResult run_compiler(const std::vector<std::string>& argv,
                               const CompileOptions& options,
                               const std::string& fault_key) {
-  static obs::Counter& timeout_metric =
-      obs::Registry::instance().counter("toolchain.compile_timeouts");
-  static obs::Counter& retry_metric =
-      obs::Registry::instance().counter("toolchain.spawn_retries");
   switch (faults::probe("toolchain.compile", fault_key)) {
     case faults::Action::kNone:
       break;
@@ -52,7 +47,6 @@ SubprocessResult run_compiler(const std::vector<std::string>& argv,
       injected.wall_seconds = options.timeout_seconds;
       injected.attempts = 1;
       injected.output = "(injected fault: compiler run timed out)";
-      timeout_metric.add();
       return injected;
     }
     default: {  // kFail / kTorn: the compiler ran and reported an error
@@ -72,10 +66,7 @@ SubprocessResult run_compiler(const std::vector<std::string>& argv,
   // hcg_support must not depend on hcg_obs (the dependency runs the other
   // way), so the runner stays untraced and its call sites carry the span.
   HCG_TRACE_SCOPE("toolchain.spawn");
-  SubprocessResult result = run_subprocess(argv, sub);
-  if (result.kind == ExitKind::kTimedOut) timeout_metric.add();
-  if (result.attempts > 1) retry_metric.add(result.attempts - 1);
-  return result;
+  return run_subprocess(argv, sub);
 }
 
 }  // namespace
@@ -96,10 +87,6 @@ CompiledModel::CompiledModel(const codegen::GeneratedCode& code,
                              const CompileOptions& options)
     : dir_("hcg-cc") {
   HCG_TRACE_SCOPE("toolchain.compile");
-  static obs::Counter& compiles_metric =
-      obs::Registry::instance().counter("toolchain.compiles");
-  static obs::Histogram& compile_ms_metric =
-      obs::Registry::instance().histogram("toolchain.compile_ms");
   if (options.keep_artifacts) dir_.keep();
 
   source_path_ = dir_.path() / (code.model_name + "_" + code.tool_name + ".c");
@@ -141,8 +128,6 @@ CompiledModel::CompiledModel(const codegen::GeneratedCode& code,
   const SubprocessResult compile = run_compiler(
       argv, options, code.model_name + "/" + code.tool_name);
   compile_seconds_ = timer.elapsed_seconds();
-  compiles_metric.add();
-  compile_ms_metric.observe(compile_seconds_ * 1e3);
   // The captured diagnostics become cc.log whatever happens next, so a kept
   // temp dir always has the evidence beside the source.
   try {

@@ -4,7 +4,6 @@
 
 #include "model/datatype.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/fileio.hpp"
 #include "support/logging.hpp"
@@ -36,9 +35,6 @@ Tensor profile_input(const PortSpec& spec) {
 }
 
 ProfileResult degrade(ProfileResult result, std::string reason) {
-  static obs::Counter& failures =
-      obs::Registry::instance().counter("profile.failures");
-  failures.add();
   result.ok = false;
   result.error = std::move(reason);
   result.sites.clear();
@@ -67,9 +63,6 @@ ProfileResult run_profile(const codegen::GeneratedCode& code,
                           const Model& resolved_model,
                           const ProfileRunOptions& options) {
   HCG_TRACE_SCOPE("profile.run");
-  static obs::Counter& runs = obs::Registry::instance().counter("profile.runs");
-  runs.add();
-
   ProfileResult result;
   if (code.profile_sites.empty()) {
     return degrade(std::move(result),

@@ -105,7 +105,6 @@
 #include "isa/builtin.hpp"
 #include "isa/isa_parse.hpp"
 #include "model/loader.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -552,8 +551,6 @@ int cmd_verify(const Options& opt) {
 void join_predictions(const codegen::GeneratedCode& code,
                       obs::Report& report, double err_threshold,
                       analysis::DiagnosticEngine& diags) {
-  static obs::Histogram& err_metric =
-      obs::Registry::instance().histogram("synth.costmodel.abs_err_pct");
   for (obs::ReportProfileSite& site : report.runtime_profile) {
     if (site.calls > 0) {
       site.mean_ns_per_call =
@@ -572,7 +569,6 @@ void join_predictions(const codegen::GeneratedCode& code,
           site.abs_err_pct =
               std::abs(site.mean_ns_per_call - site.predicted_ns) /
               site.predicted_ns * 100.0;
-          err_metric.observe(site.abs_err_pct);
           if (site.abs_err_pct > err_threshold) {
             char detail[160];
             std::snprintf(detail, sizeof(detail),

@@ -229,7 +229,6 @@ TEST_F(CliFixture, GenerateWritesReportAndTrace) {
   ASSERT_TRUE(obs::json_valid(trace_text)) << trace_text;
   obs::JsonValue events = obs::json_parse(trace_text);
   ASSERT_TRUE(events.is_array());
-#ifndef HCG_DISABLE_TRACING
   ASSERT_FALSE(events.array.empty());
   bool saw_emit = false;
   for (const obs::JsonValue& event : events.array) {
@@ -239,7 +238,6 @@ TEST_F(CliFixture, GenerateWritesReportAndTrace) {
     if (event.at("name").string == "codegen.emit") saw_emit = true;
   }
   EXPECT_TRUE(saw_emit);
-#endif
 }
 
 TEST_F(CliFixture, DumpCgirRoundTripsThroughParse) {
@@ -360,9 +358,6 @@ TEST_F(CliFixture, TileElemsValidatesWidth) {
 }
 
 TEST_F(CliFixture, TraceSummaryGoesToStderr) {
-#ifdef HCG_DISABLE_TRACING
-  GTEST_SKIP() << "tracing compiled out";
-#endif
   CliResult r = run_cli("generate " + model_path_ + " --isa neon_sim --out " +
                         (dir_.path() / "gen.c").string() + " --trace summary");
   EXPECT_EQ(r.exit_code, 0) << r.output;

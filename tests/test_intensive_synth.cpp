@@ -187,7 +187,6 @@ TEST(Select, HistoryNamingADeletedKernelIsRemeasured) {
             selection.impl->id);
 }
 
-#ifndef HCG_DISABLE_TRACING  // metric updates are no-ops in notrace builds
 TEST(Select, KernelsArePrimedOncePerProcess) {
   // The untimed priming call runs before a kernel's first race in the
   // process, never again: a second race at another size primes nothing.
@@ -204,7 +203,6 @@ TEST(Select, KernelsArePrimedOncePerProcess) {
   ASSERT_FALSE(selection.from_history);
   EXPECT_EQ(primed.value(), after_first);
 }
-#endif
 
 TEST(Select, SelectionIsStoredForReuse) {
   Model model = resolved(benchmodels::dct_model(128));
@@ -493,12 +491,10 @@ TEST(SingleFlight, DuplicateKeysMeasureOnce) {
       codegen::emit_model(model, farm_config(nullptr));
 
   EXPECT_EQ(code.intensive_choices.size(), 32u);
-#ifndef HCG_DISABLE_TRACING  // metric updates are no-ops in notrace builds
   // Every distinct key ran exactly one pre-calculation sweep...
   EXPECT_EQ(precalc.value() - precalc_before, 16u);
   // ...and every duplicate shared it through the memo.
   EXPECT_EQ(dedup.value() - dedup_before, 16u);
-#endif
   // Duplicates resolved to the same implementation as the first request.
   for (int i = 0; i < 16; ++i) {
     const std::string kinds[] = {"fft", "dct", "conv", "mm"};
@@ -521,9 +517,7 @@ TEST(SingleFlight, MemoizesAtOneJob) {
   codegen::GeneratedCode code =
       codegen::emit_model(dup_model, farm_config(nullptr));
   EXPECT_EQ(code.intensive_choices.size(), 40u);
-#ifndef HCG_DISABLE_TRACING
   EXPECT_EQ(precalc.value() - before, 16u);  // 40 actors, 16 distinct keys
-#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-// Tests for the observability subsystem: span tracing, metrics, JSON
-// writer/parser, and the structured codegen report.
+// Tests for the observability subsystem: span tracing, the counter
+// registry, JSON writer/parser, and the structured codegen report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <set>
 #include <string>
@@ -17,7 +18,9 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/fileio.hpp"
 #include "support/logging.hpp"
+#include "support/strings.hpp"
 #include "synth/history.hpp"
 
 namespace hcg {
@@ -86,8 +89,6 @@ TEST(ObsJson, ParserDecodesEscapes) {
 
 // ---------------------------------------------------------------------------
 // Tracer
-
-#ifndef HCG_DISABLE_TRACING
 
 /// Enables tracing for one test, restoring the previous state after.
 class TracerFixture : public ::testing::Test {
@@ -209,8 +210,6 @@ TEST_F(TracerFixture, EveryCgirPassGetsASpanUnderEmitOpt) {
                         "localize_strips"}));
 }
 
-#endif  // HCG_DISABLE_TRACING
-
 TEST(ObsTrace, EmptyTraceIsAValidJsonArray) {
   obs::Tracer::instance().clear();
   const std::string text = obs::Tracer::instance().trace_json();
@@ -228,90 +227,63 @@ TEST(ObsMetrics, RegistryDeduplicatesByName) {
   EXPECT_EQ(&a, &b);
 }
 
-TEST(ObsMetrics, RegistryJsonIsWellFormed) {
-  obs::Registry::instance().counter("test.json.counter");
-  obs::Registry::instance().gauge("test.json.gauge");
-  obs::Registry::instance().histogram("test.json.histogram");
-  const std::string text = obs::Registry::instance().to_json();
-  ASSERT_TRUE(obs::json_valid(text)) << text;
-  obs::JsonValue doc = obs::json_parse(text);
-  EXPECT_NE(doc.at("counters").find("test.json.counter"), nullptr);
-  EXPECT_NE(doc.at("gauges").find("test.json.gauge"), nullptr);
-  EXPECT_NE(doc.at("histograms").find("test.json.histogram"), nullptr);
-}
-
-#ifndef HCG_DISABLE_TRACING
-
 TEST(ObsMetrics, CounterAccumulates) {
   obs::Counter& c = obs::Registry::instance().counter("test.counter.acc");
-  c.reset();
+  const std::uint64_t before = c.value();
   c.add();
   c.add(9);
-  EXPECT_EQ(c.value(), 10u);
+  EXPECT_EQ(c.value() - before, 10u);
 }
 
-TEST(ObsMetrics, GaugeKeepsLastValue) {
-  obs::Gauge& g = obs::Registry::instance().gauge("test.gauge.last");
-  g.set(1.5);
-  g.set(-2.25);
-  EXPECT_EQ(g.value(), -2.25);
+/// The string literals passed to `Registry::instance().counter(` in the
+/// sources under src/.
+std::set<std::string> counters_in_sources() {
+  static const std::string call = "Registry::instance().counter(\"";
+  std::set<std::string> names;
+  const std::filesystem::path src =
+      std::filesystem::path(HCG_REPO_ROOT) / "src";
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(src)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".cpp" && ext != ".hpp") continue;
+    const std::string text = read_file(entry.path());
+    for (size_t at = text.find(call); at != std::string::npos;
+         at = text.find(call, at + 1)) {
+      const size_t begin = at + call.size();
+      names.insert(text.substr(begin, text.find('"', begin) - begin));
+    }
+  }
+  return names;
 }
 
-TEST(ObsMetrics, HistogramTracksStatistics) {
-  obs::Histogram& h = obs::Registry::instance().histogram("test.hist.stats");
-  h.reset();
-  h.observe(1.0);
-  h.observe(4.0);
-  h.observe(1000.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1005.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 335.0);
-  // Bucketed quantiles are approximate: p0 lives in [1,2), p100 in the
-  // bucket containing 1000 = [512,2048).
-  EXPECT_GE(h.quantile(0.0), 1.0);
-  EXPECT_LE(h.quantile(0.0), 2.0);
-  EXPECT_GE(h.quantile(1.0), 512.0);
-  EXPECT_LE(h.quantile(1.0), 2048.0);
+/// First-column backticked names of the counter table in
+/// docs/OBSERVABILITY.md (the table under the "## Counters" heading).
+std::set<std::string> counters_in_docs() {
+  const std::string text = read_file(std::filesystem::path(HCG_REPO_ROOT) /
+                                     "docs" / "OBSERVABILITY.md");
+  std::set<std::string> names;
+  const size_t heading = text.find("\n## Counters\n");
+  if (heading == std::string::npos) return names;
+  bool in_table = false;
+  for (const std::string& line : split(text.substr(heading), '\n')) {
+    if (line.starts_with("| `")) {
+      in_table = true;
+      const size_t end = line.find('`', 3);
+      names.insert(line.substr(3, end - 3));
+    } else if (in_table && !line.starts_with("|")) {
+      break;
+    }
+  }
+  return names;
 }
 
-TEST(ObsMetrics, HistogramPercentileAccessors) {
-  obs::Histogram& h = obs::Registry::instance().histogram("test.hist.pctl");
-  h.reset();
-  // 100 samples: 97 fast ones in [2,4), three stragglers in [1024,2048).
-  for (int i = 0; i < 97; ++i) h.observe(3.0);
-  for (int i = 0; i < 3; ++i) h.observe(1500.0);
-  EXPECT_EQ(h.p50(), h.quantile(0.50));
-  EXPECT_EQ(h.p95(), h.quantile(0.95));
-  EXPECT_EQ(h.p99(), h.quantile(0.99));
-  // p50/p95 sit in the fast bucket, p99 must surface the straggler bucket.
-  EXPECT_GE(h.p50(), 2.0);
-  EXPECT_LT(h.p50(), 4.0);
-  EXPECT_GE(h.p95(), 2.0);
-  EXPECT_LT(h.p95(), 4.0);
-  EXPECT_GE(h.p99(), 1024.0);
-  EXPECT_LE(h.p99(), 2048.0);
-  // Empty histogram: every percentile reads zero.
-  h.reset();
-  EXPECT_EQ(h.p50(), 0.0);
-  EXPECT_EQ(h.p99(), 0.0);
+TEST(ObsDocsAntiDrift, CounterTableMatchesTheSources) {
+  const std::set<std::string> in_sources = counters_in_sources();
+  EXPECT_EQ(in_sources.size(), 3u);
+  EXPECT_EQ(counters_in_docs(), in_sources)
+      << "docs/OBSERVABILITY.md's counter table and the counters created "
+         "under src/ disagree; update whichever is stale";
 }
-
-TEST(ObsMetrics, RegistryJsonCarriesP99) {
-  obs::Histogram& h = obs::Registry::instance().histogram("test.hist.p99json");
-  h.reset();
-  h.observe(8.0);
-  const obs::JsonValue doc =
-      obs::json_parse(obs::Registry::instance().to_json());
-  const obs::JsonValue* hist =
-      doc.at("histograms").find("test.hist.p99json");
-  ASSERT_NE(hist, nullptr);
-  ASSERT_NE(hist->find("p99"), nullptr);
-  EXPECT_DOUBLE_EQ(hist->find("p99")->number, h.p99());
-}
-
-#endif  // HCG_DISABLE_TRACING
 
 // ---------------------------------------------------------------------------
 // Logging helpers
@@ -378,7 +350,7 @@ TEST(ObsReport, RoundTripsThroughJson) {
   report.compile_ms = 120.0;
   report.compile_command = "cc -shared model.c";
 
-  const std::string text = report.to_json(/*include_metrics=*/true);
+  const std::string text = report.to_json();
   ASSERT_TRUE(obs::json_valid(text)) << text;
   obs::JsonValue doc = obs::json_parse(text);
   EXPECT_EQ(doc.at("schema").string, "hcg-report-v1");
@@ -402,14 +374,11 @@ TEST(ObsReport, RoundTripsThroughJson) {
   EXPECT_EQ(r.at("instructions").array[0].string, "vsubq_s32");
   EXPECT_EQ(doc.at("history").at("hits").number, 3.0);
   EXPECT_EQ(doc.at("toolchain").at("compile_ms").number, 120.0);
-  EXPECT_NE(doc.find("metrics"), nullptr);
-
-  // Without metrics the snapshot is omitted entirely.
-  obs::JsonValue lean = obs::json_parse(report.to_json(false));
-  EXPECT_EQ(lean.find("metrics"), nullptr);
+  // Process-wide counters never leak into a per-run report.
+  EXPECT_EQ(doc.find("metrics"), nullptr);
 
   // The toolchain section appears only once the code was actually compiled.
-  obs::JsonValue fresh = obs::json_parse(obs::Report{}.to_json(false));
+  obs::JsonValue fresh = obs::json_parse(obs::Report{}.to_json());
   EXPECT_EQ(fresh.find("toolchain"), nullptr);
 }
 
@@ -460,6 +429,26 @@ TEST(ObsReport, EmitModelPopulatesReport) {
   EXPECT_EQ(report.emit_bytes, code.source.size());
   EXPECT_EQ(report.fused_regions, code.fused_regions);
   ASSERT_TRUE(obs::json_valid(report.to_json()));
+}
+
+TEST(ObsReport, SecondGenerateSerializesLikeTheFirst) {
+  const Model model = benchmodels::fir_model(1024);
+  codegen::EmitConfig config;
+  config.tool_name = "hcg";
+  config.batch_mode = codegen::BatchMode::kRegions;
+  config.isa = &isa::builtin("neon_sim");
+  config.opt_level = 2;
+  config.select_intensive = true;
+  const auto serialize = [&] {
+    obs::Report report = codegen::emit_model(model, config).report;
+    for (obs::ReportPhase& phase : report.phases) phase.ms = 0.0;
+    return report.to_json();
+  };
+  const std::string first = serialize();
+  const std::string second = serialize();
+  EXPECT_EQ(first, second)
+      << "a report must describe its own run, not the process so far";
+  EXPECT_EQ(obs::json_parse(first).find("metrics"), nullptr);
 }
 
 }  // namespace

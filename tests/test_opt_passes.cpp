@@ -149,7 +149,7 @@ TEST(OptPasses, FarmReportsFusionAndArenaSavings) {
 
   // Both pass counters must surface in the hcg-report-v1 JSON.
   const obs::JsonValue doc =
-      obs::json_parse(code.report.to_json(/*include_metrics=*/false));
+      obs::json_parse(code.report.to_json());
   const obs::JsonValue& cg = doc.at("codegen");
   EXPECT_EQ(cg.at("opt_level").number, 1);
   EXPECT_GE(cg.at("fusion").at("loops_fused").number, 2);
@@ -317,7 +317,7 @@ TEST(OptPasses, O2ReportCountsReachJson) {
   ASSERT_GE(code.report.cross_scale_fused, 1);
 
   const obs::JsonValue doc =
-      obs::json_parse(code.report.to_json(/*include_metrics=*/false));
+      obs::json_parse(code.report.to_json());
   const obs::JsonValue& cg = doc.at("codegen");
   EXPECT_EQ(cg.at("opt_level").number, 2);
   EXPECT_GE(cg.at("fusion").at("cross_scale_fused").number, 1);

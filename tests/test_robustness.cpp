@@ -20,7 +20,6 @@
 #include "codegen/generator.hpp"
 #include "isa/builtin.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/faults.hpp"
 #include "support/fileio.hpp"
@@ -52,10 +51,6 @@ class ArmedFaults {
   }
   ~ArmedFaults() { faults::Registry::instance().clear(); }
 };
-
-std::uint64_t counter_value(const char* name) {
-  return obs::Registry::instance().counter(name).value();
-}
 
 // ---------------------------------------------------------------------------
 // Fault-spec grammar and matching
@@ -277,19 +272,12 @@ TEST(ToolchainRobust, InjectedCompileFailureIsAToolchainError) {
 TEST(ToolchainRobust, InjectedCompileTimeoutReportsTimeout) {
   HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("toolchain.compile=timeout");
-  const std::uint64_t timeouts_before =
-      counter_value("toolchain.compile_timeouts");
   try {
     toolchain::CompiledModel compiled(tiny_code(kGoodSource));
     FAIL() << "expected ToolchainError";
   } catch (const ToolchainError& e) {
     EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos);
   }
-#ifndef HCG_DISABLE_TRACING
-  EXPECT_EQ(counter_value("toolchain.compile_timeouts"), timeouts_before + 1);
-#else
-  (void)timeouts_before;  // counters are no-ops without tracing
-#endif
 }
 
 TEST(ToolchainRobust, SecondCompileSucceedsAfterNthOccurrenceFault) {
@@ -331,8 +319,6 @@ TEST(HistoryDurability, LoadSkipsAndCountsCorruptLines) {
              "\x01\x02 binary garbage\n"
              "Conv f32 100 17 -> conv_direct\n"
              "FFT c64 51");  // torn final line, no newline
-  const std::uint64_t dropped_before =
-      counter_value("synth.history.dropped_lines");
   synth::SelectionHistory::LoadStats stats;
   synth::SelectionHistory loaded = synth::SelectionHistory::load(path, &stats);
   EXPECT_EQ(stats.loaded, 2u);
@@ -340,11 +326,6 @@ TEST(HistoryDurability, LoadSkipsAndCountsCorruptLines) {
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_TRUE(loaded.lookup("Conv", DataType::kFloat32,
                             {Shape({100}), Shape({17})}));
-#ifndef HCG_DISABLE_TRACING
-  EXPECT_EQ(counter_value("synth.history.dropped_lines"), dropped_before + 2);
-#else
-  (void)dropped_before;
-#endif
 }
 
 TEST(HistoryDurability, LoadAcceptsEmptyAndCrlfFiles) {
@@ -438,8 +419,6 @@ TEST(DegradedPrecalc, AllCandidatesFailFallsBackToReference) {
   ArmedFaults armed("precalc.measure=throw");
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
-  const std::uint64_t fallbacks_before =
-      counter_value("synth.precalc.fallbacks");
   synth::IntensiveSelection selection =
       synth::select_implementation(fft_actor(model), history);
   ASSERT_NE(selection.impl, nullptr);
@@ -452,11 +431,6 @@ TEST(DegradedPrecalc, AllCandidatesFailFallsBackToReference) {
   }
   // A degraded fallback must not poison the warm cache.
   EXPECT_EQ(history.size(), 0u);
-#ifndef HCG_DISABLE_TRACING
-  EXPECT_EQ(counter_value("synth.precalc.fallbacks"), fallbacks_before + 1);
-#else
-  (void)fallbacks_before;
-#endif
 }
 
 TEST(DegradedPrecalc, PartialFailureSelectsAmongSurvivors) {
@@ -527,7 +501,7 @@ TEST(DegradedPrecalc, EmitModelReportsEveryFallback) {
   EXPECT_GE(fallback.failures.size(), 3u);
 
   const obs::JsonValue doc =
-      obs::json_parse(code.report.to_json(/*include_metrics=*/false));
+      obs::json_parse(code.report.to_json());
   const obs::JsonValue& degraded = doc.at("degraded");
   ASSERT_TRUE(degraded.is_array());
   ASSERT_EQ(degraded.array.size(), 1u);
@@ -543,7 +517,7 @@ TEST(DegradedPrecalc, CleanRunHasEmptyDegradedSection) {
   codegen::GeneratedCode code = tool->generate(model);
   EXPECT_TRUE(code.report.degraded.empty());
   const obs::JsonValue doc =
-      obs::json_parse(code.report.to_json(/*include_metrics=*/false));
+      obs::json_parse(code.report.to_json());
   EXPECT_TRUE(doc.at("degraded").array.empty());
 }
 

@@ -163,7 +163,7 @@ TEST(Scalable, EmitsWhileltLoopWithoutScalarTail) {
 
   // The report's machine-readable surface agrees with the source.
   const obs::JsonValue doc =
-      obs::json_parse(code.report.to_json(/*include_metrics=*/false));
+      obs::json_parse(code.report.to_json());
   EXPECT_GE(doc.at("codegen").at("loops").at("predicated").number, 2);
   for (const obs::JsonValue& region : doc.at("regions").array) {
     EXPECT_EQ(region.at("predicated").boolean, true);
