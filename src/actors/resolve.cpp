@@ -3,7 +3,6 @@
 #include "actors/batch_op.hpp"
 #include "actors/catalog.hpp"
 #include "model/schedule.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace hcg {
@@ -259,7 +258,6 @@ bool resolve_actors(Model& model, const ResolveFailureFn* on_failure) {
 }  // namespace
 
 void resolve_model(Model& model) {
-  HCG_TRACE_SCOPE("resolve");
   resolve_actors(model, nullptr);
 
   // Every connection must reference live ports, even on dead branches the

@@ -10,7 +10,6 @@
 #include "actors/resolve.hpp"
 #include "graph/regions.hpp"
 #include "model/schedule.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace hcg::analysis {
@@ -358,7 +357,6 @@ void lint_vectorization(const Model& model, const isa::VectorIsa& isa,
 
 RangeAnalysis lint_model(Model& model, const LintOptions& options,
                          DiagnosticEngine& diags) {
-  HCG_TRACE_SCOPE("analysis.lint");
   lint_structure(model, diags);
   const bool resolved = lint_resolve(model, diags);
   RangeAnalysis ranges;

@@ -12,7 +12,6 @@
 #include "actors/catalog.hpp"
 #include "actors/exec.hpp"
 #include "model/schedule.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -546,7 +545,6 @@ const Interval* RangeAnalysis::find(ActorId actor, int port) const {
 }
 
 RangeAnalysis analyze_ranges(const Model& resolved, DiagnosticEngine* diags) {
-  HCG_TRACE_SCOPE("analysis.range");
   for (const Actor& actor : resolved.actors()) {
     require(actor.is_resolved(),
             "analyze_ranges: model must be resolved first");

@@ -1,12 +1,12 @@
 #include "analysis/verifier.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace hcg::analysis {
@@ -365,7 +365,6 @@ std::vector<Diagnostic> verify_arena_bindings(
 std::size_t require_valid_unit(const cgir::TranslationUnit& tu,
                                const cgir::PassStats& stats,
                                std::string_view stage) {
-  HCG_TRACE_SCOPE("cgir.verify");
   std::vector<Diagnostic> diags = verify_unit(tu);
   std::vector<Diagnostic> arena = verify_arena_bindings(stats.arena_bindings);
   diags.insert(diags.end(), std::make_move_iterator(arena.begin()),
@@ -381,6 +380,11 @@ std::size_t require_valid_unit(const cgir::TranslationUnit& tu,
                             : ""));
   }
   return 2;  // unit + arena checks both ran clean
+}
+
+bool verify_env_enabled() {
+  const char* env = std::getenv("HCG_VERIFY");
+  return env != nullptr && *env != '\0' && std::string_view(env) != "0";
 }
 
 }  // namespace hcg::analysis

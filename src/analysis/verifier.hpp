@@ -47,4 +47,9 @@ std::size_t require_valid_unit(const cgir::TranslationUnit& tu,
                                const cgir::PassStats& stats,
                                std::string_view stage);
 
+/// True when the HCG_VERIFY environment variable is set to anything but
+/// empty or "0": codegen then verifies after every pass as if
+/// EmitConfig::verify_cgir were set.
+bool verify_env_enabled();
+
 }  // namespace hcg::analysis

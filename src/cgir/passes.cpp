@@ -10,8 +10,8 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "support/faults.hpp"
+#include "support/stopwatch.hpp"
 #include "support/strings.hpp"
 
 namespace hcg::cgir {
@@ -850,10 +850,13 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
   }
   if (slot_of.empty()) return;
 
-  // Pick collision-free slot names.
+  // Pick collision-free slot names.  Slots are named buf<N>, so only a
+  // kept declaration whose name starts with "buf" can collide with one.
   std::set<std::string> taken;
   for (const BufferDecl& decl : tu.buffers) {
-    if (!slot_of.count(decl.name)) taken.insert(decl.name);
+    if (decl.name.starts_with("buf") && !slot_of.count(decl.name)) {
+      taken.insert(decl.name);
+    }
   }
   std::vector<std::string> slot_names;
   int next_id = 0;
@@ -862,7 +865,6 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
     do {
       name = "buf" + std::to_string(next_id++);
     } while (taken.count(name));
-    taken.insert(name);
     slot_names.push_back(name);
   }
 
@@ -1270,13 +1272,12 @@ void forward_copies(TranslationUnit& tu, PassStats& stats) {
 /// One pass of the pipeline.
 struct Pass {
   std::string_view name;  // checkpoint label, --dump-cgir-after value
-  const char* span;       // trace span
   int min_opt_level;      // lowest -O level the pass runs at
   void (*run)(TranslationUnit&, PassStats&);
 };
 
 /// The pass pipeline, in run order (the table in passes.hpp).
-#define HCG_PASS(fn, level) {#fn, "cgir.pass." #fn, level, fn}
+#define HCG_PASS(fn, level) {#fn, level, fn}
 constexpr Pass kPipeline[] = {
     HCG_PASS(fuse_loops, 1),
     HCG_PASS(fuse_cross_scale, 2),
@@ -1293,11 +1294,10 @@ PassStats run_passes(TranslationUnit& tu, const PassOptions& options) {
   PassStats stats;
   for (const Pass& pass : kPipeline) {
     if (options.opt_level < pass.min_opt_level) continue;
-    {
-      HCG_TRACE_SCOPE(pass.span);
-      pass.run(tu, stats);
-    }
-    // The checkpoint (fault probe, after_pass hook) runs outside the span.
+    Stopwatch timer;
+    pass.run(tu, stats);
+    stats.pass_times.push_back({pass.name, timer.elapsed_seconds() * 1e3});
+    // The checkpoint (fault probe, after_pass hook) is not timed.
     if (faults::probe("cgir.pass", pass.name) != faults::Action::kNone) {
       corrupt_unit(tu);
     }

@@ -89,7 +89,13 @@ struct ArenaBinding {
   int last_access = -1;
 };
 
-/// What the pipeline did, for the obs report and metrics.
+/// Wall time of one pass's `run` (not its checkpoint), for the report.
+struct PassTime {
+  std::string_view name;  // a pipeline pass name (static storage)
+  double ms = 0.0;
+};
+
+/// What the pipeline did, for the obs report.
 struct PassStats {
   int loops_fused = 0;          // number of merge events (N loops -> N-1)
   int copies_elided = 0;        // forwarded loads / dead stores removed
@@ -100,6 +106,7 @@ struct PassStats {
   int cross_scale_fused = 0;    // strip-mined loops merged into vector loops
   int strips_localized = 0;     // strip bodies rewritten onto lane buffers
   std::vector<ArenaBinding> arena_bindings;  // one entry per rebound buffer
+  std::vector<PassTime> pass_times;  // one entry per pass that ran, in order
 };
 
 /// Runs the passes `options` selects over `tu` in place, in pipeline order,

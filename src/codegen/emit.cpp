@@ -6,7 +6,6 @@
 // own buffer; the arena pass (cgir/passes.hpp) alone decides which of them
 // share storage, at every -O level: at -O0 it is the only pass, -O1 adds
 // loop fusion and copy forwarding before it, -O2 the restructuring passes.
-#include <cstdlib>
 #include <set>
 
 #include "actors/catalog.hpp"
@@ -19,7 +18,6 @@
 #include "actors/resolve.hpp"
 #include "graph/regions.hpp"
 #include "kernels/library.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
@@ -41,7 +39,6 @@ class Emitter {
   }
 
   GeneratedCode run() {
-    HCG_TRACE_SCOPE("codegen.emit");
     out_.model_name = model_.name();
     out_.tool_name = config_.tool_name;
     out_.init_symbol = model_.name() + "_init";
@@ -54,40 +51,22 @@ class Emitter {
     out_.report.phases.push_back({"resolve", resolve_ms_});
 
     Stopwatch phase;
-    {
-      HCG_TRACE_SCOPE("emit.regions");
-      build_regions();
-      order_ = emission_order(model_, regions_);
-    }
+    build_regions();
+    order_ = emission_order(model_, regions_);
     finish_phase("regions", phase);
-    {
-      HCG_TRACE_SCOPE("emit.intensive");
-      select_intensive_implementations();
-    }
+    select_intensive_implementations();
     finish_phase("intensive_select", phase);
-    {
-      HCG_TRACE_SCOPE("emit.plan");
-      plan_folding();
-      plan_buffers();
-    }
+    plan_folding();
+    plan_buffers();
     finish_phase("plan", phase);
-    {
-      HCG_TRACE_SCOPE("emit.batch");
-      synthesize_regions();
-    }
+    synthesize_regions();
     finish_phase("batch_synth", phase);
-    {
-      HCG_TRACE_SCOPE("emit.body");
-      emit_header();
-      emit_kernel_sources();
-      emit_init();
-      emit_step();
-    }
+    emit_header();
+    emit_kernel_sources();
+    emit_init();
+    emit_step();
     finish_phase("emit", phase);
-    {
-      HCG_TRACE_SCOPE("emit.opt");
-      run_pass_pipeline();
-    }
+    run_pass_pipeline();
     finish_phase("opt", phase);
 
     out_.report.emit_bytes = source_.size();
@@ -753,13 +732,8 @@ class Emitter {
   // Passes + printing
   // ------------------------------------------------------------------
 
-  static bool verify_env_enabled() {
-    const char* env = std::getenv("HCG_VERIFY");
-    return env != nullptr && *env != '\0' && std::string_view(env) != "0";
-  }
-
   void run_pass_pipeline() {
-    const bool verify = config_.verify_cgir || verify_env_enabled();
+    const bool verify = config_.verify_cgir || analysis::verify_env_enabled();
     if (verify) {
       // Checkpoint "lower": the freshly lowered unit, before any pass.
       analysis::require_valid_unit(tu_, cgir::PassStats{}, "lower");
@@ -809,6 +783,9 @@ class Emitter {
     out_.report.arena_bytes_saved = stats.arena_bytes_saved;
     out_.report.cross_scale_fused = stats.cross_scale_fused;
     out_.report.strips_localized = stats.strips_localized;
+    for (const cgir::PassTime& pass : stats.pass_times) {
+      out_.report.passes.push_back({std::string(pass.name), pass.ms});
+    }
 
     // The -O2 cross-scale remark, mirrored into the report like lint
     // findings so a --report consumer sees where the pass fired.

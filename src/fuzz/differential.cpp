@@ -1,12 +1,12 @@
 #include "fuzz/differential.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
 #include "actors/resolve.hpp"
 #include "analysis/range.hpp"
+#include "analysis/verifier.hpp"
 #include "benchmodels/benchmodels.hpp"
 #include "codegen/generator.hpp"
 #include "isa/builtin.hpp"
@@ -18,12 +18,6 @@
 namespace hcg::fuzz {
 
 namespace {
-
-bool verifier_enabled() {
-  const char* env = std::getenv("HCG_VERIFY");
-  return env != nullptr && *env != '\0' &&
-         std::string_view(env) != std::string_view("0");
-}
 
 std::unique_ptr<codegen::Generator> make_variant_tool(const Variant& v) {
   if (v.tool == "hcg") {
@@ -332,7 +326,7 @@ std::vector<Finding> check_model(const Model& model, std::uint64_t seed,
     for (const faults::SiteInfo& site : faults::site_catalog()) {
       // cgir.pass corrupts the IR *by design*; silent wrong output is the
       // expected result unless the verifier is on to catch it.
-      if (site.site == "cgir.pass" && !verifier_enabled()) continue;
+      if (site.site == "cgir.pass" && !analysis::verify_env_enabled()) continue;
       const std::string spec = std::string(site.site) + "=fail";
       faults::Registry::instance().configure(spec);
       ++cells;

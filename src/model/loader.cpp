@@ -3,7 +3,6 @@
 #include <map>
 
 #include "model/subsystem.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/fileio.hpp"
 #include "support/strings.hpp"
@@ -157,13 +156,11 @@ Model model_from_element(const xml::Element& root) {
 }  // namespace
 
 Model load_model(std::string_view xml_text) {
-  HCG_TRACE_SCOPE("model.load");
   xml::Document doc = xml::parse(xml_text);
   return model_from_element(doc.root());
 }
 
 Model load_model_file(const std::filesystem::path& path) {
-  HCG_TRACE_SCOPE("model.load_file");
   return load_model(read_file(path));
 }
 

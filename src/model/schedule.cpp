@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace hcg {
@@ -10,7 +9,6 @@ namespace hcg {
 bool is_delay_type(const std::string& type) { return type == "UnitDelay"; }
 
 std::vector<ActorId> schedule(const Model& model) {
-  HCG_TRACE_SCOPE("model.schedule");
   const int n = model.actor_count();
   std::vector<int> pending(static_cast<size_t>(n), 0);
 

@@ -4,6 +4,23 @@
 
 namespace hcg::obs {
 
+namespace {
+
+/// Writes `timings` as an array of {"name", "ms"} objects under `key`.
+void write_timings(JsonWriter& w, const char* key,
+                   const std::vector<ReportPhase>& timings) {
+  w.key(key).begin_array();
+  for (const ReportPhase& timing : timings) {
+    w.begin_object();
+    w.key("name").value(timing.name);
+    w.key("ms").value(timing.ms);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+}  // namespace
+
 double Report::simd_coverage() const {
   int total = 0;
   int covered = 0;
@@ -23,14 +40,7 @@ std::string Report::to_json() const {
   w.key("isa").value(isa);
   w.key("actor_count").value(actor_count);
 
-  w.key("phases").begin_array();
-  for (const ReportPhase& phase : phases) {
-    w.begin_object();
-    w.key("name").value(phase.name);
-    w.key("ms").value(phase.ms);
-    w.end_object();
-  }
-  w.end_array();
+  write_timings(w, "phases", phases);
 
   w.key("intensive").begin_array();
   for (const ReportIntensive& choice : intensive) {
@@ -94,6 +104,7 @@ std::string Report::to_json() const {
   w.key("layout").begin_object();
   w.key("strips_localized").value(strips_localized);
   w.end_object();
+  write_timings(w, "passes", passes);
   w.key("verified_passes").begin_array();
   for (const std::string& pass : verified_passes) w.value(pass);
   w.end_array();

@@ -1,7 +1,7 @@
 // Machine-readable codegen report: a structured record of *why* one
-// generation run produced the code it did — per-phase timings, Algorithm 1's
-// per-actor implementation choices with the measured candidate times behind
-// them, and Algorithm 2's per-region SIMD matching results.
+// generation run produced the code it did — per-phase and per-pass timings,
+// Algorithm 1's per-actor implementation choices with the measured candidate
+// times behind them, and Algorithm 2's per-region SIMD matching results.
 //
 // emit_model() fills the codegen-side fields into GeneratedCode::report;
 // drivers (hcgc, the toolchain harness, benches) layer their own phases and
@@ -131,6 +131,11 @@ struct Report {
   int cross_scale_fused = 0;   // codegen.fusion.cross_scale_fused
   int loops_tiled = 0;         // always 0 (no tiling pass); perfbench reads it
   int strips_localized = 0;    // codegen.layout.strips_localized
+
+  /// Wall time of each cgir pass that ran, in pipeline order
+  /// (codegen.passes).  Kept out of `phases`: the passes split the "opt"
+  /// phase, so their sum is at most its time.
+  std::vector<ReportPhase> passes;
 
   /// cgir verifier checkpoints that ran clean, in order ("lower" plus one
   /// entry per pass that ran).  Empty when verification was off for the run.

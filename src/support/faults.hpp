@@ -21,8 +21,7 @@
 // the probe site; see the per-site table in docs/ROBUSTNESS.md.
 //
 // The registry costs one relaxed atomic load per probe when no faults are
-// armed, and configuring CMake with -DHCG_DISABLE_FAULTS=ON compiles every
-// probe to a constant so the whole mechanism vanishes from production builds.
+// armed.
 #pragma once
 
 #include <atomic>
@@ -119,22 +118,12 @@ class Registry {
   std::atomic<std::uint64_t> injected_{0};
 };
 
-#ifdef HCG_DISABLE_FAULTS
-
-inline Action probe(std::string_view, std::string_view = {}) {
-  return Action::kNone;
-}
-
-#else
-
 /// The probe call sites use: "which fault, if any, is armed for me now?"
 inline Action probe(std::string_view site, std::string_view key = {}) {
   Registry& registry = Registry::instance();
   if (!registry.active()) return Action::kNone;
   return registry.consult(site, key);
 }
-
-#endif
 
 /// Convenience for sites with a single failure mode: any armed action is a
 /// thrown FaultInjected.

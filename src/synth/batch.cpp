@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/logging.hpp"
 #include "support/strings.hpp"
@@ -25,7 +24,6 @@ class BatchSynthesizer {
         options_(options) {}
 
   BatchSynthResult run() {
-    HCG_TRACE_SCOPE("synth.batch");
     BatchSynthResult result;
 
     // Algorithm 2 lines 1-4: batch size / batch count — the same early

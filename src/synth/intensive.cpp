@@ -8,7 +8,6 @@
 
 #include "actors/exec.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/faults.hpp"
 #include "support/logging.hpp"
@@ -187,7 +186,6 @@ std::vector<Tensor> generate_test_inputs(const Actor& actor,
 
 IntensiveSelection select_implementation(const Actor& actor,
                                          SelectionHistory& history) {
-  HCG_TRACE_SCOPE("synth.intensive");
   static obs::Counter& precalc_metric =
       obs::Registry::instance().counter("synth.precalc.runs");
   require(actor.is_resolved(), "select_implementation: unresolved actor");

@@ -3,7 +3,6 @@
 #include <dlfcn.h>
 
 #include "actors/exec.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/faults.hpp"
 #include "support/logging.hpp"
@@ -62,10 +61,6 @@ SubprocessResult run_compiler(const std::vector<std::string>& argv,
   SubprocessOptions sub;
   sub.timeout_seconds = options.timeout_seconds;
   sub.spawn_retries = options.spawn_retries;
-  // The spawn span lives here rather than in support/subprocess.cpp:
-  // hcg_support must not depend on hcg_obs (the dependency runs the other
-  // way), so the runner stays untraced and its call sites carry the span.
-  HCG_TRACE_SCOPE("toolchain.spawn");
   return run_subprocess(argv, sub);
 }
 
@@ -86,7 +81,6 @@ bool compiler_available(const std::string& cc) {
 CompiledModel::CompiledModel(const codegen::GeneratedCode& code,
                              const CompileOptions& options)
     : dir_("hcg-cc") {
-  HCG_TRACE_SCOPE("toolchain.compile");
   if (options.keep_artifacts) dir_.keep();
 
   source_path_ = dir_.path() / (code.model_name + "_" + code.tool_name + ".c");

@@ -4,7 +4,6 @@
 
 #include "model/datatype.hpp"
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 #include "support/fileio.hpp"
 #include "support/logging.hpp"
 #include "toolchain/compiled_model.hpp"
@@ -62,7 +61,6 @@ std::string member_str(const obs::JsonValue& object, std::string_view name) {
 ProfileResult run_profile(const codegen::GeneratedCode& code,
                           const Model& resolved_model,
                           const ProfileRunOptions& options) {
-  HCG_TRACE_SCOPE("profile.run");
   ProfileResult result;
   if (code.profile_sites.empty()) {
     return degrade(std::move(result),

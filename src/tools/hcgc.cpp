@@ -2,7 +2,7 @@
 //
 //   hcgc generate <model.xml> [--tool hcg|simulink|dfsynth] [--isa NAME|FILE]
 //                 [--out FILE] [--history FILE] [--threshold N] [--scattered]
-//                 [--report FILE] [--trace FILE] [-O0|-O1|-O2]
+//                 [--report FILE] [-O0|-O1|-O2]
 //                 [--dump-cgir] [--dump-cgir-after=PASS]
 //   hcgc inspect  <model.xml> [--isa NAME|FILE]
 //   hcgc lint     <model.xml> [--isa NAME|FILE] [--threshold N]
@@ -36,10 +36,8 @@
 // isa     : list the built-in instruction tables, or dump one as text.
 //
 // Observability (docs/OBSERVABILITY.md):
-//   --report FILE   write a machine-readable JSON codegen report.
-//   --trace FILE    write a Chrome trace-event JSON file of pipeline spans.
-//   HCG_TRACE       like --trace; the value "summary" (or "1") prints a
-//                   human-readable span tree to stderr instead.
+//   --report FILE   write a machine-readable JSON codegen report (per-phase
+//                   and per-pass times included).
 //   HCG_LOG         log threshold: debug|info|warn|error|off.
 //
 // Optimization (docs/CODEGEN_IR.md):
@@ -106,7 +104,6 @@
 #include "isa/isa_parse.hpp"
 #include "model/loader.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/faults.hpp"
 #include "support/fileio.hpp"
@@ -127,8 +124,7 @@ int usage() {
                "  hcgc generate <model.xml> [--tool hcg|simulink|dfsynth]\n"
                "                [--isa NAME|FILE] [--out FILE]\n"
                "                [--history FILE] [--threshold N] [--scattered]\n"
-               "                [--report FILE] [--trace FILE]\n"
-               "                [-O0|-O1|-O2] [--dump-cgir]\n"
+               "                [--report FILE] [-O0|-O1|-O2] [--dump-cgir]\n"
                "                [--dump-cgir-after=PASS]\n"
                "  hcgc inspect  <model.xml> [--isa NAME|FILE]\n"
                "  hcgc lint     <model.xml> [--isa NAME|FILE] [--threshold N]\n"
@@ -147,7 +143,7 @@ int usage() {
                "  hcgc faults\n"
                "  hcgc isa      [NAME]\n"
                "(the generate subcommand may be omitted)\n"
-               "env: HCG_LOG=debug|info|warn|error|off   HCG_TRACE=FILE|summary\n"
+               "env: HCG_LOG=debug|info|warn|error|off\n"
                "     HCG_VERIFY=1 cgir verifier on (--verify-cgir equivalent)\n"
                "exit codes: 0 ok, 1 error/mismatch, 2 usage, 3 parse,\n"
                "            4 model, 5 synthesis, 6 codegen, 7 toolchain,\n"
@@ -164,8 +160,6 @@ struct Options {
   std::string out_path;
   std::string history_path;
   std::string report_path;
-  std::string trace_path;        // file path, or "summary" for stderr
-  bool trace_from_env = false;
   int threshold = 0;
   int opt_level = -1;  // -1 = the tool's default (hcg: 1, baselines: 0)
   bool dump_cgir = false;
@@ -239,9 +233,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (opt.cc_retries < 0) throw Error("--cc-retries needs a count >= 0");
     } else if (arg == "--report") {
       opt.report_path = value();
-    } else if (arg == "--trace") {
-      opt.trace_path = value();
-      opt.trace_from_env = false;
     } else if (arg == "--scattered") {
       opt.scattered = true;
     } else if (arg == "-O0") {
@@ -749,33 +740,6 @@ int cmd_fuzz(const Options& opt) {
   return result.ok() ? 0 : 10;
 }
 
-/// Applies HCG_TRACE when --trace was not given.  Returns true if tracing
-/// (to a file or as a stderr summary) is active.
-bool setup_tracing(Options& opt) {
-  if (opt.trace_path.empty()) {
-    if (const char* env = std::getenv("HCG_TRACE");
-        env != nullptr && *env != '\0') {
-      opt.trace_path = env;
-      opt.trace_from_env = true;
-    }
-  }
-  if (opt.trace_path.empty()) return false;
-  obs::Tracer::instance().set_enabled(true);
-  return true;
-}
-
-/// "summary" / "1" mean a human-readable tree on stderr; anything else is a
-/// Chrome trace-event JSON output path.
-void write_trace(const Options& opt) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  if (opt.trace_path == "summary" || opt.trace_path == "1") {
-    std::fputs(tracer.summary().c_str(), stderr);
-    return;
-  }
-  write_file(opt.trace_path, tracer.trace_json());
-  std::fprintf(stderr, "wrote trace %s\n", opt.trace_path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -791,31 +755,27 @@ int main(int argc, char** argv) {
   try {
     // The generator factories read HCG_VERIFY; the flag is its CLI spelling.
     if (opt.verify_cgir) setenv("HCG_VERIFY", "1", /*overwrite=*/1);
-    const bool tracing = setup_tracing(opt);
-    int rc = 2;
     if (opt.command == "isa") {
-      rc = cmd_isa(opt);
+      return cmd_isa(opt);
     } else if (opt.command == "faults") {
-      rc = cmd_faults();
+      return cmd_faults();
     } else if (opt.command == "fuzz") {
-      rc = cmd_fuzz(opt);
+      return cmd_fuzz(opt);
     } else if (opt.model_path.empty()) {
       return usage();
     } else if (opt.command == "generate") {
-      rc = cmd_generate(opt);
+      return cmd_generate(opt);
     } else if (opt.command == "inspect") {
-      rc = cmd_inspect(opt);
+      return cmd_inspect(opt);
     } else if (opt.command == "lint") {
-      rc = cmd_lint(opt);
+      return cmd_lint(opt);
     } else if (opt.command == "verify") {
-      rc = cmd_verify(opt);
+      return cmd_verify(opt);
     } else if (opt.command == "profile") {
-      rc = cmd_profile(opt);
+      return cmd_profile(opt);
     } else {
       return usage();
     }
-    if (tracing) write_trace(opt);
-    return rc;
   } catch (const ParseError& e) {
     std::fprintf(stderr, "hcgc: parse error: %s\n", e.what());
     return 3;

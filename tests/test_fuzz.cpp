@@ -198,9 +198,6 @@ TEST(FuzzCorpus, ReproducersReplayWithoutFindings) {
 }
 
 TEST(FuzzDifferential, FaultSweepAcceptsCleanDegradation) {
-#ifdef HCG_DISABLE_FAULTS
-  GTEST_SKIP() << "fault probes compiled to no-ops";
-#endif
   HarnessConfig config = quick_config();
   config.baselines = false;
   config.sweep_faults = true;
@@ -214,9 +211,6 @@ TEST(FuzzDifferential, FaultSweepAcceptsCleanDegradation) {
 }
 
 TEST(FuzzDifferential, ArmedMiscompileIsDetected) {
-#ifdef HCG_DISABLE_FAULTS
-  GTEST_SKIP() << "fault probes compiled to no-ops";
-#endif
   // The acceptance drill: a deliberately-armed pass corruption must surface
   // as a finding (the verifier runs under ctest's HCG_VERIFY=1).
   ArmedFaults armed("cgir.pass:fuse_loops=fail");
@@ -235,9 +229,6 @@ TEST(FuzzDifferential, ArmedMiscompileIsDetected) {
 }
 
 TEST(FuzzDifferential, UnsoundRangeAnalysisIsDetected) {
-#ifdef HCG_DISABLE_FAULTS
-  GTEST_SKIP() << "fault probes compiled to no-ops";
-#endif
   // The range-soundness drill: corrupting the predicted intervals (the
   // analysis.range probe collapses them to empty) must surface as a
   // kRangeUnsound finding — proof the cross-check can actually fire.
@@ -260,9 +251,6 @@ TEST(FuzzDifferential, UnsoundRangeAnalysisIsDetected) {
 // ---------------------------------------------------------------------------
 
 TEST(FuzzMinimize, ShrinksArmedMiscompileToTinyReproducerAndIsIdempotent) {
-#ifdef HCG_DISABLE_FAULTS
-  GTEST_SKIP() << "fault probes compiled to no-ops";
-#endif
   ArmedFaults armed("cgir.pass:fuse_loops=fail");
   HarnessConfig config = quick_config();
   config.baselines = false;
@@ -320,9 +308,6 @@ TEST(FuzzCampaign, CleanCampaignReportsOk) {
 }
 
 TEST(FuzzCampaign, ArmedCampaignWritesMinimizedReproducerAndReport) {
-#ifdef HCG_DISABLE_FAULTS
-  GTEST_SKIP() << "fault probes compiled to no-ops";
-#endif
   ArmedFaults armed("cgir.pass:fuse_loops=fail");
   TempDir dir;
   CampaignConfig config;
@@ -438,9 +423,6 @@ TEST(FuzzCli, CleanCampaignExitsZero) {
 }
 
 TEST(FuzzCli, CounterexampleExitsTen) {
-#ifdef HCG_DISABLE_FAULTS
-  GTEST_SKIP() << "fault probes compiled to no-ops";
-#endif
   TempDir dir;
   const std::string corpus = (dir.path() / "corpus").string();
   const CliResult r =

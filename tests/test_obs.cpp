@@ -1,5 +1,5 @@
-// Tests for the observability subsystem: span tracing, the counter
-// registry, JSON writer/parser, and the structured codegen report.
+// Tests for the observability subsystem: the counter registry, JSON
+// writer/parser, and the structured codegen report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,7 +7,6 @@
 #include <limits>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "actors/resolve.hpp"
 #include "benchmodels/benchmodels.hpp"
@@ -16,7 +15,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/fileio.hpp"
 #include "support/logging.hpp"
@@ -85,137 +83,6 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
 TEST(ObsJson, ParserDecodesEscapes) {
   obs::JsonValue doc = obs::json_parse(R"({"s":"a\tbA\n"})");
   EXPECT_EQ(doc.at("s").string, "a\tbA\n");
-}
-
-// ---------------------------------------------------------------------------
-// Tracer
-
-/// Enables tracing for one test, restoring the previous state after.
-class TracerFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Tracer::instance().set_enabled(true);
-    obs::Tracer::instance().clear();
-  }
-  void TearDown() override {
-    obs::Tracer::instance().clear();
-    obs::Tracer::instance().set_enabled(false);
-  }
-};
-
-TEST_F(TracerFixture, SpansNestIntoATree) {
-  {
-    HCG_TRACE_SCOPE("outer");
-    {
-      HCG_TRACE_SCOPE("inner_a");
-    }
-    {
-      HCG_TRACE_SCOPE("inner_b");
-      HCG_TRACE_SCOPE("leaf");
-    }
-  }
-  const auto events = obs::Tracer::instance().events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_EQ(events[0].parent, -1);
-  EXPECT_EQ(events[1].name, "inner_a");
-  EXPECT_EQ(events[1].parent, 0);
-  EXPECT_EQ(events[2].name, "inner_b");
-  EXPECT_EQ(events[2].parent, 0);
-  EXPECT_EQ(events[3].name, "leaf");
-  EXPECT_EQ(events[3].depth, 2);
-  EXPECT_EQ(events[3].parent, 2);
-  for (const auto& e : events) {
-    EXPECT_GE(e.dur_ns, 0) << e.name << " was never closed";
-    EXPECT_GE(e.start_ns, 0);
-  }
-  // A child must start no earlier and end no later than its parent.
-  EXPECT_GE(events[3].start_ns, events[2].start_ns);
-  EXPECT_LE(events[3].start_ns + events[3].dur_ns,
-            events[2].start_ns + events[2].dur_ns);
-}
-
-TEST_F(TracerFixture, DisabledTracerRecordsNothing) {
-  obs::Tracer::instance().set_enabled(false);
-  {
-    HCG_TRACE_SCOPE("ignored");
-  }
-  EXPECT_TRUE(obs::Tracer::instance().events().empty());
-}
-
-TEST_F(TracerFixture, ThreadsGetDistinctOrdinals) {
-  {
-    HCG_TRACE_SCOPE("main_span");
-  }
-  std::thread worker([] { HCG_TRACE_SCOPE("worker_span"); });
-  worker.join();
-  const auto events = obs::Tracer::instance().events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_NE(events[0].tid, events[1].tid);
-  // Spans on different threads do not nest into each other.
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_EQ(events[1].parent, -1);
-}
-
-TEST_F(TracerFixture, TraceJsonIsChromeTraceEventFormat) {
-  {
-    HCG_TRACE_SCOPE("phase");
-    HCG_TRACE_SCOPE("step");
-  }
-  const std::string text = obs::Tracer::instance().trace_json();
-  ASSERT_TRUE(obs::json_valid(text)) << text;
-  obs::JsonValue doc = obs::json_parse(text);
-  ASSERT_TRUE(doc.is_array());
-  ASSERT_EQ(doc.array.size(), 2u);
-  for (const obs::JsonValue& event : doc.array) {
-    ASSERT_TRUE(event.is_object());
-    EXPECT_EQ(event.at("ph").string, "X");
-    EXPECT_NE(event.at("name").string, "");
-    EXPECT_GE(event.at("ts").number, 0.0);
-    EXPECT_GE(event.at("dur").number, 0.0);
-    EXPECT_NE(event.find("pid"), nullptr);
-    EXPECT_NE(event.find("tid"), nullptr);
-  }
-}
-
-TEST_F(TracerFixture, SummaryIndentsChildren) {
-  {
-    HCG_TRACE_SCOPE("root");
-    HCG_TRACE_SCOPE("child");
-  }
-  const std::string text = obs::Tracer::instance().summary();
-  EXPECT_NE(text.find("root"), std::string::npos);
-  EXPECT_NE(text.find("  child"), std::string::npos);
-  EXPECT_NE(text.find("ms"), std::string::npos);
-}
-
-TEST_F(TracerFixture, EveryCgirPassGetsASpanUnderEmitOpt) {
-  Model model = resolved(benchmodels::mixed_pipeline_model(100));
-  auto hcg = codegen::make_hcg_generator(isa::builtin("neon_sim"), nullptr, {},
-                                         /*opt_level=*/2);
-  (void)hcg->generate(model);
-  const auto events = obs::Tracer::instance().events();
-  std::vector<std::string> passes;
-  for (const auto& e : events) {
-    if (!e.name.starts_with("cgir.pass.")) continue;
-    passes.push_back(e.name.substr(std::string("cgir.pass.").size()));
-    ASSERT_GE(e.parent, 0) << e.name;
-    EXPECT_EQ(events[static_cast<std::size_t>(e.parent)].name, "emit.opt")
-        << e.name;
-  }
-  EXPECT_EQ(passes, (std::vector<std::string>{
-                        "fuse_loops", "fuse_cross_scale", "forward_copies",
-                        "eliminate_dead_buffers", "reuse_arena",
-                        "localize_strips"}));
-}
-
-TEST(ObsTrace, EmptyTraceIsAValidJsonArray) {
-  obs::Tracer::instance().clear();
-  const std::string text = obs::Tracer::instance().trace_json();
-  obs::JsonValue doc = obs::json_parse(text);
-  EXPECT_TRUE(doc.is_array());
-  EXPECT_TRUE(doc.array.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -326,6 +193,7 @@ TEST(ObsReport, RoundTripsThroughJson) {
   report.isa = "neon";
   report.actor_count = 7;
   report.phases = {{"resolve", 0.5}, {"emit", 1.25}};
+  report.passes = {{"fuse_loops", 0.125}, {"reuse_arena", 0.25}};
   obs::ReportIntensive fft;
   fft.actor = "FFT1";
   fft.actor_type = "FFT";
@@ -361,6 +229,12 @@ TEST(ObsReport, RoundTripsThroughJson) {
   ASSERT_EQ(doc.at("phases").array.size(), 2u);
   EXPECT_EQ(doc.at("phases").array[1].at("name").string, "emit");
   EXPECT_EQ(doc.at("phases").array[1].at("ms").number, 1.25);
+  const obs::JsonValue& passes = doc.at("codegen").at("passes");
+  ASSERT_EQ(passes.array.size(), 2u);
+  EXPECT_EQ(passes.array[0].at("name").string, "fuse_loops");
+  EXPECT_EQ(passes.array[0].at("ms").number, 0.125);
+  EXPECT_EQ(passes.array[1].at("name").string, "reuse_arena");
+  EXPECT_EQ(passes.array[1].at("ms").number, 0.25);
   const obs::JsonValue& intensive = doc.at("intensive").array.at(0);
   EXPECT_EQ(intensive.at("actor").string, "FFT1");
   EXPECT_EQ(intensive.at("impl").string, "fft_radix4");
@@ -431,6 +305,46 @@ TEST(ObsReport, EmitModelPopulatesReport) {
   ASSERT_TRUE(obs::json_valid(report.to_json()));
 }
 
+TEST(ObsReport, PassesListEveryPassThatRan) {
+  const auto pass_names = [](const obs::Report& report) {
+    std::vector<std::string> names;
+    for (const obs::ReportPhase& pass : report.passes) {
+      names.push_back(pass.name);
+    }
+    return names;
+  };
+  // The passes split the "opt" phase: each time is non-negative and
+  // together they fit inside it.
+  const auto expect_within_opt = [](const obs::Report& report) {
+    double opt_ms = -1.0;
+    for (const obs::ReportPhase& phase : report.phases) {
+      if (phase.name == "opt") opt_ms = phase.ms;
+    }
+    ASSERT_GE(opt_ms, 0.0) << "no opt phase";
+    double sum = 0.0;
+    for (const obs::ReportPhase& pass : report.passes) {
+      EXPECT_GE(pass.ms, 0.0) << pass.name;
+      sum += pass.ms;
+    }
+    EXPECT_LE(sum, opt_ms + 1e-9);
+  };
+
+  Model model = resolved(benchmodels::mixed_pipeline_model(100));
+  auto hcg = codegen::make_hcg_generator(isa::builtin("neon_sim"), nullptr, {},
+                                         /*opt_level=*/2);
+  const obs::Report o2 = hcg->generate(model).report;
+  EXPECT_EQ(pass_names(o2), (std::vector<std::string>{
+                                "fuse_loops", "fuse_cross_scale",
+                                "forward_copies", "eliminate_dead_buffers",
+                                "reuse_arena", "localize_strips"}));
+  expect_within_opt(o2);
+
+  auto simulink = codegen::make_simulink_generator(nullptr, /*opt_level=*/0);
+  const obs::Report o0 = simulink->generate(model).report;
+  EXPECT_EQ(pass_names(o0), std::vector<std::string>{"reuse_arena"});
+  expect_within_opt(o0);
+}
+
 TEST(ObsReport, SecondGenerateSerializesLikeTheFirst) {
   const Model model = benchmodels::fir_model(1024);
   codegen::EmitConfig config;
@@ -442,6 +356,7 @@ TEST(ObsReport, SecondGenerateSerializesLikeTheFirst) {
   const auto serialize = [&] {
     obs::Report report = codegen::emit_model(model, config).report;
     for (obs::ReportPhase& phase : report.phases) phase.ms = 0.0;
+    for (obs::ReportPhase& pass : report.passes) pass.ms = 0.0;
     return report.to_json();
   };
   const std::string first = serialize();

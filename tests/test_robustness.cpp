@@ -32,16 +32,6 @@
 namespace hcg {
 namespace {
 
-// With -DHCG_DISABLE_FAULTS=ON the probes compile to constants, so every
-// test that depends on a fault actually firing must skip (the registry
-// itself — parsing, clear() — still works and stays tested).
-#ifdef HCG_DISABLE_FAULTS
-#define HCG_SKIP_IF_FAULTS_DISABLED() \
-  GTEST_SKIP() << "fault probes compiled to no-ops (HCG_DISABLE_FAULTS)"
-#else
-#define HCG_SKIP_IF_FAULTS_DISABLED() (void)0
-#endif
-
 /// Arms a spec for the test body and guarantees a disarmed registry after,
 /// whatever the test throws.
 class ArmedFaults {
@@ -57,7 +47,6 @@ class ArmedFaults {
 // ---------------------------------------------------------------------------
 
 TEST(FaultSpec, SiteMatchFiresConfiguredAction) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("a.b=fail");
   EXPECT_EQ(faults::probe("a.b"), faults::Action::kFail);
   EXPECT_EQ(faults::probe("a.c"), faults::Action::kNone);
@@ -65,7 +54,6 @@ TEST(FaultSpec, SiteMatchFiresConfiguredAction) {
 }
 
 TEST(FaultSpec, AllActionsParse) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("a=fail,b=throw,c=torn,d=timeout");
   EXPECT_EQ(faults::probe("a"), faults::Action::kFail);
   EXPECT_EQ(faults::probe("b"), faults::Action::kThrow);
@@ -74,7 +62,6 @@ TEST(FaultSpec, AllActionsParse) {
 }
 
 TEST(FaultSpec, NthOccurrenceFiresExactlyOnce) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("x=throw@2");
   EXPECT_EQ(faults::probe("x"), faults::Action::kNone);
   EXPECT_EQ(faults::probe("x"), faults::Action::kThrow);
@@ -83,7 +70,6 @@ TEST(FaultSpec, NthOccurrenceFiresExactlyOnce) {
 }
 
 TEST(FaultSpec, StickyOccurrenceFiresFromNOnward) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("x=fail@2+");
   EXPECT_EQ(faults::probe("x"), faults::Action::kNone);
   EXPECT_EQ(faults::probe("x"), faults::Action::kFail);
@@ -91,7 +77,6 @@ TEST(FaultSpec, StickyOccurrenceFiresFromNOnward) {
 }
 
 TEST(FaultSpec, KeyGlobSelectsMatchingKeysOnly) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("precalc.measure:fft_radix*=throw");
   EXPECT_EQ(faults::probe("precalc.measure", "fft_radix4"),
             faults::Action::kThrow);
@@ -101,7 +86,6 @@ TEST(FaultSpec, KeyGlobSelectsMatchingKeysOnly) {
 }
 
 TEST(FaultSpec, SiteGlobMatchesFamilies) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("toolchain.*=fail");
   EXPECT_EQ(faults::probe("toolchain.compile"), faults::Action::kFail);
   EXPECT_EQ(faults::probe("toolchain.link"), faults::Action::kFail);
@@ -135,13 +119,6 @@ TEST(FaultSpec, GlobMatcher) {
   EXPECT_FALSE(faults::glob_match("a*d", "abc"));
   EXPECT_TRUE(faults::glob_match("*fail*", "x-fail-y"));
 }
-
-#ifdef HCG_DISABLE_FAULTS
-TEST(FaultSpec, DisabledProbesAreNoops) {
-  ArmedFaults armed("a=fail");
-  EXPECT_EQ(faults::probe("a"), faults::Action::kNone);
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // Hardened subprocess runner
@@ -189,7 +166,6 @@ TEST(Subprocess, MissingBinaryFailsWithoutRetry) {
 }
 
 TEST(Subprocess, InjectedTransientSpawnFailureIsRetried) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("subprocess.spawn=fail@1");
   SubprocessOptions options;
   options.spawn_retries = 2;
@@ -201,7 +177,6 @@ TEST(Subprocess, InjectedTransientSpawnFailureIsRetried) {
 }
 
 TEST(Subprocess, InjectedSpawnFailureExhaustsRetries) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("subprocess.spawn=fail");
   SubprocessOptions options;
   options.spawn_retries = 1;
@@ -262,7 +237,6 @@ TEST(ToolchainRobust, CompileErrorCarriesDecodedStatusAndLogTail) {
 }
 
 TEST(ToolchainRobust, InjectedCompileFailureIsAToolchainError) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   if (!toolchain::compiler_available()) GTEST_SKIP() << "no host cc";
   ArmedFaults armed("toolchain.compile=fail");
   EXPECT_THROW(toolchain::CompiledModel compiled(tiny_code(kGoodSource)),
@@ -270,7 +244,6 @@ TEST(ToolchainRobust, InjectedCompileFailureIsAToolchainError) {
 }
 
 TEST(ToolchainRobust, InjectedCompileTimeoutReportsTimeout) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("toolchain.compile=timeout");
   try {
     toolchain::CompiledModel compiled(tiny_code(kGoodSource));
@@ -281,7 +254,6 @@ TEST(ToolchainRobust, InjectedCompileTimeoutReportsTimeout) {
 }
 
 TEST(ToolchainRobust, SecondCompileSucceedsAfterNthOccurrenceFault) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   if (!toolchain::compiler_available()) GTEST_SKIP() << "no host cc";
   ArmedFaults armed("toolchain.compile=fail@1");
   EXPECT_THROW(toolchain::CompiledModel first(tiny_code(kGoodSource)),
@@ -349,7 +321,6 @@ TEST(HistoryDurability, LoadAcceptsEmptyAndCrlfFiles) {
 }
 
 TEST(HistoryDurability, TornWriteNeverExposesAPartialFile) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   TempDir dir;
   const auto path = dir.path() / "history.txt";
   synth::SelectionHistory h;
@@ -415,7 +386,6 @@ TEST(HistoryDurability, ConcurrentSavesLeaveOneWellFormedFile) {
 const Actor& fft_actor(Model& model) { return model.actor_by_name("fft"); }
 
 TEST(DegradedPrecalc, AllCandidatesFailFallsBackToReference) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("precalc.measure=throw");
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
@@ -434,7 +404,6 @@ TEST(DegradedPrecalc, AllCandidatesFailFallsBackToReference) {
 }
 
 TEST(DegradedPrecalc, PartialFailureSelectsAmongSurvivors) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("precalc.measure:fft_radix*=fail");
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
@@ -455,7 +424,6 @@ TEST(DegradedPrecalc, PartialFailureSelectsAmongSurvivors) {
 }
 
 TEST(DegradedPrecalc, TimeoutReasonIsDistinct) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("precalc.measure:fft_dft=timeout");
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
@@ -467,7 +435,6 @@ TEST(DegradedPrecalc, TimeoutReasonIsDistinct) {
 }
 
 TEST(DegradedPrecalc, SingleFlightSharesTheDegradedResult) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("precalc.measure=throw");
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
@@ -487,7 +454,6 @@ TEST(DegradedPrecalc, SingleFlightSharesTheDegradedResult) {
 }
 
 TEST(DegradedPrecalc, EmitModelReportsEveryFallback) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   ArmedFaults armed("precalc.measure=throw");
   Model model = resolved(benchmodels::fft_model(1024));
   synth::SelectionHistory history;
@@ -522,7 +488,6 @@ TEST(DegradedPrecalc, CleanRunHasEmptyDegradedSection) {
 }
 
 TEST(DegradedPrecalc, DegradedCodeStillMatchesTheOracle) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   if (!toolchain::compiler_available()) GTEST_SKIP() << "no host cc";
   ArmedFaults armed("precalc.measure=throw");
   Model model = resolved(benchmodels::fft_model(256));
@@ -620,7 +585,6 @@ TEST_F(RobustCli, ModelErrorExitsFour) {
 }
 
 TEST_F(RobustCli, ToolchainFaultExitsSeven) {
-  HCG_SKIP_IF_FAULTS_DISABLED();
   if (!toolchain::compiler_available()) GTEST_SKIP() << "no host cc";
   CliResult r = run_hcgc("HCG_FAULTS=toolchain.compile=fail",
                          "verify " + model_path_ + " --isa neon_sim");
@@ -631,11 +595,7 @@ TEST_F(RobustCli, ToolchainFaultExitsSeven) {
 TEST_F(RobustCli, BadFaultSpecExitsThree) {
   CliResult r = run_hcgc("HCG_FAULTS=bogus",
                          "generate " + model_path_ + " --isa neon_sim");
-#ifdef HCG_DISABLE_FAULTS
-  EXPECT_EQ(r.exit_code, 0) << r.output;  // probes compiled out: env ignored
-#else
   EXPECT_EQ(r.exit_code, 3) << r.output;
-#endif
 }
 
 TEST_F(RobustCli, DegradedGenerationSurvivesAndReports) {
@@ -649,14 +609,10 @@ TEST_F(RobustCli, DegradedGenerationSurvivesAndReports) {
   const obs::JsonValue doc = obs::json_parse(read_file(report_path));
   const obs::JsonValue& degraded = doc.at("degraded");
   ASSERT_TRUE(degraded.is_array());
-#ifdef HCG_DISABLE_FAULTS
-  EXPECT_TRUE(degraded.array.empty());
-#else
   ASSERT_EQ(degraded.array.size(), 1u);
   EXPECT_EQ(degraded.array[0].at("actor").string, "F");
   EXPECT_TRUE(degraded.array[0].at("reference_fallback").boolean);
   EXPECT_NE(r.output.find("degraded: F"), std::string::npos) << r.output;
-#endif
 }
 
 TEST_F(RobustCli, DegradedVerifyStillPassesTheOracle) {
