@@ -66,8 +66,7 @@ Model mixed_pipeline_model(int n = 1024);
 
 /// A single MatMul over f32[n x n] (default well above the n<=4 unrolled
 /// forms): Algorithm 1 measures the generic row-column kernel against the
-/// two cache-blocked tile widths, so the selected tile is measured-cost
-/// data from the target.
+/// register-blocked one on the target.
 Model matmul_pipeline_model(int n = 96);
 
 /// The range-driven lane-narrowing workload: a twenty-actor i32 pipeline

@@ -38,8 +38,7 @@ void hcg_fft2d_radix2(const float* in, float* out, int rows, int cols,
                                int br, int bc, T* out);                      \
   void hcg_matmul_generic_##SUF(const T* a, const T* b, T* out, int n);      \
   void hcg_matmul_unrolled_##SUF(const T* a, const T* b, T* out, int n);     \
-  void hcg_matmul_blocked8_##SUF(const T* a, const T* b, T* out, int n);     \
-  void hcg_matmul_blocked32_##SUF(const T* a, const T* b, T* out, int n);    \
+  void hcg_matmul_blocked_##SUF(const T* a, const T* b, T* out, int n);      \
   void hcg_matinv_gauss_##SUF(const T* a, T* out, int n);                    \
   void hcg_matinv_adjugate_##SUF(const T* a, T* out, int n);                 \
   void hcg_matdet_gauss_##SUF(const T* a, T* out, int n);                    \

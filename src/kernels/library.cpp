@@ -155,16 +155,9 @@ std::vector<KernelImpl> build_registry() {
     add("matmul_unrolled", "MatMul", t.dtype, KernelSig::kMatMul,
         SizeRule::kMatSmall, "hcg_matmul_unrolled_" + suf, "hcg_mat.c", false,
         fn(&hcg_matmul_unrolled_f32, &hcg_matmul_unrolled_f64));
-    // Two cache-blocked tile widths as separate candidates: Algorithm 1's
-    // pre-calculation measures both, so the tile the generated code runs
-    // with is chosen from target measurements, not a hard-coded guess.
-    add("matmul_blocked8", "MatMul", t.dtype, KernelSig::kMatMul,
-        SizeRule::kMatBlocked, "hcg_matmul_blocked8_" + suf, "hcg_mat.c", false,
-        fn(&hcg_matmul_blocked8_f32, &hcg_matmul_blocked8_f64));
-    add("matmul_blocked32", "MatMul", t.dtype, KernelSig::kMatMul,
-        SizeRule::kMatBlocked, "hcg_matmul_blocked32_" + suf, "hcg_mat.c",
-        false,
-        fn(&hcg_matmul_blocked32_f32, &hcg_matmul_blocked32_f64));
+    add("matmul_blocked", "MatMul", t.dtype, KernelSig::kMatMul,
+        SizeRule::kMatBlocked, "hcg_matmul_blocked_" + suf, "hcg_mat.c", false,
+        fn(&hcg_matmul_blocked_f32, &hcg_matmul_blocked_f64));
 
     add("matinv_gauss", "MatInv", t.dtype, KernelSig::kMatInv, SizeRule::kAny,
         "hcg_matinv_gauss_" + suf, "hcg_mat.c", true,

@@ -33,7 +33,7 @@ enum class SizeRule : std::uint8_t {
   kPow2,      // every dimension a power of two
   kPow4,      // every dimension a power of four
   kMatSmall,  // square matrix with n <= 4
-  kMatBlocked,  // square matrix with n >= 16 (cache blocking pays past a tile)
+  kMatBlocked,  // square matrix with n >= 16 (two or more 8-column blocks)
 };
 
 bool size_rule_accepts(SizeRule rule, const std::vector<Shape>& in_shapes);

@@ -355,6 +355,15 @@ void expect_compiled_matches_oracle(const Model& model,
   }
 }
 
+/// One MatMul over f64[n x n].
+Model matmul_f64_model(int n) {
+  ModelBuilder b("matmul_f64");
+  PortRef x = b.inport("x", DataType::kFloat64, Shape({n, n}));
+  PortRef y = b.inport("y", DataType::kFloat64, Shape({n, n}));
+  b.outport("o", b.actor("mm", "MatMul", {x, y}));
+  return b.take();
+}
+
 struct OracleCell {
   const char* name;
   Model (*model)();
@@ -390,17 +399,23 @@ const OracleCell kOracleCells[] = {
        return make_hcg_generator(isa::builtin("neon_sim"))->generate(m);
      },
      0, nullptr},
-    {"matmul96_blocked8_o2", [] { return benchmodels::matmul_pipeline_model(96); },
-     [](const Model& m) {
-       return hcg_o2_forcing(m, "MatMul", "matmul_blocked8");
-     },
-     1e-3, "matmul_blocked8"},
-    {"matmul96_blocked32_o2",
+    {"matmul96_blocked_o2",
      [] { return benchmodels::matmul_pipeline_model(96); },
      [](const Model& m) {
-       return hcg_o2_forcing(m, "MatMul", "matmul_blocked32");
+       return hcg_o2_forcing(m, "MatMul", "matmul_blocked");
      },
-     1e-3, "matmul_blocked32"},
+     1e-3, "matmul_blocked"},
+    {"matmul97_blocked_o2",
+     [] { return benchmodels::matmul_pipeline_model(97); },
+     [](const Model& m) {
+       return hcg_o2_forcing(m, "MatMul", "matmul_blocked");
+     },
+     1e-3, "matmul_blocked"},
+    {"matmul20_f64_blocked_o2", [] { return matmul_f64_model(20); },
+     [](const Model& m) {
+       return hcg_o2_forcing(m, "MatMul", "matmul_blocked");
+     },
+     1e-9, "matmul_blocked"},
 };
 
 class CompiledCell : public ::testing::TestWithParam<OracleCell> {};

@@ -187,6 +187,22 @@ TEST(Select, HistoryNamingADeletedKernelIsRemeasured) {
             selection.impl->id);
 }
 
+TEST(Select, HistoryNamingARetiredTileWidthIsRemeasured) {
+  // matmul_blocked replaced two tile widths of one scalar loop
+  // (matmul_blocked8 and matmul_blocked32); a history written before that
+  // still names one of them.
+  Model model = resolved(benchmodels::matmul_pipeline_model(96));
+  const std::vector<Shape> shapes = {Shape({96, 96}), Shape({96, 96})};
+  SelectionHistory history;
+  history.store("MatMul", DataType::kFloat32, shapes, "matmul_blocked32");
+  auto selection = select_implementation(model.actor_by_name("mm"), history);
+  EXPECT_FALSE(selection.from_history);
+  EXPECT_EQ(selection.measured_costs.count("matmul_blocked32"), 0u);
+  EXPECT_EQ(selection.impl->id, "matmul_blocked");
+  EXPECT_EQ(*history.lookup("MatMul", DataType::kFloat32, shapes),
+            "matmul_blocked");
+}
+
 TEST(Select, KernelsArePrimedOncePerProcess) {
   // The untimed priming call runs before a kernel's first race in the
   // process, never again: a second race at another size primes nothing.

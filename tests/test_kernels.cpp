@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -395,6 +396,36 @@ TEST(Mat, GenericHandlesLargerSizes) {
   hcg_matmul_generic_f32(a.data(), inv.data(), prod.data(), n);
   for (int r = 0; r < n; ++r) {
     EXPECT_NEAR(prod[static_cast<size_t>(r * n + r)], 1.0f, 1e-3);
+  }
+}
+
+template <typename T>
+void expect_blocked_is_ikj_order(void (*blocked)(const T*, const T*, T*, int),
+                                 int n) {
+  Rng rng(static_cast<std::uint64_t>(n) * 7 + sizeof(T));
+  const size_t elems = static_cast<size_t>(n) * static_cast<size_t>(n);
+  std::vector<T> a(elems), b(elems);
+  for (T& v : a) v = static_cast<T>(rng.uniform_real(-1.0, 1.0));
+  for (T& v : b) v = static_cast<T>(rng.uniform_real(-1.0, 1.0));
+  std::vector<T> got(elems, std::numeric_limits<T>::quiet_NaN());
+  blocked(a.data(), b.data(), got.data(), n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      T want = T(0);
+      for (int k = 0; k < n; ++k) want += a[r * n + k] * b[k * n + c];
+      ASSERT_EQ(got[static_cast<size_t>(r * n + c)], want)
+          << "output (" << r << ", " << c << ")";
+    }
+  }
+}
+
+TEST(Mat, BlockedIsBitIdenticalToIkjOrder) {
+  // No full 8-column block, exact blocks, and 1- to 7-column tails: every
+  // output is summed over k ascending from 0 in T.
+  for (int n : {1, 7, 8, 9, 16, 17, 31, 96, 97}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    expect_blocked_is_ikj_order<float>(&hcg_matmul_blocked_f32, n);
+    expect_blocked_is_ikj_order<double>(&hcg_matmul_blocked_f64, n);
   }
 }
 

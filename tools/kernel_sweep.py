@@ -31,21 +31,22 @@ from collections import Counter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (family, actor type, element type, sizes).  A size is the input shape; Conv
-# sizes are the tap counts against a 1024-sample signal.
+# (family, actor type, element type, sizes, Conv signal length).  A size is
+# the input shape; Conv sizes are tap counts, against a signal of the given
+# length, or of the tap count itself when it is None (square convolutions).
 FAMILIES = [
     ("FFT c64", "FFT", "c64",
-     [16, 64, 256, 1024, 4096, 8192, 60, 360, 1000, 1500, 997]),
-    ("DCT f32", "DCT", "f32", [16, 64, 256, 1024]),
-    ("Conv f32, n=1024", "Conv", "f32", [4, 16, 64, 256, 1024]),
-    ("MatMul f32", "MatMul", "f32", [2, 3, 4, 32, 96, 128]),
-    ("MatInv f32", "MatInv", "f32", [2, 3, 4]),
-    ("MatDet f32", "MatDet", "f32", [2, 3, 4]),
+     [16, 64, 256, 1024, 4096, 8192, 60, 360, 1000, 1500, 997], None),
+    ("DCT f32", "DCT", "f32", [16, 64, 256, 1024], None),
+    ("Conv f32, n=1024", "Conv", "f32", [4, 16, 64, 256, 1024], 1024),
+    ("Conv f32, n=k", "Conv", "f32", [13, 64], None),
+    ("MatMul f32", "MatMul", "f32", [2, 3, 4, 32, 96, 97, 128], None),
+    ("MatInv f32", "MatInv", "f32", [2, 3, 4], None),
+    ("MatDet f32", "MatDet", "f32", [2, 3, 4], None),
 ]
-CONV_SIGNAL = 1024
 
 
-def sweep_model(actor_type, dtype, sizes):
+def sweep_model(actor_type, dtype, sizes, signal):
     """The family's model as XML, in the format model_to_xml emits."""
     name = actor_type.lower()
     lines = ['<?xml version="1.0"?>', f'<model name="sweep_{name}">']
@@ -54,7 +55,7 @@ def sweep_model(actor_type, dtype, sizes):
         k = f"{name}_{size}"
         if actor_type == "Conv":
             lines.append(f'  <actor name="x_{k}" type="Inport" dtype="{dtype}" '
-                         f'shape="{CONV_SIGNAL}"/>')
+                         f'shape="{signal or size}"/>')
             lines.append(f'  <actor name="taps_{k}" type="Constant" '
                          f'dtype="{dtype}" shape="{size}" value="0.5"/>')
             connects += [(f"x_{k}", f"{k}:0"), (f"taps_{k}", f"{k}:1")]
@@ -145,10 +146,10 @@ def main():
           "size.")
     empty_rows = 0
     with tempfile.TemporaryDirectory(prefix="kernel_sweep_") as work:
-        for family, actor_type, dtype, sizes in FAMILIES:
+        for family, actor_type, dtype, sizes, signal in FAMILIES:
             model_path = os.path.join(work, f"{actor_type.lower()}.xml")
             with open(model_path, "w") as f:
-                f.write(sweep_model(actor_type, dtype, sizes))
+                f.write(sweep_model(actor_type, dtype, sizes, signal))
             runs = [run_once(hcgc, model_path, work)
                     for _ in range(args.runs)]
             impls = []
