@@ -26,6 +26,9 @@ namespace hcg::codegen {
 
 namespace {
 
+/// BatchMode::kUnrollThenLoops: arrays up to this length are fully unrolled.
+constexpr int kUnrollThreshold = 32;
+
 /// A signal is identified by its producing (actor, output port).
 using SignalId = std::pair<ActorId, int>;
 
@@ -66,8 +69,9 @@ class Emitter {
     emit_init();
     emit_step();
     finish_phase("emit", phase);
-    run_pass_pipeline();
+    const cgir::PassStats stats = run_pass_pipeline();
     finish_phase("opt", phase);
+    finish_unit(stats);
 
     out_.report.emit_bytes = source_.size();
     out_.report.static_buffer_bytes = out_.static_buffer_bytes;
@@ -630,7 +634,7 @@ class Emitter {
     const int n = actor.output(0).shape.elements();
     const std::string dst = buffer_name_.at({actor.id(), 0});
     const bool unroll = config_.batch_mode == BatchMode::kUnrollThenLoops &&
-                        n <= config_.unroll_threshold;
+                        n <= kUnrollThreshold;
     if (n == 1) {
       push(element_assign(actor, dst, "0"));
     } else if (unroll) {
@@ -732,7 +736,8 @@ class Emitter {
   // Passes + printing
   // ------------------------------------------------------------------
 
-  void run_pass_pipeline() {
+  /// Runs the cgir passes over the lowered unit: the whole "opt" phase.
+  cgir::PassStats run_pass_pipeline() {
     const bool verify = config_.verify_cgir || analysis::verify_env_enabled();
     if (verify) {
       // Checkpoint "lower": the freshly lowered unit, before any pass.
@@ -757,7 +762,12 @@ class Emitter {
         }
       };
     }
-    const cgir::PassStats stats = cgir::run_passes(tu_, options);
+    return cgir::run_passes(tu_, options);
+  }
+
+  /// Instruments and prints the optimized unit and records what the passes
+  /// did; timed by no phase.
+  void finish_unit(const cgir::PassStats& stats) {
     if (config_.profile_gen) {
       // After the passes (the instrumented loops are the final ones) and
       // after the last verifier checkpoint (the injected HCG_PROF_* text

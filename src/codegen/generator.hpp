@@ -38,8 +38,6 @@ struct EmitConfig {
   BatchMode batch_mode = BatchMode::kRegions;
   /// Instruction table for kScattered / kRegions; may be null otherwise.
   const isa::VectorIsa* isa = nullptr;
-  /// kUnrollThenLoops: arrays up to this length are fully unrolled.
-  int unroll_threshold = 32;
   /// Fold single-consumer scalar expressions into their consumer
   /// (Simulink Coder's "expression folding").
   bool fold_scalar_expressions = false;

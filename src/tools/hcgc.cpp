@@ -81,6 +81,7 @@
 // Exit codes: 0 ok, 1 verify mismatch/other error, 2 usage, 3 parse error,
 // 4 invalid model, 5 synthesis failure, 6 codegen failure, 7 toolchain
 // failure, 8 lint errors, 10 fuzz counterexample found, 70 internal error.
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -190,6 +191,35 @@ bool known_command(const std::string& name) {
          name == "isa" || name == "fuzz" || name == "faults";
 }
 
+// Numeric flag values: garbage, a trailing suffix or a value out of range is
+// a usage error that names the flag.
+long long int_flag(const std::string& flag, const char* text, long long min,
+                   long long max, const char* need) {
+  try {
+    const long long value = parse_int(text);
+    if (value >= min && value <= max) return value;
+  } catch (const ParseError&) {
+  }
+  throw Error(flag + " needs " + need + ", got '" + text + "'");
+}
+
+int int_flag(const std::string& flag, const char* text, int min,
+             const char* need) {
+  return static_cast<int>(int_flag(flag, text, min, INT_MAX, need));
+}
+
+double double_flag(const std::string& flag, const char* text, double min,
+                   bool allow_min, const char* need) {
+  try {
+    const double value = parse_double(text);
+    if (std::isfinite(value) && (value > min || (allow_min && value == min))) {
+      return value;
+    }
+  } catch (const ParseError&) {
+  }
+  throw Error(flag + " needs " + need + ", got '" + text + "'");
+}
+
 bool parse_args(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
@@ -223,14 +253,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--history") {
       opt.history_path = value();
     } else if (arg == "--threshold") {
-      opt.threshold = std::atoi(value());
+      opt.threshold = int_flag(arg, value(), 0, "a count >= 0");
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      opt.seed = static_cast<std::uint64_t>(
+          int_flag(arg, value(), 0, LLONG_MAX, "a seed >= 0"));
     } else if (arg == "--cc-timeout") {
-      opt.cc_timeout = std::atof(value());
+      opt.cc_timeout = double_flag(arg, value(), 0.0, false, "seconds > 0");
     } else if (arg == "--cc-retries") {
-      opt.cc_retries = std::atoi(value());
-      if (opt.cc_retries < 0) throw Error("--cc-retries needs a count >= 0");
+      opt.cc_retries = int_flag(arg, value(), 0, "a count >= 0");
     } else if (arg == "--report") {
       opt.report_path = value();
     } else if (arg == "--scattered") {
@@ -253,19 +283,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--profile-gen") {
       opt.profile_gen = true;
     } else if (arg == "--reps") {
-      opt.reps = std::atoi(value());
-      if (opt.reps < 1) throw Error("--reps needs a positive count");
+      opt.reps = int_flag(arg, value(), 1, "a positive count");
     } else if (arg == "--err-threshold") {
-      opt.err_threshold = std::atof(value());
-      if (opt.err_threshold < 0) {
-        throw Error("--err-threshold needs a percentage >= 0");
-      }
+      opt.err_threshold =
+          double_flag(arg, value(), 0.0, true, "a percentage >= 0");
     } else if (arg == "--seeds") {
-      opt.seeds = std::atoi(value());
-      if (opt.seeds < 1) throw Error("--seeds needs a positive count");
+      opt.seeds = int_flag(arg, value(), 1, "a positive count");
     } else if (arg == "--max-actors") {
-      opt.max_actors = std::atoi(value());
-      if (opt.max_actors < 1) throw Error("--max-actors needs a count >= 1");
+      opt.max_actors = int_flag(arg, value(), 1, "a count >= 1");
     } else if (arg == "--corpus") {
       opt.corpus_dir = value();
     } else if (arg == "--sweep-faults") {

@@ -126,6 +126,25 @@ TEST_F(CliFixture, GenerateWithThresholdFallsBackToScalar) {
                         " --isa neon --threshold 5");
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_EQ(r.output.find("vmlaq_s32"), std::string::npos);
+
+  // A numeric flag with garbage, a suffix or an out-of-range value is a
+  // usage error naming the flag, before any model is read.
+  for (const char* args :
+       {"generate --threshold abc", "generate --threshold 5x",
+        "generate --threshold -1", "verify --seed 7q", "verify --seed -3",
+        "verify --cc-timeout abc", "verify --cc-timeout 0",
+        "verify --cc-timeout -2", "verify --cc-retries 1.5",
+        "profile --reps 2x", "profile --reps 0",
+        "profile --err-threshold abc", "profile --err-threshold -1"}) {
+    const std::string command(args);
+    const std::size_t dash = command.find("--");
+    const std::string flag =
+        command.substr(dash, command.find(' ', dash) - dash);
+    r = run_cli(command + " " + model_path_);
+    EXPECT_EQ(r.exit_code, 2) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("hcgc: " + flag + " needs "), std::string::npos)
+        << command << "\n" << r.output;
+  }
 }
 
 TEST_F(CliFixture, HistoryFileIsCreatedAndReused) {

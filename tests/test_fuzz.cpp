@@ -347,27 +347,24 @@ TEST(FuzzCampaign, ArmedCampaignWritesMinimizedReproducerAndReport) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultSites, CatalogMatchesProbesInSource) {
-  // Every literal probe site in src/ and bench/ must appear in
-  // faults::site_catalog() and vice versa, so HCG_FAULTS=list and
-  // `hcgc faults` never drift from the code.
+  // Every literal probe site in src/ must appear in faults::site_catalog()
+  // and vice versa, so HCG_FAULTS=list and `hcgc faults` never drift from
+  // the code.
   std::set<std::string> in_source;
-  const std::filesystem::path root(HCG_REPO_ROOT);
-  for (const char* subdir : {"src", "bench"}) {
-    for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(root / subdir)) {
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".cpp" && ext != ".hpp") continue;
-      const std::string text = read_file(entry.path());
-      for (const std::string& call : {std::string("probe(\""),
-                                      std::string("raise_if_armed(\"")}) {
-        std::size_t at = 0;
-        while ((at = text.find(call, at)) != std::string::npos) {
-          const std::size_t begin = at + call.size();
-          const std::size_t end = text.find('"', begin);
-          ASSERT_NE(end, std::string::npos);
-          in_source.insert(text.substr(begin, end - begin));
-          at = end;
-        }
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::filesystem::path(HCG_REPO_ROOT) / "src")) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".cpp" && ext != ".hpp") continue;
+    const std::string text = read_file(entry.path());
+    for (const std::string& call : {std::string("probe(\""),
+                                    std::string("raise_if_armed(\"")}) {
+      std::size_t at = 0;
+      while ((at = text.find(call, at)) != std::string::npos) {
+        const std::size_t begin = at + call.size();
+        const std::size_t end = text.find('"', begin);
+        ASSERT_NE(end, std::string::npos);
+        in_source.insert(text.substr(begin, end - begin));
+        at = end;
       }
     }
   }
@@ -437,9 +434,21 @@ TEST(FuzzCli, CounterexampleExitsTen) {
 }
 
 TEST(FuzzCli, RejectsUnknownIsaName) {
-  const CliResult r = run_hcgc("", "fuzz --seeds 1 --isa not_an_isa");
+  CliResult r = run_hcgc("", "fuzz --seeds 1 --isa not_an_isa");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("built-in isa"), std::string::npos) << r.output;
+
+  // Malformed counts are usage errors naming the flag, not silently
+  // truncated ("3x" used to run 3 seeds).
+  for (const char* flag : {"--seeds 3x", "--seeds 0", "--seed x1",
+                           "--max-actors 9.5", "--max-actors 0"}) {
+    const std::string arg(flag);
+    r = run_hcgc("", "fuzz " + arg + " --isa neon_sim");
+    EXPECT_EQ(r.exit_code, 2) << arg << "\n" << r.output;
+    EXPECT_NE(r.output.find(arg.substr(0, arg.find(' ')) + " needs "),
+              std::string::npos)
+        << arg << "\n" << r.output;
+  }
 }
 
 // ---------------------------------------------------------------------------
