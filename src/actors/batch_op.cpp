@@ -135,42 +135,4 @@ bool is_commutative(BatchOp op) {
   }
 }
 
-std::string scalar_c_expr(BatchOp op, DataType type, const std::string& a,
-                          const std::string& b, const std::string& c) {
-  const std::string ct(c_name(type));
-  if (op == BatchOp::kSel) {
-    return "(" + c + " > 0 ? " + a + " : " + b + ")";
-  }
-  switch (op) {
-    case BatchOp::kAdd: return a + " + " + b;
-    case BatchOp::kSub: return a + " - " + b;
-    case BatchOp::kMul: return a + " * " + b;
-    case BatchOp::kDiv: return a + " / " + b;
-    case BatchOp::kMin: return "(" + a + " < " + b + " ? " + a + " : " + b + ")";
-    case BatchOp::kMax: return "(" + a + " > " + b + " ? " + a + " : " + b + ")";
-    case BatchOp::kAbd:
-      return "(" + a + " > " + b + " ? " + a + " - " + b + " : " + b + " - " +
-             a + ")";
-    case BatchOp::kAnd: return a + " & " + b;
-    case BatchOp::kOr: return a + " | " + b;
-    case BatchOp::kXor: return a + " ^ " + b;
-    case BatchOp::kNot: return "~" + a;
-    case BatchOp::kAbs:
-      if (type == DataType::kFloat32) return "fabsf(" + a + ")";
-      if (type == DataType::kFloat64) return "fabs(" + a + ")";
-      return "(" + a + " < 0 ? -" + a + " : " + a + ")";
-    case BatchOp::kRecp:
-      return (type == DataType::kFloat32 ? "1.0f / " : "1.0 / ") + a;
-    case BatchOp::kSqrt:
-      return (type == DataType::kFloat32 ? "sqrtf(" : "sqrt(") + a + ")";
-    case BatchOp::kShl: return a + " << " + b;
-    case BatchOp::kShr: return a + " >> " + b;
-    case BatchOp::kMulC: return a + " * (" + ct + ")" + b;
-    case BatchOp::kAddC: return a + " + (" + ct + ")" + b;
-    case BatchOp::kCast: return "(" + ct + ")" + a;
-    case BatchOp::kSel: break;  // handled above
-  }
-  throw InternalError("scalar_c_expr: bad BatchOp");
-}
-
 }  // namespace hcg

@@ -71,11 +71,4 @@ bool op_supports_type(BatchOp op, DataType type);
 /// operand swaps.
 bool is_commutative(BatchOp op);
 
-/// The C expression for one scalar application, with `a` and `b` the operand
-/// expressions (b is the shift amount / scalar constant where applicable)
-/// and `c` the third operand of ternary ops (the Switch control signal).
-/// Used by the conventional (non-SIMD) code generators.
-std::string scalar_c_expr(BatchOp op, DataType type, const std::string& a,
-                          const std::string& b, const std::string& c = "");
-
 }  // namespace hcg

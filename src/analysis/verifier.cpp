@@ -23,16 +23,16 @@ std::string loop_desc(const cgir::Stmt& loop) {
 
 std::string stmt_desc(const cgir::Stmt& stmt) {
   if (stmt.kind == cgir::Stmt::Kind::kLoop) return loop_desc(stmt);
-  return "'" + stmt.text + "'";
+  return "'" + cgir::print_text(stmt) + "'";
 }
 
 /// Buffers a statement subtree writes elementwise (`buf[i] = ...` under the
 /// loop induction variable) — the footprint HCG310 compares across siblings.
 void collect_elementwise_writes(const cgir::Stmt& stmt,
                                 std::unordered_set<std::string>& out) {
-  for (const cgir::BufferAccess& access : stmt.accesses) {
+  cgir::for_each_access(stmt, [&](const cgir::BufferAccess& access) {
     if (access.write && access.elementwise) out.insert(access.buffer);
-  }
+  });
   for (const cgir::Stmt& child : stmt.body) {
     collect_elementwise_writes(child, out);
   }
@@ -42,9 +42,9 @@ void collect_elementwise_writes(const cgir::Stmt& stmt,
 /// reused slot apart from a redundant remainder (HCG310).
 void collect_all_accesses(const cgir::Stmt& stmt,
                           std::unordered_set<std::string>& out) {
-  for (const cgir::BufferAccess& access : stmt.accesses) {
+  cgir::for_each_access(stmt, [&](const cgir::BufferAccess& access) {
     out.insert(access.buffer);
-  }
+  });
   for (const cgir::Stmt& child : stmt.body) {
     collect_all_accesses(child, out);
   }
@@ -106,8 +106,8 @@ class FunctionChecker {
   /// cannot survive forwarding — HCG302 still catches real duplicates).
   bool is_pending_handoff(const cgir::Stmt& stmt) const {
     if (!stmt.is_load) return false;
-    for (const cgir::BufferAccess& access : stmt.accesses) {
-      if (!access.write && written_in_scope(access.buffer)) return true;
+    for (const cgir::Piece& p : stmt.pieces) {
+      if (p.is_access() && !p.write && written_in_scope(p.text)) return true;
     }
     return false;
   }
@@ -115,18 +115,18 @@ class FunctionChecker {
   void check_text(const cgir::Stmt& stmt, const cgir::Stmt* loop) {
     const std::string where = stmt_desc(stmt);
     const bool handoff = is_pending_handoff(stmt);
-    for (const cgir::BufferAccess& access : stmt.accesses) {
+    cgir::for_each_access(stmt, [&](const cgir::BufferAccess& access) {
       auto it = decls_.find(access.buffer);
       if (it == decls_.end()) {
         // Not a static buffer: must be a local (an I/O pointer alias or a
-        // vector register) defined by an earlier statement in scope.
+        // local array) defined by an earlier statement in scope.
         if (!visible(access.buffer)) {
           error("HCG305", where,
                 "access to '" + access.buffer +
                     "' which is neither a declared buffer nor a local "
                     "defined earlier in scope");
         }
-        continue;
+        return;
       }
       const cgir::BufferDecl& decl = *it->second;
       if (access.write && decl.is_const) {
@@ -140,7 +140,7 @@ class FunctionChecker {
                   loop_desc(*loop) + " exceeds its extent of " +
                   std::to_string(decl.components) + " elements");
       }
-    }
+    });
     if (stmt.is_store && !stmt.stores_var.empty() &&
         !visible(stmt.stores_var)) {
       error("HCG304", where,
@@ -154,9 +154,9 @@ class FunctionChecker {
                   "' is defined twice in the same scope");
       }
     }
-    for (const cgir::BufferAccess& access : stmt.accesses) {
+    cgir::for_each_access(stmt, [&](const cgir::BufferAccess& access) {
       if (access.write) written_.back().insert(access.buffer);
-    }
+    });
   }
 
   void check_loop_shape(const cgir::Stmt& loop,

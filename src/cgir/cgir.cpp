@@ -11,15 +11,40 @@ namespace {
 // Printer
 // ---------------------------------------------------------------------------
 
+/// Appends the C index of an element or loop-index piece.
+void print_index(const Piece& piece, std::string& out) {
+  if (piece.var.empty()) {
+    out += std::to_string(piece.constant);
+  } else if (piece.lane.empty()) {
+    out += piece.var;
+  } else {
+    out.append("(").append(piece.var).append(" + ").append(piece.lane) += ')';
+  }
+}
+
+/// Appends the C line `pieces` spell.
+void print_pieces(const Pieces& pieces, std::string& out) {
+  for (const Piece& piece : pieces) {
+    if (piece.kind == Piece::Kind::kIndex) {
+      print_index(piece, out);
+      continue;
+    }
+    out += piece.text;
+    if (piece.kind == Piece::Kind::kElement) {
+      out += '[';
+      print_index(piece, out);
+      out += ']';
+    }
+  }
+}
+
 void print_stmt(const Stmt& stmt, int depth, std::string& out) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   if (stmt.kind == Stmt::Kind::kText) {
-    // Empty text prints as a blank separator line, not an indented one.
-    if (stmt.text.empty()) {
-      out += "\n";
-    } else {
-      out += pad + stmt.text + "\n";
-    }
+    // A line without pieces prints as a blank separator, not indented.
+    if (!stmt.pieces.empty()) out += pad;
+    print_pieces(stmt.pieces, out);
+    out += '\n';
     return;
   }
   if (stmt.banner_actors > 0) {
@@ -49,6 +74,46 @@ void print_stmt(const Stmt& stmt, int depth, std::string& out) {
 }
 
 }  // namespace
+
+Pieces& operator+=(Pieces& out, std::string_view literal) {
+  if (literal.empty()) return out;
+  if (!out.empty() && out.back().kind == Piece::Kind::kText) {
+    out.back().text += literal;
+  } else {
+    out.push_back(Piece::literal(std::string(literal)));
+  }
+  return out;
+}
+
+Pieces& operator+=(Pieces& out, const Pieces& more) {
+  for (const Piece& piece : more) {
+    if (piece.kind == Piece::Kind::kText) {
+      out += piece.text;
+    } else {
+      out.push_back(piece);
+    }
+  }
+  return out;
+}
+
+Pieces operator+(Pieces lhs, std::string_view rhs) {
+  return std::move(lhs += rhs);
+}
+
+Pieces operator+(Pieces lhs, const Pieces& rhs) {
+  return std::move(lhs += rhs);
+}
+
+Pieces operator+(std::string_view lhs, const Pieces& rhs) {
+  Pieces out;
+  return std::move((out += lhs) += rhs);
+}
+
+std::string print_text(const Stmt& stmt) {
+  std::string out;
+  print_pieces(stmt.pieces, out);
+  return out;
+}
 
 std::string print_decl(const BufferDecl& decl) {
   if (decl.is_const) {
@@ -84,10 +149,12 @@ std::string print(const TranslationUnit& tu) {
 }
 
 // ---------------------------------------------------------------------------
-// Dump ("cgir-v1": one line per IR node, children indented two spaces)
+// Dump ("cgir-v2": one line per IR node, children indented two spaces)
 // ---------------------------------------------------------------------------
 
 namespace {
+
+constexpr std::string_view kDumpVersion = "cgir-v2";
 
 std::string quoted(const std::string& text) {
   std::string out = "\"";
@@ -103,26 +170,34 @@ std::string quoted(const std::string& text) {
   return out;
 }
 
-std::string access_list(const std::vector<BufferAccess>& accesses) {
-  std::string out;
-  for (const BufferAccess& a : accesses) {
-    if (!out.empty()) out += ",";
-    out += a.buffer;
-    out += a.write ? ":w" : ":r";
-    if (a.elementwise) out += "e";
-  }
-  return out;
+std::string index_field(const Piece& piece) {
+  if (piece.var.empty()) return std::to_string(piece.constant);
+  return piece.lane.empty() ? piece.var : piece.var + "+" + piece.lane;
 }
 
 void dump_stmt(const Stmt& stmt, int depth, std::string& out) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   if (stmt.kind == Stmt::Kind::kText) {
-    out += pad + "text t=" + quoted(stmt.text);
+    // One field per piece, in order: t="C", r=name / w=name (an array read
+    // or written whole), r=name[index] / w=name[index], loc=name, idx=index.
+    out += pad + "text";
+    for (const Piece& piece : stmt.pieces) {
+      const char* access = piece.write ? " w=" : " r=";
+      switch (piece.kind) {
+        case Piece::Kind::kText: out += " t=" + quoted(piece.text); break;
+        case Piece::Kind::kBuffer: out += access + piece.text; break;
+        case Piece::Kind::kElement:
+          out += access + piece.text + "[" + index_field(piece) + "]";
+          break;
+        case Piece::Kind::kLocal: out += " loc=" + piece.text; break;
+        case Piece::Kind::kIndex: out += " idx=" + index_field(piece); break;
+      }
+    }
     if (!stmt.defines.empty()) out += " def=" + stmt.defines;
+    if (!stmt.array_ctype.empty()) out += " ctype=" + quoted(stmt.array_ctype);
     if (!stmt.stores_var.empty()) out += " var=" + stmt.stores_var;
     if (stmt.is_load) out += " load=1";
     if (stmt.is_store) out += " store=1";
-    if (!stmt.accesses.empty()) out += " acc=" + access_list(stmt.accesses);
     if (!stmt.prof_tag.empty()) out += " prof=" + quoted(stmt.prof_tag);
     out += "\n";
     return;
@@ -147,7 +222,7 @@ void dump_stmt(const Stmt& stmt, int depth, std::string& out) {
 }  // namespace
 
 std::string dump(const TranslationUnit& tu) {
-  std::string out = "cgir-v1\n";
+  std::string out = std::string(kDumpVersion) + "\n";
   for (const std::string& line : tu.header_lines) {
     out += "header t=" + quoted(line) + "\n";
   }
@@ -229,22 +304,50 @@ std::string field(
   return fallback;
 }
 
-std::vector<BufferAccess> parse_access_list(const std::string& text) {
-  std::vector<BufferAccess> accesses;
-  if (text.empty()) return accesses;
-  for (const std::string& piece : split(text, ',')) {
-    const std::size_t colon = piece.rfind(':');
-    if (colon == std::string::npos) {
-      throw ParseError("cgir dump: bad access '" + piece + "'");
-    }
-    BufferAccess access;
-    access.buffer = piece.substr(0, colon);
-    const std::string mode = piece.substr(colon + 1);
-    access.write = !mode.empty() && mode[0] == 'w';
-    access.elementwise = ends_with(mode, "e");
-    accesses.push_back(std::move(access));
+/// Sets the index of an element or loop-index piece from its dump field.
+void parse_index(std::string_view text, Piece& piece) {
+  if (!text.empty() && (text[0] == '-' || (text[0] >= '0' && text[0] <= '9'))) {
+    piece.constant = static_cast<int>(parse_int(text));
+    return;
   }
-  return accesses;
+  const std::size_t plus = text.find('+');
+  const bool strip = plus != std::string_view::npos;
+  piece.var = std::string(text.substr(0, plus));
+  if (strip) piece.lane = std::string(text.substr(plus + 1));
+  if (!is_identifier(piece.var) || (strip && !is_identifier(piece.lane))) {
+    throw ParseError("cgir dump: bad index '" + std::string(text) + "'");
+  }
+}
+
+/// Appends the piece a dump field encodes; other fields add nothing.
+void parse_piece(const std::string& key, const std::string& value,
+                 Pieces& out) {
+  Piece piece;
+  if (key == "t") {
+    piece = Piece::literal(value);
+  } else if (key == "loc") {
+    piece = Piece::local(value);
+  } else if (key == "idx") {
+    piece.kind = Piece::Kind::kIndex;
+    parse_index(value, piece);
+  } else if (key == "r" || key == "w") {
+    const std::size_t open = value.find('[');
+    piece.kind = open == std::string::npos ? Piece::Kind::kBuffer
+                                           : Piece::Kind::kElement;
+    piece.write = key == "w";
+    piece.text = value.substr(0, open);
+    if (open != std::string::npos) {
+      if (!value.ends_with(']')) {
+        throw ParseError("cgir dump: bad element '" + value + "'");
+      }
+      parse_index(
+          std::string_view(value).substr(open + 1, value.size() - open - 2),
+          piece);
+    }
+  } else {
+    return;
+  }
+  out.push_back(std::move(piece));
 }
 
 }  // namespace
@@ -265,8 +368,9 @@ TranslationUnit parse_dump(const std::string& text) {
     }
     return lines;
   }();
-  if (raw.empty() || raw[0] != "cgir-v1") {
-    throw ParseError("cgir dump: missing cgir-v1 signature");
+  if (raw.empty() || raw[0] != kDumpVersion) {
+    throw ParseError("cgir dump: header '" + (raw.empty() ? "" : raw[0]) +
+                     "' is not " + std::string(kDumpVersion));
   }
 
   Function* func = nullptr;
@@ -326,12 +430,14 @@ TranslationUnit parse_dump(const std::string& text) {
       Stmt stmt;
       if (word == "text") {
         stmt.kind = Stmt::Kind::kText;
-        stmt.text = field(fields, "t");
+        for (const auto& [key, value] : fields) {
+          parse_piece(key, value, stmt.pieces);
+        }
         stmt.defines = field(fields, "def");
+        stmt.array_ctype = field(fields, "ctype");
         stmt.stores_var = field(fields, "var");
         stmt.is_load = field(fields, "load") == "1";
         stmt.is_store = field(fields, "store") == "1";
-        stmt.accesses = parse_access_list(field(fields, "acc"));
         stmt.prof_tag = field(fields, "prof");
         bodies.back()->push_back(std::move(stmt));
       } else {

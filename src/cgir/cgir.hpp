@@ -11,39 +11,90 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hcg::cgir {
 
-/// One static array touched by a statement.  `elementwise` means the access
-/// is `buffer[i]` under the enclosing loop's induction variable, so two
-/// elementwise accesses with disjoint iteration domains never alias.
-struct BufferAccess {
-  std::string buffer;
-  bool write = false;
-  bool elementwise = false;
+/// One piece of a text statement, which print() concatenates into its C
+/// line.  Passes rewrite the references (arrays, locals, the loop index),
+/// and for_each_access() derives the statement's accesses from its arrays.
+struct Piece {
+  enum class Kind : unsigned char {
+    kText,     // literal C
+    kBuffer,   // an array named whole: a call argument, a memcpy operand
+    kElement,  // one element of an array: `name[index]`
+    kLocal,    // a local variable
+    kIndex,    // a loop index used as a value
+  };
 
-  bool operator==(const BufferAccess&) const = default;
+  Kind kind = Kind::kText;
+  bool write = false;  // kBuffer, kElement: the statement writes the array
+  std::string text{};  // kText: the C; otherwise the array's or local's name
+  /// kElement, kIndex: the index is `var`, or `(var + lane)` once
+  /// strip-mined; an element without `var` has the constant index
+  /// `constant`.
+  std::string var{};
+  std::string lane{};
+  int constant = 0;
+
+  bool operator==(const Piece&) const = default;
+
+  bool is_access() const {
+    return kind == Kind::kBuffer || kind == Kind::kElement;
+  }
+
+  static Piece literal(std::string c) { return {.text = std::move(c)}; }
+  static Piece buffer(std::string array, bool write) {
+    return {.kind = Kind::kBuffer, .write = write, .text = std::move(array)};
+  }
+  /// `array[var]`: the element the loop over `var` is at.
+  static Piece element(std::string array, bool write, std::string var = "i") {
+    return {.kind = Kind::kElement, .write = write, .text = std::move(array),
+            .var = std::move(var)};
+  }
+  static Piece element_at(std::string array, bool write, int constant) {
+    return {.kind = Kind::kElement, .write = write, .text = std::move(array),
+            .constant = constant};
+  }
+  static Piece local(std::string name) {
+    return {.kind = Kind::kLocal, .text = std::move(name)};
+  }
+  static Piece index(std::string var = "i") {
+    return {.kind = Kind::kIndex, .var = std::move(var)};
+  }
 };
 
-/// A statement: either one line of C text or a counted `for` loop.
+/// A run of pieces: a statement's content, or part of one being built.
+/// Appending merges adjacent literals, so equal C built the same way has
+/// equal pieces.
+using Pieces = std::vector<Piece>;
+
+Pieces& operator+=(Pieces& out, std::string_view literal);
+Pieces& operator+=(Pieces& out, const Pieces& more);
+Pieces operator+(Pieces lhs, std::string_view rhs);
+Pieces operator+(Pieces lhs, const Pieces& rhs);
+Pieces operator+(std::string_view lhs, const Pieces& rhs);
+
+/// A statement: either one line of C or a counted `for` loop.
 ///
-/// Text statements carry just enough structure for the passes to reason
-/// about them: which local they define, which buffers they touch, and
-/// whether they are a pure load (`v = vld(&buf[i]);`) or a pure store
-/// (`buf[i] = v;`) — the two shapes dead-copy forwarding rewrites.
+/// A text line is its pieces plus what the passes need beyond its
+/// accesses: which local it defines, and whether it is a pure load
+/// (`v = vld(&buf[i]);`) or a pure store (`buf[i] = v;`), the two shapes
+/// dead-copy forwarding rewrites.
 struct Stmt {
   enum class Kind : unsigned char { kText, kLoop };
 
   Kind kind = Kind::kText;
 
   // ---- kText ---------------------------------------------------------
-  std::string text;        // the C line, unindented, no trailing newline
+  Pieces pieces;           // the C line, unindented; none = a blank line
   std::string defines;     // local variable this line declares ("" = none)
+  /// Element C type when `defines` is a pointer or a local array.
+  std::string array_ctype;
   std::string stores_var;  // for is_store lines: the value being stored
   bool is_load = false;    // pure elementwise load into `defines`
   bool is_store = false;   // pure elementwise store of `stores_var`
-  std::vector<BufferAccess> accesses;
   /// Profiling site tag ("intensive:<actor>:<impl>") set by the emitter on
   /// statements the --profile-gen instrumentation pass should wrap.  Empty
   /// for everything else; carried losslessly through dump()/parse_dump().
@@ -75,12 +126,38 @@ struct Stmt {
   std::string banner_isa;
   std::vector<Stmt> body;
 
-  static Stmt text_line(std::string line) {
+  /// A line of literal C ("" = a blank line).
+  static Stmt text_line(std::string c) {
+    return line(c.empty() ? Pieces{} : Pieces{Piece::literal(std::move(c))});
+  }
+
+  static Stmt line(Pieces pieces) {
     Stmt s;
-    s.text = std::move(line);
+    s.pieces = std::move(pieces);
     return s;
   }
 };
+
+/// One array a text statement touches.  `elementwise` means the access is
+/// `buffer[i]` under a loop index, so two elementwise accesses with
+/// disjoint iteration domains never alias.
+struct BufferAccess {
+  const std::string& buffer;  // the piece's name
+  bool write;
+  bool elementwise;
+};
+
+/// Calls `fn(BufferAccess)` for each array `stmt` touches, one call per
+/// buffer or element piece in text order (none for a loop).  This is the
+/// one place accesses come from.
+template <class Fn>
+void for_each_access(const Stmt& stmt, Fn&& fn) {
+  for (const Piece& piece : stmt.pieces) {
+    if (!piece.is_access()) continue;
+    fn(BufferAccess{piece.text, piece.write,
+                    piece.kind == Piece::Kind::kElement && !piece.var.empty()});
+  }
+}
 
 /// One static buffer declaration.  `arena_eligible` marks plain intermediate
 /// signal buffers (not constants, delay state, or I/O aliases) that the
@@ -126,12 +203,16 @@ std::string print(const std::vector<Stmt>& body, int depth = 1);
 /// The C declaration line for one buffer (exactly as print() emits it).
 std::string print_decl(const BufferDecl& decl);
 
-/// Serializes the IR one line per node, in stable order ("cgir-v1" format).
-/// The dump is lossless: parse_dump() reconstructs an equivalent tree, so
-/// print(parse_dump(dump(tu))) == print(tu).
+/// The C line of one text statement, unindented.
+std::string print_text(const Stmt& stmt);
+
+/// Serializes the IR one line per node, in stable order ("cgir-v2" format,
+/// a text line's pieces in order).  The dump is lossless: parse_dump()
+/// reconstructs an equal tree, so dump(parse_dump(dump(tu))) == dump(tu).
 std::string dump(const TranslationUnit& tu);
 
-/// Inverse of dump().  Throws hcg::ParseError on malformed input.
+/// Inverse of dump().  Throws hcg::ParseError on malformed input, and on a
+/// dump of another format version.
 TranslationUnit parse_dump(const std::string& text);
 
 }  // namespace hcg::cgir

@@ -12,7 +12,6 @@
 
 #include "support/faults.hpp"
 #include "support/stopwatch.hpp"
-#include "support/strings.hpp"
 
 namespace hcg::cgir {
 namespace {
@@ -94,9 +93,9 @@ void add_access(const BufferAccess& access, bool ranged, Interner& buffers,
 void add_conservative(const Stmt& stmt, Interner& buffers,
                       std::vector<BufferTouch>& touches) {
   if (stmt.kind == Stmt::Kind::kText) {
-    for (const BufferAccess& access : stmt.accesses) {
+    for_each_access(stmt, [&](const BufferAccess& access) {
       add_access(access, false, buffers, touches);
-    }
+    });
     return;
   }
   for (const Stmt& line : stmt.body) add_conservative(line, buffers, touches);
@@ -107,9 +106,9 @@ void add_conservative(const Stmt& stmt, Interner& buffers,
 void add_body_line(const Stmt& line, Interner& buffers,
                    std::vector<BufferTouch>& touches) {
   if (line.kind == Stmt::Kind::kText) {
-    for (const BufferAccess& access : line.accesses) {
+    for_each_access(line, [&](const BufferAccess& access) {
       add_access(access, access.elementwise, buffers, touches);
-    }
+    });
   } else if (line.strip_mined) {
     // A strip-mined lane loop iterates [0, step) while the enclosing loop
     // strides by step: together they cover exactly the enclosing loop's
@@ -202,36 +201,12 @@ std::vector<int> fusion_shapes(const std::vector<Stmt>& body) {
   return shape_of;
 }
 
-const std::string* read_buffer(const Stmt& line) {
-  for (const BufferAccess& access : line.accesses) {
-    if (!access.write) return &access.buffer;
+/// The array the first read (or write) piece of `line` names, or null.
+const std::string* first_access(const Stmt& line, bool write) {
+  for (const Piece& piece : line.pieces) {
+    if (piece.is_access() && piece.write == write) return &piece.text;
   }
   return nullptr;
-}
-
-const std::string* write_buffer(const Stmt& line) {
-  for (const BufferAccess& access : line.accesses) {
-    if (access.write) return &access.buffer;
-  }
-  return nullptr;
-}
-
-/// Flattens one body line's accesses to the enclosing loop's iteration
-/// level.  A strip-mined child loop's elementwise accesses cover the same
-/// per-iteration footprint as a direct elementwise access, so they keep the
-/// tag; accesses inside any other nested loop conservatively lose it.
-void effective_accesses(const Stmt& line, bool elementwise_ok,
-                        std::vector<BufferAccess>& out) {
-  if (line.kind == Stmt::Kind::kText) {
-    for (const BufferAccess& access : line.accesses) {
-      out.push_back({access.buffer, access.write,
-                     elementwise_ok && access.elementwise});
-    }
-    return;
-  }
-  for (const Stmt& child : line.body) {
-    effective_accesses(child, elementwise_ok && line.strip_mined, out);
-  }
 }
 
 /// The ids merging reads of one fusible loop body line.
@@ -254,10 +229,14 @@ LineIds line_ids(const Stmt& line, Interner& buffers, Interner& locals) {
   LineIds ids;
   if (!line.defines.empty()) ids.defines = locals.id(line.defines);
   if (line.is_load) {
-    if (const std::string* buf = read_buffer(line)) ids.loaded = buffers.id(*buf);
+    if (const std::string* buf = first_access(line, false)) {
+      ids.loaded = buffers.id(*buf);
+    }
   }
   if (line.is_store) {
-    if (const std::string* buf = write_buffer(line)) ids.stored = buffers.id(*buf);
+    if (const std::string* buf = first_access(line, true)) {
+      ids.stored = buffers.id(*buf);
+    }
   }
   return ids;
 }
@@ -318,7 +297,7 @@ bool merge_compatible(const Stmt& earlier, const AccessSummary& earlier_summary,
     const Stmt& b = later.body[j];
     if (b.is_load) {
       if (stores(earlier_index, ids.loaded)) continue;       // forwarded away
-      if (earlier.body[static_cast<std::size_t>(at)].text == b.text) {
+      if (earlier.body[static_cast<std::size_t>(at)].pieces == b.pieces) {
         continue;                                            // shared load
       }
     }
@@ -341,7 +320,7 @@ void merge_bodies(Stmt& earlier, AccessSummary& summary, LoopIndex& index,
     if (line.is_load && ids.defines >= 0) {
       const int at = defining_line(index, ids.defines);
       if (at >= 0 &&
-          earlier.body[static_cast<std::size_t>(at)].text == line.text &&
+          earlier.body[static_cast<std::size_t>(at)].pieces == line.pieces &&
           !stores(index, ids.loaded)) {
         ++stats.copies_elided;
         continue;
@@ -555,15 +534,33 @@ void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
 // Copy forwarding.
 // ---------------------------------------------------------------------------
 
-/// Vector bodies: a load of a buffer some earlier line in the same body
-/// stored is dropped, and uses of the loaded variable are renamed to the
-/// stored vector variable.
+/// Renames the local `from` to `to` in `stmt`'s pieces and stored value.
 void apply_rename(Stmt& stmt, const std::string& from, const std::string& to) {
-  stmt.text = replace_identifier(stmt.text, from, to);
+  for (Piece& piece : stmt.pieces) {
+    if (piece.kind == Piece::Kind::kLocal && piece.text == from) {
+      piece.text = to;
+    }
+  }
   if (stmt.stores_var == from) stmt.stores_var = to;
   for (Stmt& child : stmt.body) apply_rename(child, from, to);
 }
 
+/// Forgets every buffer a nested loop writes: the loop (a strip-mined lane
+/// body after cross-scale fusion) may rewrite buffers forwarding tracks, so
+/// later reads of those buffers must not forward across it.
+void forget_written(const Stmt& loop,
+                    std::map<std::string, std::string>& stored) {
+  for (const Stmt& child : loop.body) {
+    for_each_access(child, [&](const BufferAccess& access) {
+      if (access.write) stored.erase(access.buffer);
+    });
+    forget_written(child, stored);
+  }
+}
+
+/// Vector bodies: a load of a buffer some earlier line in the same body
+/// stored is dropped, and uses of the loaded variable are renamed to the
+/// stored vector variable.
 void forward_vector(Stmt& loop, PassStats& stats) {
   std::map<std::string, std::string> stored;  // buffer -> vector variable
   std::vector<std::pair<std::string, std::string>> renames;
@@ -574,19 +571,12 @@ void forward_vector(Stmt& loop, PassStats& stats) {
       apply_rename(line, rename.first, rename.second);
     }
     if (line.kind == Stmt::Kind::kLoop) {
-      // A nested loop (a strip-mined lane body after cross-scale fusion)
-      // may rewrite buffers this pass is tracking; later loads of those
-      // buffers must not forward across it.
-      std::vector<BufferAccess> nested;
-      effective_accesses(line, true, nested);
-      for (const BufferAccess& access : nested) {
-        if (access.write) stored.erase(access.buffer);
-      }
+      forget_written(line, stored);
       rebuilt.push_back(std::move(line));
       continue;
     }
     if (line.is_load) {
-      const std::string* buf = read_buffer(line);
+      const std::string* buf = first_access(line, false);
       if (buf != nullptr) {
         auto it = stored.find(*buf);
         if (it != stored.end()) {
@@ -599,7 +589,7 @@ void forward_vector(Stmt& loop, PassStats& stats) {
       }
     }
     if (line.is_store) {
-      if (const std::string* buf = write_buffer(line)) {
+      if (const std::string* buf = first_access(line, true)) {
         stored[*buf] = line.stores_var;
       }
     }
@@ -608,59 +598,27 @@ void forward_vector(Stmt& loop, PassStats& stats) {
   loop.body = std::move(rebuilt);
 }
 
-bool identifier_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
-/// Replaces `buf[i]` (token-boundary checked on the left) with `var`.
-bool replace_indexed_read(std::string& text, const std::string& buf,
-                          const std::string& var) {
-  const std::string pattern = buf + "[i]";
-  bool changed = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t hit = text.find(pattern, pos);
-    if (hit == std::string::npos) break;
-    if (hit == 0 || !identifier_char(text[hit - 1])) {
-      text.replace(hit, pattern.size(), var);
-      pos = hit + var.size();
-      changed = true;
-    } else {
-      pos = hit + 1;
-    }
-  }
-  return changed;
-}
-
-/// Scalar remainder bodies: reads of `buf[i]` where an earlier line in the
-/// same body stored `buf[i] = var;` become `var` directly.
+/// Scalar remainder bodies: each read of `buf[i]` where an earlier line in
+/// the same body stored `buf[i] = var;` becomes the local `var`.
 void forward_scalar(Stmt& loop) {
   std::map<std::string, std::string> stored;  // buffer -> scalar variable
   for (Stmt& line : loop.body) {
     if (line.kind == Stmt::Kind::kLoop) {
-      std::vector<BufferAccess> nested;
-      effective_accesses(line, true, nested);
-      for (const BufferAccess& access : nested) {
-        if (access.write) stored.erase(access.buffer);
-      }
+      forget_written(line, stored);
       continue;
     }
-    const std::string* own_store = line.is_store ? write_buffer(line) : nullptr;
-    for (const auto& entry : stored) {
-      if (own_store != nullptr && *own_store == entry.first) continue;
-      if (replace_indexed_read(line.text, entry.first, entry.second)) {
-        auto dead = std::remove_if(
-            line.accesses.begin(), line.accesses.end(),
-            [&](const BufferAccess& access) {
-              return !access.write && access.buffer == entry.first;
-            });
-        line.accesses.erase(dead, line.accesses.end());
+    const std::string* own_store =
+        line.is_store ? first_access(line, true) : nullptr;
+    for (Piece& piece : line.pieces) {
+      if (piece.kind != Piece::Kind::kElement || piece.write ||
+          piece.var != loop.induction_var || !piece.lane.empty()) {
+        continue;
       }
+      if (own_store != nullptr && *own_store == piece.text) continue;
+      auto it = stored.find(piece.text);
+      if (it != stored.end()) piece = Piece::local(it->second);
     }
-    if (line.is_store && own_store != nullptr) {
-      stored[*own_store] = line.stores_var;
-    }
+    if (own_store != nullptr) stored[*own_store] = line.stores_var;
   }
 }
 
@@ -683,21 +641,21 @@ void collect_buffer_use(const std::vector<Stmt>& body, BufferUses& uses) {
   for (const Stmt& stmt : body) {
     BufferUse* stored = nullptr;
     if (stmt.kind == Stmt::Kind::kText && stmt.is_store) {
-      if (const std::string* buf = write_buffer(stmt)) {
+      if (const std::string* buf = first_access(stmt, true)) {
         auto it = uses.find(*buf);
         if (it != uses.end()) stored = &it->second;
       }
     }
-    for (const BufferAccess& access : stmt.accesses) {
+    for_each_access(stmt, [&](const BufferAccess& access) {
       auto it = uses.find(access.buffer);
-      if (it == uses.end()) continue;
+      if (it == uses.end()) return;
       if (!access.write) {
         ++it->second.reads;
         if (stored != nullptr) stored->store_line_reads.push_back(&it->second);
       } else if (!stmt.is_store) {
         it->second.non_store_write = true;
       }
-    }
+    });
     if (stmt.kind == Stmt::Kind::kLoop) collect_buffer_use(stmt.body, uses);
   }
 }
@@ -710,7 +668,7 @@ int erase_stores(std::vector<Stmt>& body, const std::set<std::string>& dead) {
   }
   auto gone = std::remove_if(body.begin(), body.end(), [&](const Stmt& stmt) {
     if (stmt.kind != Stmt::Kind::kText || !stmt.is_store) return false;
-    const std::string* buf = write_buffer(stmt);
+    const std::string* buf = first_access(stmt, true);
     return buf != nullptr && dead.count(*buf) > 0;
   });
   removed += static_cast<int>(body.end() - gone);
@@ -762,15 +720,15 @@ void record_accesses(const Stmt& stmt, int position,
     for (const Stmt& line : stmt.body) record_accesses(line, position, ranges);
     return;
   }
-  for (const BufferAccess& access : stmt.accesses) {
+  for_each_access(stmt, [&](const BufferAccess& access) {
     auto it = ranges.find(access.buffer);
-    if (it == ranges.end()) continue;
+    if (it == ranges.end()) return;
     if (access.write &&
         (it->second.first_write < 0 || position < it->second.first_write)) {
       it->second.first_write = position;
     }
     it->second.last_access = std::max(it->second.last_access, position);
-  }
+  });
 }
 
 void record_liveness(const std::vector<Stmt>& body, int& position,
@@ -778,18 +736,15 @@ void record_liveness(const std::vector<Stmt>& body, int& position,
   for (const Stmt& top : body) record_accesses(top, position++, ranges);
 }
 
-/// Applies `renames` to the text and buffer accesses of every text line.
+/// Renames every piece naming an array in `renames`.
 void rename_buffers(std::vector<Stmt>& body,
                     const std::map<std::string, std::string, std::less<>>& renames) {
   for (Stmt& stmt : body) {
-    if (stmt.kind == Stmt::Kind::kLoop) {
-      rename_buffers(stmt.body, renames);
-      continue;
-    }
-    replace_identifiers(stmt.text, renames);
-    for (BufferAccess& access : stmt.accesses) {
-      auto it = renames.find(access.buffer);
-      if (it != renames.end()) access.buffer = it->second;
+    rename_buffers(stmt.body, renames);
+    for (Piece& piece : stmt.pieces) {
+      if (!piece.is_access()) continue;
+      auto it = renames.find(piece.text);
+      if (it != renames.end()) piece.text = it->second;
     }
   }
 }
@@ -931,9 +886,9 @@ bool plain_scalar_loop(const Stmt& stmt) {
 }
 
 /// Builds the strip-mined lane loop for `source`'s body: iterates k over
-/// [0, lanes) with every use of the outer induction variable rewritten to
-/// `(i + k)`.  Elementwise tags survive — the per-outer-iteration footprint
-/// is still exactly [i, i + lanes).
+/// [0, lanes) with every use of the outer induction variable re-indexed to
+/// `(i + k)`.  The accesses stay elementwise: the per-outer-iteration
+/// footprint is still exactly [i, i + lanes).
 Stmt make_strip_inner(const Stmt& source, int lanes) {
   Stmt inner;
   inner.kind = Stmt::Kind::kLoop;
@@ -944,7 +899,9 @@ Stmt make_strip_inner(const Stmt& source, int lanes) {
   inner.induction_var = "k";
   for (const Stmt& line : source.body) {
     Stmt moved = line;
-    moved.text = replace_identifier(moved.text, "i", "(i + k)");
+    for (Piece& piece : moved.pieces) {
+      if (piece.var == source.induction_var) piece.lane = inner.induction_var;
+    }
     inner.body.push_back(std::move(moved));
   }
   return inner;
@@ -1023,32 +980,8 @@ void fuse_cross_scale(TranslationUnit& tu, PassStats& stats) {
 // -O2: strip-body lane localization.
 // ---------------------------------------------------------------------------
 
-bool lane_ident_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
-/// Element C type for every array a strip-mined body may index: static
-/// buffers from their declarations, plus the I/O pointer locals the emitter
-/// opens the step body with ("const int8_t* in_a = (const int8_t*)...;").
-std::map<std::string, std::string> lane_array_types(const TranslationUnit& tu) {
-  std::map<std::string, std::string> types;
-  for (const BufferDecl& decl : tu.buffers) types[decl.name] = decl.ctype;
-  for (const Stmt& stmt : tu.step.body) {
-    if (stmt.kind != Stmt::Kind::kText) continue;
-    const std::vector<std::string> words = split_whitespace(stmt.text);
-    std::size_t at = 0;
-    if (at < words.size() && words[at] == "const") ++at;
-    if (at + 2 >= words.size()) continue;
-    std::string ctype = words[at];
-    if (ctype.size() < 2 || ctype.back() != '*') continue;
-    ctype.pop_back();
-    if (words[at + 2] == "=" && is_identifier(words[at + 1])) {
-      types[words[at + 1]] = ctype;
-    }
-  }
-  return types;
-}
+/// Array name -> element C type.
+using ArrayTypes = std::map<std::string, std::string>;
 
 /// Arrays a strip body touches, in first-appearance order.  An array in
 /// `written` but not `read` is fully overwritten by the lane loop (every
@@ -1059,60 +992,29 @@ struct StripArrays {
   std::set<std::string> written;
 };
 
-/// Collects the arrays `strip`'s body indexes, requiring every bracketed
-/// index to be exactly `[(<outer_iv> + <lane_iv>)]` on a known array and the
-/// induction variables to appear nowhere else.  Returns false when the body
-/// does anything the lane rewrite cannot represent.
-bool collect_strip_arrays(const Stmt& strip, const std::string& outer_iv,
-                          const std::map<std::string, std::string>& types,
-                          StripArrays& out) {
-  const std::string index = "[(" + outer_iv + " + " + strip.induction_var + ")]";
+/// Collects the arrays `strip`'s body indexes, requiring every element
+/// piece to sit at `(<outer_iv> + <lane_iv>)` of an array of known type and
+/// no loop index to appear outside one.  Returns false when the body does
+/// anything the lane rewrite cannot represent.
+bool collect_strip_arrays(
+    const Stmt& strip, const std::string& outer_iv,
+    const ArrayTypes& types, StripArrays& out) {
   for (const Stmt& line : strip.body) {
     if (line.kind != Stmt::Kind::kText || !line.defines.empty()) return false;
-    const std::string& text = line.text;
-    std::string residual;
-    std::size_t pos = 0;
-    bool first_access = true;
-    while (pos < text.size()) {
-      const std::size_t open = text.find('[', pos);
-      if (open == std::string::npos) {
-        residual += text.substr(pos);
-        break;
+    for (const Piece& piece : line.pieces) {
+      // A bare loop index is an address computation the lane buffers
+      // would not cover.
+      if (piece.kind == Piece::Kind::kIndex) return false;
+      if (piece.kind != Piece::Kind::kElement) continue;
+      if (piece.var != outer_iv || piece.lane != strip.induction_var ||
+          !types.contains(piece.text)) {
+        return false;
       }
-      if (text.compare(open, index.size(), index) != 0) return false;
-      std::size_t start = open;
-      while (start > pos && lane_ident_char(text[start - 1])) --start;
-      if (start == open) return false;  // no array name before the bracket
-      const std::string name = text.substr(start, open - start);
-      if (types.find(name) == types.end()) return false;
-      if (std::find(out.names.begin(), out.names.end(), name) ==
+      if (std::find(out.names.begin(), out.names.end(), piece.text) ==
           out.names.end()) {
-        out.names.push_back(name);
+        out.names.push_back(piece.text);
       }
-      // LHS of an assignment marks the array written; a compound op (`+=`)
-      // and every other position read it.
-      bool is_plain_lhs = false;
-      if (first_access && start == 0) {
-        std::size_t q = open + index.size();
-        while (q < text.size() && text[q] == ' ') ++q;
-        const bool compound =
-            q + 1 < text.size() && text[q + 1] == '=' &&
-            std::string_view("+-*/%&|^").find(text[q]) != std::string_view::npos;
-        const bool plain = q < text.size() && text[q] == '=' &&
-                           (q + 1 >= text.size() || text[q + 1] != '=');
-        if (compound || plain) out.written.insert(name);
-        is_plain_lhs = plain;
-      }
-      if (!is_plain_lhs) out.read.insert(name);
-      first_access = false;
-      residual += text.substr(pos, start - pos);
-      pos = open + index.size();
-    }
-    // The induction variables must not survive outside the rewritten
-    // indexes (an address computation the lane buffers would not cover).
-    if (replace_identifier(residual, outer_iv, "@") != residual) return false;
-    if (replace_identifier(residual, strip.induction_var, "@") != residual) {
-      return false;
+      (piece.write ? out.written : out.read).insert(piece.text);
     }
   }
   return !out.names.empty();
@@ -1132,11 +1034,10 @@ bool collect_strip_arrays(const Stmt& strip, const std::string& outer_iv,
 /// vectorizes even under conservative -O2 cost models), and the shared
 /// buffers are only ever touched by full-width block copies (scalar byte
 /// stores between the surrounding vector loads/stores defeat store-to-load
-/// forwarding).  Access metadata stays on the lane-loop lines — the memory
-/// footprint is unchanged, only the path the bytes take through it.
-void localize_strips_under(Stmt& loop,
-                           const std::map<std::string, std::string>& types,
-                           int& next_id, PassStats& stats) {
+/// forwarding).  The block copies carry the shared buffers' accesses, over
+/// the same [i, i + lanes) footprint the lane loop covered.
+void localize_strips_under(Stmt& loop, const ArrayTypes& types, int& next_id,
+                           PassStats& stats) {
   for (std::size_t j = 0; j < loop.body.size(); ++j) {
     Stmt& child = loop.body[j];
     if (child.kind != Stmt::Kind::kLoop) continue;
@@ -1150,52 +1051,42 @@ void localize_strips_under(Stmt& loop,
       continue;
     }
     const std::string prefix = "ln" + std::to_string(next_id++) + "_";
-    const std::string index =
-        "[(" + loop.induction_var + " + " + child.induction_var + ")]";
     const std::string lanes = std::to_string(child.end);
     std::vector<Stmt> before;
     std::vector<Stmt> after;
     for (const std::string& name : arrays.names) {
-      const std::string tmp = prefix + name;
-      before.push_back(
-          Stmt::text_line(types.at(name) + " " + tmp + "[" + lanes + "];"));
+      const std::string& ctype = types.find(name)->second;
+      Stmt decl = Stmt::line({Piece::literal(ctype + " "),
+                              Piece::local(prefix + name),
+                              Piece::literal("[" + lanes + "];")});
+      decl.defines = prefix + name;
+      before.push_back(std::move(decl));
     }
     for (const std::string& name : arrays.names) {
       const std::string tmp = prefix + name;
-      if (arrays.read.count(name) > 0) {
-        before.push_back(Stmt::text_line("memcpy(" + tmp + ", &" + name + "[" +
-                                         loop.induction_var + "], sizeof(" +
-                                         tmp + "));"));
+      if (arrays.read.contains(name)) {
+        before.push_back(Stmt::line(
+            {Piece::literal("memcpy("), Piece::buffer(tmp, true),
+             Piece::literal(", &"),
+             Piece::element(name, false, loop.induction_var),
+             Piece::literal(", sizeof("), Piece::local(tmp),
+             Piece::literal("));")}));
       }
-      if (arrays.written.count(name) > 0) {
-        after.push_back(Stmt::text_line("memcpy(&" + name + "[" +
-                                        loop.induction_var + "], " + tmp +
-                                        ", sizeof(" + tmp + "));"));
+      if (arrays.written.contains(name)) {
+        after.push_back(Stmt::line(
+            {Piece::literal("memcpy(&"),
+             Piece::element(name, true, loop.induction_var),
+             Piece::literal(", "), Piece::buffer(tmp, false),
+             Piece::literal(", sizeof("), Piece::local(tmp),
+             Piece::literal("));")}));
       }
     }
     for (Stmt& line : child.body) {
-      for (const std::string& name : arrays.names) {
-        const std::string from = name + index;
-        const std::string to =
-            prefix + name + "[" + child.induction_var + "]";
-        std::string rewritten;
-        std::size_t pos = 0;
-        while (pos < line.text.size()) {
-          const std::size_t hit = line.text.find(from, pos);
-          if (hit == std::string::npos) {
-            rewritten += line.text.substr(pos);
-            break;
-          }
-          if (hit > 0 && lane_ident_char(line.text[hit - 1])) {
-            // Longer identifier ending in `name` — not this array.
-            rewritten += line.text.substr(pos, hit + name.size() - pos);
-            pos = hit + name.size();
-            continue;
-          }
-          rewritten += line.text.substr(pos, hit - pos) + to;
-          pos = hit + from.size();
-        }
-        line.text = std::move(rewritten);
+      for (Piece& piece : line.pieces) {
+        if (piece.kind != Piece::Kind::kElement) continue;
+        piece.text = prefix + piece.text;
+        piece.var = child.induction_var;
+        piece.lane.clear();
       }
     }
     loop.body.insert(loop.body.begin() + static_cast<std::ptrdiff_t>(j),
@@ -1222,12 +1113,19 @@ bool has_strip_mined_child(const Stmt& stmt) {
 
 void localize_strips(TranslationUnit& tu, PassStats& stats) {
   // Without a strip-mined lane loop (no cross-scale fusion happened) there
-  // is nothing to localize, so skip parsing the lane types.
+  // is nothing to localize, so skip collecting the lane types.
   if (std::none_of(tu.step.body.begin(), tu.step.body.end(),
                    has_strip_mined_child)) {
     return;
   }
-  const std::map<std::string, std::string> types = lane_array_types(tu);
+  // The element type of every array a strip-mined body may index: static
+  // buffers from their declarations, the step body's pointer locals from
+  // their definitions.
+  ArrayTypes types;
+  for (const BufferDecl& decl : tu.buffers) types[decl.name] = decl.ctype;
+  for (const Stmt& stmt : tu.step.body) {
+    if (!stmt.array_ctype.empty()) types[stmt.defines] = stmt.array_ctype;
+  }
   int next_id = 0;
   for (Stmt& stmt : tu.step.body) {
     if (stmt.kind == Stmt::Kind::kLoop) {
@@ -1242,8 +1140,8 @@ void localize_strips(TranslationUnit& tu, PassStats& stats) {
 /// loop over-runs its domain by one, and a statement referencing an
 /// undeclared buffer appears.
 void corrupt_unit(TranslationUnit& tu) {
-  Stmt broken = Stmt::text_line("hcg_injected[0] = 1;");
-  broken.accesses.push_back(BufferAccess{"hcg_injected", true, false});
+  Stmt broken = Stmt::line({Piece::element_at("hcg_injected", true, 0),
+                           Piece::literal(" = 1;")});
   for (Stmt& stmt : tu.step.body) {
     if (stmt.kind == Stmt::Kind::kLoop) {
       stmt.end += 1;

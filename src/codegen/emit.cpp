@@ -32,6 +32,18 @@ constexpr int kUnrollThreshold = 32;
 /// A signal is identified by its producing (actor, output port).
 using SignalId = std::pair<ActorId, int>;
 
+using cgir::Piece;
+using cgir::Pieces;
+
+/// Element index meaning "the element the enclosing loop is at".
+constexpr int kLoopIndex = -1;
+
+/// Element `index` of `buffer` (kLoopIndex: the loop's element).
+Piece element(std::string buffer, bool write, int index) {
+  if (index == kLoopIndex) return Piece::element(std::move(buffer), write);
+  return Piece::element_at(std::move(buffer), write, index);
+}
+
 class Emitter {
  public:
   Emitter(const Model& model, const EmitConfig& config)
@@ -340,54 +352,47 @@ class Emitter {
   // ------------------------------------------------------------------
 
   /// C expression for one element of a signal: buffer[index] or, for folded
-  /// producers, the inlined expression.  Buffer reads are recorded into the
-  /// active access sink (when one is installed) so the statement being built
-  /// carries its dependence information for the passes.
-  std::string element_expr(const SignalId& signal, const std::string& index) {
+  /// producers, the inlined expression.
+  Pieces element_expr(const SignalId& signal, int index) {
     const Actor& producer = model_.actor(signal.first);
     if (is_folded(signal.first)) return folded_expr(producer);
-    const std::string& buffer = buffer_name_.at(signal);
-    if (access_sink_ != nullptr) {
-      access_sink_->push_back({buffer, false, index == "i"});
-    }
-    return buffer + "[" + index + "]";
+    return {element(buffer_name_.at(signal), false, index)};
   }
 
-  std::string folded_expr(const Actor& actor) {
+  Pieces folded_expr(const Actor& actor) {
     if (actor.type() == "Constant") {
       Tensor value = constant_tensor(actor);
-      return "(" + std::string(c_name(actor.output(0).type)) + ")" +
-             component_literal(value, 0);
+      return {Piece::literal("(" + std::string(c_name(actor.output(0).type)) +
+                             ")" + component_literal(value, 0))};
     }
     // The cast re-narrows the intermediate to the signal's declared type.
     // C integer promotion would otherwise leak un-wrapped sub-int values
     // (e.g. u16 Shl) into the consumer, where a store into a typed buffer
     // no longer truncates them.
     return "((" + std::string(c_name(actor.output(0).type)) + ")(" +
-           elementwise_expr(actor, "0") + "))";
+           elementwise_expr(actor, 0) + "))";
   }
 
   /// The scalar expression computing one element of an elementwise actor.
-  std::string elementwise_expr(const Actor& actor, const std::string& index) {
+  Pieces elementwise_expr(const Actor& actor, int index) {
     const BatchOp op = batch_op_for_actor_type(actor.type());
-    const SignalId src0 = source_of(actor.id(), 0);
-    const std::string a = element_expr(src0, index);
-    std::string b, c;
+    const Pieces a = element_expr(source_of(actor.id(), 0), index);
+    Pieces b, c;
     if (arity(op) >= 3) {
       c = element_expr(source_of(actor.id(), 2), index);
     }
     if (arity(op) >= 2) {
       b = element_expr(source_of(actor.id(), 1), index);
     } else if (has_immediate(op)) {
-      b = std::to_string(actor.int_param("amount"));
+      b += std::to_string(actor.int_param("amount"));
     } else if (op == BatchOp::kMulC) {
-      b = isa::scalar_literal(actor.output(0).type,
-                              parse_double(actor.param("gain")));
+      b += isa::scalar_literal(actor.output(0).type,
+                               parse_double(actor.param("gain")));
     } else if (op == BatchOp::kAddC) {
-      b = isa::scalar_literal(actor.output(0).type,
-                              parse_double(actor.param("bias")));
+      b += isa::scalar_literal(actor.output(0).type,
+                               parse_double(actor.param("bias")));
     }
-    return scalar_c_expr(op, actor.output(0).type, a, b, c);
+    return synth::scalar_c_expr(op, actor.output(0).type, a, b, c);
   }
 
   SignalId source_of(ActorId id, int port) const {
@@ -442,10 +447,10 @@ class Emitter {
     for (const Actor& actor : model_.actors()) {
       if (actor.type() != "UnitDelay") continue;
       const std::string& name = buffer_name_.at({actor.id(), 0});
-      cgir::Stmt stmt = cgir::Stmt::text_line("memset(" + name +
-                                              ", 0, sizeof(" + name + "));");
-      stmt.accesses.push_back({name, true, false});
-      tu_.init.body.push_back(std::move(stmt));
+      tu_.init.body.push_back(cgir::Stmt::line(
+          {Piece::literal("memset("), Piece::buffer(name, true),
+           Piece::literal(", 0, sizeof("), Piece::buffer(name, true),
+           Piece::literal("));")}));
     }
   }
 
@@ -458,24 +463,16 @@ class Emitter {
       const Actor& port = model_.actor(ins[i]);
       const std::string ctype(c_name(port.output(0).type));
       const std::string& name = buffer_name_.at({ins[i], 0});
-      cgir::Stmt stmt = cgir::Stmt::text_line(
-          "const " + ctype + "* " + name + " = (const " + ctype + "*)inputs[" +
-          std::to_string(i) + "];");
       // The pointer local is a definition the verifier tracks: later accesses
       // to `name` resolve against this line, not a buffer declaration.
-      stmt.defines = name;
-      push(std::move(stmt));
+      push(pointer_decl(ctype, name, /*input=*/true, i));
     }
     const std::vector<ActorId> outs = model_.outports();
     for (size_t i = 0; i < outs.size(); ++i) {
       const Actor& port = model_.actor(outs[i]);
       const std::string ctype(c_name(port.input(0).type));
-      const std::string name = "out_" + sanitize_identifier(port.name());
-      cgir::Stmt stmt = cgir::Stmt::text_line(ctype + "* " + name + " = (" +
-                                              ctype + "*)outputs[" +
-                                              std::to_string(i) + "];");
-      stmt.defines = name;
-      push(std::move(stmt));
+      push(pointer_decl(ctype, "out_" + sanitize_identifier(port.name()),
+                        /*input=*/false, i));
     }
     push(cgir::Stmt::text_line(""));
 
@@ -488,6 +485,21 @@ class Emitter {
     }
 
     flush_delay_updates();
+  }
+
+  /// `const ctype* name = (const ctype*)inputs[slot];` for an input, the
+  /// same without const from outputs[] for an output.
+  static cgir::Stmt pointer_decl(const std::string& ctype,
+                                 const std::string& name, bool input,
+                                 size_t slot) {
+    const std::string type = (input ? "const " : "") + ctype;
+    cgir::Stmt stmt = cgir::Stmt::line(
+        {Piece::literal(type + "* "), Piece::local(name),
+         Piece::literal(" = (" + type + "*)" + (input ? "inputs" : "outputs") +
+                        "[" + std::to_string(slot) + "];")});
+    stmt.defines = name;
+    stmt.array_ctype = ctype;
+    return stmt;
   }
 
   /// Emits the end-of-step delay register copies.  A delay's register is
@@ -518,9 +530,9 @@ class Emitter {
         const DelayUpdate& blocked = pending.front();
         const std::string snap =
             "dly_snap" + std::to_string(snapshots++);
-        cgir::Stmt decl = cgir::Stmt::text_line(
-            blocked.c_type + " " + snap + "[" +
-            std::to_string(blocked.components) + "];");
+        cgir::Stmt decl = cgir::Stmt::line(
+            {Piece::literal(blocked.c_type + " "), Piece::local(snap),
+             Piece::literal("[" + std::to_string(blocked.components) + "];")});
         decl.defines = snap;
         push(std::move(decl));
         push(memcpy_stmt(snap, blocked.state, blocked.components,
@@ -536,15 +548,14 @@ class Emitter {
     }
   }
 
-  /// `memcpy(dst, src, components * sizeof(c_type));` with its accesses.
+  /// `memcpy(dst, src, components * sizeof(c_type));`
   static cgir::Stmt memcpy_stmt(const std::string& dst, const std::string& src,
                                 int components, const std::string& c_type) {
-    cgir::Stmt stmt = cgir::Stmt::text_line(
-        "memcpy(" + dst + ", " + src + ", " + std::to_string(components) +
-        " * sizeof(" + c_type + "));");
-    stmt.accesses.push_back({dst, true, false});
-    stmt.accesses.push_back({src, false, false});
-    return stmt;
+    return cgir::Stmt::line(
+        {Piece::literal("memcpy("), Piece::buffer(dst, true),
+         Piece::literal(", "), Piece::buffer(src, false),
+         Piece::literal(", " + std::to_string(components) + " * sizeof(" +
+                        c_type + "));")});
   }
 
   void emit_region(size_t region_index) {
@@ -589,13 +600,9 @@ class Emitter {
       const SignalId src = source_of(actor.id(), 0);
       const std::string out_name = "out_" + sanitize_identifier(actor.name());
       if (is_folded(src.first)) {
-        cgir::Stmt stmt;
-        access_sink_ = &stmt.accesses;
-        stmt.text =
-            out_name + "[0] = " + folded_expr(model_.actor(src.first)) + ";";
-        access_sink_ = nullptr;
-        stmt.accesses.push_back({out_name, true, false});
-        push(std::move(stmt));
+        push(cgir::Stmt::line(Pieces{Piece::element_at(out_name, true, 0)} +
+                              " = " + folded_expr(model_.actor(src.first)) +
+                              ";"));
       } else {
         const PortSpec& spec = actor.input(0);
         push(memcpy_stmt(out_name, buffer_name_.at(src),
@@ -636,11 +643,11 @@ class Emitter {
     const bool unroll = config_.batch_mode == BatchMode::kUnrollThenLoops &&
                         n <= kUnrollThreshold;
     if (n == 1) {
-      push(element_assign(actor, dst, "0"));
+      push(element_assign(actor, dst, 0));
     } else if (unroll) {
       // Paper Figure 2: one statement per element.
       for (int i = 0; i < n; ++i) {
-        push(element_assign(actor, dst, std::to_string(i)));
+        push(element_assign(actor, dst, i));
       }
     } else {
       cgir::Stmt loop;
@@ -653,37 +660,35 @@ class Emitter {
       // scale-mismatch, ...) excluded from batch regions.  Kept off below
       // -O2 so -O0/-O1 output stays pinned.
       loop.fusible = config_.opt_level >= 2;
-      loop.body.push_back(element_assign(actor, dst, "i"));
+      loop.body.push_back(element_assign(actor, dst, kLoopIndex));
       push(std::move(loop));
     }
   }
 
-  /// `dst[index] = <elementwise expression>;` with its buffer accesses.
+  /// `dst[index] = <elementwise expression>;`
   cgir::Stmt element_assign(const Actor& actor, const std::string& dst,
-                            const std::string& index) {
-    cgir::Stmt stmt;
-    access_sink_ = &stmt.accesses;
-    stmt.text =
-        dst + "[" + index + "] = " + elementwise_expr(actor, index) + ";";
-    access_sink_ = nullptr;
-    stmt.accesses.push_back({dst, true, index == "i"});
-    return stmt;
+                            int index) {
+    return cgir::Stmt::line(Pieces{element(dst, true, index)} + " = " +
+                            elementwise_expr(actor, index) + ";");
   }
 
   void emit_intensive(const Actor& actor) {
     const kernels::KernelImpl& impl = *intensive_impl_.at(actor.id());
-    const std::string out = buffer_name_.at({actor.id(), 0});
-    const std::string in0 = buffer_name_.at(source_of(actor.id(), 0));
-    const std::string inverse =
-        actor.type() == "IFFT" || actor.type() == "IFFT2D" ? "1" : "0";
+    const Piece out = Piece::buffer(buffer_name_.at({actor.id(), 0}), true);
+    const Piece in0 =
+        Piece::buffer(buffer_name_.at(source_of(actor.id(), 0)), false);
+    const Piece inverse = Piece::literal(
+        actor.type() == "IFFT" || actor.type() == "IFFT2D" ? "1" : "0");
     const Shape& shape0 = actor.input(0).shape;
-    const std::string n0 = std::to_string(shape0.elements());
+    const Piece n0 = Piece::literal(std::to_string(shape0.elements()));
     auto dim = [](const Shape& shape, int d) {
-      return std::to_string(shape.dims[static_cast<size_t>(d)]);
+      return Piece::literal(std::to_string(shape.dims[static_cast<size_t>(d)]));
+    };
+    auto in1 = [&] {
+      return Piece::buffer(buffer_name_.at(source_of(actor.id(), 1)), false);
     };
 
-    std::vector<std::string> args;
-    std::string in1;
+    std::vector<Piece> args;
     switch (impl.sig) {
       case kernels::KernelSig::kFft1D:
         args = {in0, out, n0, inverse};
@@ -698,20 +703,18 @@ class Emitter {
         args = {in0, out, dim(shape0, 0), dim(shape0, 1)};
         break;
       case kernels::KernelSig::kConv1D:
-        in1 = buffer_name_.at(source_of(actor.id(), 1));
-        args = {in0, n0, in1,
-                std::to_string(actor.input(1).shape.elements()), out};
+        args = {in0, n0, in1(),
+                Piece::literal(std::to_string(actor.input(1).shape.elements())),
+                out};
         break;
       case kernels::KernelSig::kConv2D: {
-        in1 = buffer_name_.at(source_of(actor.id(), 1));
         const Shape& shape1 = actor.input(1).shape;
-        args = {in0, dim(shape0, 0), dim(shape0, 1), in1,
+        args = {in0, dim(shape0, 0), dim(shape0, 1), in1(),
                 dim(shape1, 0), dim(shape1, 1), out};
         break;
       }
       case kernels::KernelSig::kMatMul:
-        in1 = buffer_name_.at(source_of(actor.id(), 1));
-        args = {in0, in1, out, dim(shape0, 0)};
+        args = {in0, in1(), out, dim(shape0, 0)};
         break;
       case kernels::KernelSig::kMatInv:
       case kernels::KernelSig::kMatDet:
@@ -721,11 +724,13 @@ class Emitter {
     if (args.empty()) {
       throw CodegenError("emit_intensive: bad kernel signature");
     }
-    cgir::Stmt stmt = cgir::Stmt::text_line(impl.c_function + "(" +
-                                            join(args, ", ") + ");");
-    stmt.accesses.push_back({out, true, false});
-    stmt.accesses.push_back({in0, false, false});
-    if (!in1.empty()) stmt.accesses.push_back({in1, false, false});
+    Pieces call = {Piece::literal(impl.c_function + "(")};
+    for (size_t k = 0; k < args.size(); ++k) {
+      if (k > 0) call += ", ";
+      call += Pieces{std::move(args[k])};
+    }
+    call += ");";
+    cgir::Stmt stmt = cgir::Stmt::line(std::move(call));
     if (config_.profile_gen) {
       stmt.prof_tag = "intensive:" + actor.name() + ":" + impl.id;
     }
@@ -818,9 +823,6 @@ class Emitter {
   GeneratedCode out_;
   std::string source_;
   cgir::TranslationUnit tu_;
-  /// When non-null, element_expr records buffer reads here (the statement
-  /// currently being built).
-  std::vector<cgir::BufferAccess>* access_sink_ = nullptr;
   std::vector<BatchRegion> regions_;
   std::map<ActorId, int> region_of_;
   /// Per-region Algorithm 2 results, index-aligned with regions_.

@@ -53,7 +53,7 @@ struct EmitConfig {
   /// 2 = additionally cross-scale producer-consumer fusion (strip-mining)
   /// and strip-body lane localization.
   int opt_level = 0;
-  /// When non-empty, capture a "cgir-v1" dump of the unit as it stood
+  /// When non-empty, capture a "cgir-v2" dump of the unit as it stood
   /// right after the named pass ("lower", "fuse_loops", "fuse_cross_scale",
   /// "forward_copies", "eliminate_dead_buffers", "reuse_arena",
   /// "localize_strips") into
@@ -100,7 +100,7 @@ struct GeneratedCode {
   std::size_t static_buffer_bytes = 0;
   /// Number of batch regions fused by Algorithm 2.
   int fused_regions = 0;
-  /// "cgir-v1" snapshot captured right after the pass named by
+  /// "cgir-v2" snapshot captured right after the pass named by
   /// EmitConfig::dump_cgir_after (cgir::parse_dump() round-trips it); empty
   /// when that option is unset or the named pass never ran at the chosen
   /// opt level.

@@ -272,34 +272,4 @@ std::string scalar_literal(DataType type, double value) {
   return std::to_string(static_cast<long long>(std::llround(value)));
 }
 
-std::string substitute_tokens(
-    std::string_view code,
-    const std::vector<std::pair<std::string, std::string>>& replacements) {
-  auto is_word = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '_';
-  };
-  std::string out;
-  size_t i = 0;
-  while (i < code.size()) {
-    if (!is_word(code[i])) {
-      out += code[i++];
-      continue;
-    }
-    size_t start = i;
-    while (i < code.size() && is_word(code[i])) ++i;
-    std::string_view word = code.substr(start, i - start);
-    bool replaced = false;
-    for (const auto& [token, value] : replacements) {
-      if (word == token) {
-        out += value;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) out += word;
-  }
-  return out;
-}
-
 }  // namespace hcg::isa

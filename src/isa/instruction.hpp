@@ -6,8 +6,12 @@
 // and porting HCG to a new architecture means writing a new table.
 #pragma once
 
+#include <cctype>
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "actors/batch_op.hpp"
@@ -159,9 +163,32 @@ class VectorIsa : public OpSupport {
 /// Formats a scalar constant as a C literal of the given element type.
 std::string scalar_literal(DataType type, double value);
 
-/// Word-boundary placeholder substitution for code templates.
-std::string substitute_tokens(
+/// Word-boundary placeholder substitution for code templates: each whole
+/// word of `code` that names a token becomes that token's value, and the
+/// rest is appended as it stands.  `Value` is std::string, or any type that
+/// appends string_views and values with `+=` (cgir::Pieces, so the values
+/// stay references).
+template <class Value = std::string>
+Value substitute_tokens(
     std::string_view code,
-    const std::vector<std::pair<std::string, std::string>>& replacements);
+    const std::vector<std::pair<std::string, Value>>& replacements) {
+  auto is_word = [](unsigned char c) { return std::isalnum(c) || c == '_'; };
+  Value out;
+  std::size_t i = 0;
+  while (i < code.size()) {
+    const std::size_t start = i;
+    const bool word = is_word(code[i]);
+    while (i < code.size() && is_word(code[i]) == word) ++i;
+    const std::string_view run = code.substr(start, i - start);
+    auto it = replacements.begin();
+    while (it != replacements.end() && !(word && it->first == run)) ++it;
+    if (it != replacements.end()) {
+      out += it->second;
+    } else {
+      out += run;
+    }
+  }
+  return out;
+}
 
 }  // namespace hcg::isa

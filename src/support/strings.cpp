@@ -90,79 +90,6 @@ std::string replace_all(std::string_view text, std::string_view from,
   return out;
 }
 
-namespace {
-
-bool identifier_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
-}  // namespace
-
-std::string replace_identifier(std::string_view text, std::string_view from,
-                               std::string_view to) {
-  if (from.empty()) return std::string(text);
-  std::string out;
-  out.reserve(text.size());
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t hit = text.find(from, pos);
-    if (hit == std::string_view::npos) {
-      out.append(text.substr(pos));
-      break;
-    }
-    bool left_ok = hit == 0 || !identifier_char(text[hit - 1]);
-    std::size_t after = hit + from.size();
-    bool right_ok = after >= text.size() || !identifier_char(text[after]);
-    out.append(text.substr(pos, hit - pos));
-    if (left_ok && right_ok) {
-      out.append(to);
-    } else {
-      out.append(from);
-    }
-    pos = after;
-  }
-  return out;
-}
-
-bool replace_identifiers(
-    std::string& text,
-    const std::map<std::string, std::string, std::less<>>& renames) {
-  if (renames.empty()) return false;
-  // The keys are sorted, so every key starts with the common prefix of the
-  // first and the last one: a cheap filter before the map lookup.
-  const std::string& first = renames.begin()->first;
-  const std::string& last = renames.rbegin()->first;
-  const auto differ =
-      std::mismatch(first.begin(), first.end(), last.begin(), last.end()).first;
-  const std::string_view prefix(
-      first.data(), static_cast<std::size_t>(differ - first.begin()));
-  std::string out;
-  std::size_t copied = 0;  // text[0, copied) is already in `out`
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    if (!identifier_char(text[pos])) {
-      ++pos;
-      continue;
-    }
-    std::size_t end = pos;
-    while (end < text.size() && identifier_char(text[end])) ++end;
-    const std::string_view token =
-        std::string_view(text).substr(pos, end - pos);
-    auto it = token.starts_with(prefix) ? renames.find(token) : renames.end();
-    if (it != renames.end()) {
-      out.append(text, copied, pos - copied);
-      out.append(it->second);
-      copied = end;
-    }
-    pos = end;
-  }
-  if (copied == 0) return false;
-  out.append(text, copied);
-  text = std::move(out);
-  return true;
-}
-
 std::string to_lower(std::string_view text) {
   std::string out(text);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

@@ -1,8 +1,6 @@
 // Small string utilities shared across the library.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,20 +27,6 @@ std::string join(const std::vector<std::string>& pieces,
 /// Replaces every occurrence of `from` with `to`.
 std::string replace_all(std::string_view text, std::string_view from,
                         std::string_view to);
-
-/// Replaces occurrences of the identifier `from` with `to`, but only where
-/// `from` is not part of a longer identifier (C token boundaries on both
-/// sides), so renaming `buf1` leaves `buf10` and `sig_buf1` untouched.
-std::string replace_identifier(std::string_view text, std::string_view from,
-                               std::string_view to);
-
-/// Renames in place every whole identifier token of `text` found in
-/// `renames`, in one walk; returns whether anything changed.  Token
-/// boundaries are those of replace_identifier(), and the renames apply
-/// simultaneously, so a target name is never renamed again.
-bool replace_identifiers(
-    std::string& text,
-    const std::map<std::string, std::string, std::less<>>& renames);
 
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view text);

@@ -11,6 +11,21 @@ namespace hcg::synth {
 
 namespace {
 
+using cgir::Piece;
+using cgir::Pieces;
+
+/// Template slot values: a token and the pieces it stands for.
+using Slots = std::vector<std::pair<std::string, Pieces>>;
+
+Pieces local(std::string name) { return {Piece::local(std::move(name))}; }
+
+Pieces literal(std::string c) { return {Piece::literal(std::move(c))}; }
+
+/// `ctype name`: the declaration of the local `name`.
+Pieces declare(const std::string& ctype, std::string name) {
+  return {Piece::literal(ctype + " "), Piece::local(std::move(name))};
+}
+
 class BatchSynthesizer {
  public:
   BatchSynthesizer(const Model& model, const BatchRegion& region,
@@ -100,12 +115,12 @@ class BatchSynthesizer {
   }
 
   /// The C expression for a vector operand.
-  std::string value_expr(const ValueRef& value) const {
+  Pieces value_expr(const ValueRef& value) const {
     switch (value.kind) {
       case ValueRef::Kind::kNode:
-        return node_var(value.index);
+        return local(node_var(value.index));
       case ValueRef::Kind::kExternal:
-        return external_var(value.index);
+        return local(external_var(value.index));
       default:
         throw InternalError("value_expr: non-vector operand");
     }
@@ -131,7 +146,7 @@ class BatchSynthesizer {
         if (!graph_.interior_values_private(subgraph)) continue;
 
         const DfgNode& sink = graph_.node(subgraph.back());
-        std::string line;
+        Pieces line;
         std::string ins_name;
         if (subgraph.size() == 1 && sink.op == BatchOp::kCast) {
           line = emit_cvt(subgraph.back());
@@ -143,7 +158,7 @@ class BatchSynthesizer {
           ins_name = match->instruction->name;
         }
 
-        cgir::Stmt stmt = cgir::Stmt::text_line(std::move(line));  // line 20
+        cgir::Stmt stmt = cgir::Stmt::line(std::move(line));  // line 20
         stmt.defines = node_var(subgraph.back());
         lines.push_back(std::move(stmt));
         result.instructions_used.push_back(ins_name);
@@ -164,25 +179,25 @@ class BatchSynthesizer {
     return lines;
   }
 
-  std::string emit_instruction(int sink, const InstructionMatch& match) const {
+  Pieces emit_instruction(int sink, const InstructionMatch& match) const {
     const isa::Instruction& ins = *match.instruction;
-    std::vector<std::pair<std::string, std::string>> repl;
-    repl.emplace_back("O", vtype_of(ins.type).c_name + " " + node_var(sink));
-    if (predicated_) repl.emplace_back("G", std::string(kPredVar));
+    Slots repl;
+    repl.emplace_back("O", declare(vtype_of(ins.type).c_name, node_var(sink)));
+    if (predicated_) repl.emplace_back("G", local(kPredVar));
     for (const auto& [slot, value] : match.binding.inputs) {
       repl.emplace_back("I" + std::to_string(slot), value_expr(value));
     }
     if (match.binding.has_scalar) {
-      repl.emplace_back("C",
-                        isa::scalar_literal(ins.type, match.binding.scalar));
+      repl.emplace_back(
+          "C", literal(isa::scalar_literal(ins.type, match.binding.scalar)));
     }
     if (match.binding.has_imm) {
-      repl.emplace_back("IMM", std::to_string(match.binding.imm));
+      repl.emplace_back("IMM", literal(std::to_string(match.binding.imm)));
     }
     return isa::substitute_tokens(ins.code, repl);
   }
 
-  std::string emit_cvt(int node_index) const {
+  Pieces emit_cvt(int node_index) const {
     const DfgNode& node = graph_.node(node_index);
     const ValueRef& src = node.operands.at(0);
     const DataType from = src.kind == ValueRef::Kind::kNode
@@ -190,11 +205,11 @@ class BatchSynthesizer {
                               : graph_.externals()[static_cast<size_t>(src.index)].type;
     const isa::CvtCode* cvt = isa_.find_cvt(from, node.out_type);
     require(cvt != nullptr, "batch synth: missing cvt after region filter");
-    std::vector<std::pair<std::string, std::string>> repl = {
-        {"O", vtype_of(node.out_type).c_name + " " + node_var(node_index)},
+    Slots repl = {
+        {"O", declare(vtype_of(node.out_type).c_name, node_var(node_index))},
         {"I1", value_expr(src)},
         {"I", value_expr(src)}};
-    if (predicated_) repl.emplace_back("G", std::string(kPredVar));
+    if (predicated_) repl.emplace_back("G", local(kPredVar));
     return isa::substitute_tokens(cvt->code, repl);
   }
 
@@ -207,11 +222,11 @@ class BatchSynthesizer {
     if (predicated_) {
       // The loop-governing predicate is recomputed every iteration; the
       // final trip covers exactly the tail lanes, so no remainder exists.
-      cgir::Stmt stmt = cgir::Stmt::text_line(isa::substitute_tokens(
+      cgir::Stmt stmt = cgir::Stmt::line(isa::substitute_tokens(
           pred_->whilelt,
-          {{"O", pred_->c_name + " " + std::string(kPredVar)},
-           {"I", "i"},
-           {"N", std::to_string(graph_.length())}}));
+          Slots{{"O", declare(pred_->c_name, kPredVar)},
+                {"I", {Piece::index()}},
+                {"N", literal(std::to_string(graph_.length()))}}));
       stmt.defines = kPredVar;
       body.push_back(std::move(stmt));
     }
@@ -219,19 +234,18 @@ class BatchSynthesizer {
       const DfgExternal& ext = graph_.externals()[x];
       const isa::IoCode* load = isa_.find_load(ext.type);
       require(load != nullptr, "batch synth: missing load");
-      std::vector<std::pair<std::string, std::string>> repl = {
-          {"O", vtype_of(ext.type).c_name + " " +
-                    external_var(static_cast<int>(x))},
-          {"P", "&" + external_buffer(static_cast<int>(x)) + "[i]"}};
-      if (predicated_) repl.emplace_back("G", std::string(kPredVar));
+      Slots repl = {
+          {"O", declare(vtype_of(ext.type).c_name,
+                        external_var(static_cast<int>(x)))},
+          {"P", {Piece::literal("&"),
+                 Piece::element(external_buffer(static_cast<int>(x)), false)}}};
+      if (predicated_) repl.emplace_back("G", local(kPredVar));
       cgir::Stmt stmt =
-          cgir::Stmt::text_line(isa::substitute_tokens(load->code, repl));
+          cgir::Stmt::line(isa::substitute_tokens(load->code, repl));
       stmt.defines = external_var(static_cast<int>(x));
       // Predicated loads read through a mask; they are not the plain
       // `v = vld(&buf[i])` shape copy forwarding may rewrite.
       stmt.is_load = !predicated_;
-      stmt.accesses.push_back(
-          {external_buffer(static_cast<int>(x)), false, true});
       body.push_back(std::move(stmt));
     }
 
@@ -241,15 +255,15 @@ class BatchSynthesizer {
       const DfgNode& node = graph_.node(out);
       const isa::IoCode* store = isa_.find_store(node.out_type);
       require(store != nullptr, "batch synth: missing store");
-      std::vector<std::pair<std::string, std::string>> repl = {
-          {"P", "&" + buffer_name_(node.actor, 0) + "[i]"},
-          {"V", node_var(out)}};
-      if (predicated_) repl.emplace_back("G", std::string(kPredVar));
+      Slots repl = {
+          {"P", {Piece::literal("&"),
+                 Piece::element(buffer_name_(node.actor, 0), true)}},
+          {"V", local(node_var(out))}};
+      if (predicated_) repl.emplace_back("G", local(kPredVar));
       cgir::Stmt stmt =
-          cgir::Stmt::text_line(isa::substitute_tokens(store->code, repl));
+          cgir::Stmt::line(isa::substitute_tokens(store->code, repl));
       stmt.stores_var = node_var(out);
       stmt.is_store = !predicated_;
-      stmt.accesses.push_back({buffer_name_(node.actor, 0), true, true});
       body.push_back(std::move(stmt));
     }
     return body;
@@ -285,53 +299,46 @@ class BatchSynthesizer {
     std::vector<cgir::Stmt>& body = loop.body;
     for (int n = 0; n < graph_.node_count(); ++n) {
       const DfgNode& node = graph_.node(n);
-      cgir::Stmt stmt =
-          cgir::Stmt::text_line(std::string(c_name(node.out_type)) + " " +
-                                node_scalar_var(n) + " = " + scalar_expr(n) +
-                                ";");
+      cgir::Stmt stmt = cgir::Stmt::line(
+          declare(std::string(c_name(node.out_type)), node_scalar_var(n)) +
+          " = " + scalar_expr(n) + ";");
       stmt.defines = node_scalar_var(n);
-      for (const ValueRef& operand : node.operands) {
-        if (operand.kind == ValueRef::Kind::kExternal) {
-          stmt.accesses.push_back(
-              {external_buffer(operand.index), false, true});
-        }
-      }
       body.push_back(std::move(stmt));
     }
     for (int out : graph_.outputs()) {
-      const std::string buffer = buffer_name_(graph_.node(out).actor, 0);
-      cgir::Stmt stmt = cgir::Stmt::text_line(
-          buffer + "[i] = " + node_scalar_var(out) + ";");
+      cgir::Stmt stmt = cgir::Stmt::line(
+          {Piece::element(buffer_name_(graph_.node(out).actor, 0), true),
+           Piece::literal(" = "), Piece::local(node_scalar_var(out)),
+           Piece::literal(";")});
       stmt.stores_var = node_scalar_var(out);
       stmt.is_store = true;
-      stmt.accesses.push_back({buffer, true, true});
       body.push_back(std::move(stmt));
     }
     return loop;
   }
 
-  std::string scalar_operand(const ValueRef& value) const {
+  Pieces scalar_operand(const ValueRef& value) const {
     switch (value.kind) {
       case ValueRef::Kind::kNode:
-        return node_scalar_var(value.index);
+        return local(node_scalar_var(value.index));
       case ValueRef::Kind::kExternal:
-        return external_buffer(value.index) + "[i]";
+        return {Piece::element(external_buffer(value.index), false)};
       case ValueRef::Kind::kScalarConst:
-        return isa::scalar_literal(DataType::kFloat64, value.scalar);
+        return literal(isa::scalar_literal(DataType::kFloat64, value.scalar));
       case ValueRef::Kind::kImmediate:
-        return std::to_string(value.imm);
+        return literal(std::to_string(value.imm));
     }
     throw InternalError("scalar_operand: bad ValueRef kind");
   }
 
-  std::string scalar_expr(int node_index) const {
+  Pieces scalar_expr(int node_index) const {
     const DfgNode& node = graph_.node(node_index);
-    const std::string a = scalar_operand(node.operands.at(0));
-    std::string b, c;
+    const Pieces a = scalar_operand(node.operands.at(0));
+    Pieces b, c;
     if (node.operands.size() > 1) {
       const ValueRef& second = node.operands[1];
       if (second.kind == ValueRef::Kind::kScalarConst) {
-        b = isa::scalar_literal(node.out_type, second.scalar);
+        b = literal(isa::scalar_literal(node.out_type, second.scalar));
       } else {
         b = scalar_operand(second);
       }
@@ -354,6 +361,41 @@ class BatchSynthesizer {
 };
 
 }  // namespace
+
+Pieces scalar_c_expr(BatchOp op, DataType type, const Pieces& a,
+                     const Pieces& b, const Pieces& c) {
+  const std::string ct(c_name(type));
+  switch (op) {
+    case BatchOp::kAdd: return a + " + " + b;
+    case BatchOp::kSub: return a + " - " + b;
+    case BatchOp::kMul: return a + " * " + b;
+    case BatchOp::kDiv: return a + " / " + b;
+    case BatchOp::kMin: return "(" + a + " < " + b + " ? " + a + " : " + b + ")";
+    case BatchOp::kMax: return "(" + a + " > " + b + " ? " + a + " : " + b + ")";
+    case BatchOp::kAbd:
+      return "(" + a + " > " + b + " ? " + a + " - " + b + " : " + b + " - " +
+             a + ")";
+    case BatchOp::kAnd: return a + " & " + b;
+    case BatchOp::kOr: return a + " | " + b;
+    case BatchOp::kXor: return a + " ^ " + b;
+    case BatchOp::kNot: return "~" + a;
+    case BatchOp::kAbs:
+      if (type == DataType::kFloat32) return "fabsf(" + a + ")";
+      if (type == DataType::kFloat64) return "fabs(" + a + ")";
+      return "(" + a + " < 0 ? -" + a + " : " + a + ")";
+    case BatchOp::kRecp:
+      return (type == DataType::kFloat32 ? "1.0f / " : "1.0 / ") + a;
+    case BatchOp::kSqrt:
+      return (type == DataType::kFloat32 ? "sqrtf(" : "sqrt(") + a + ")";
+    case BatchOp::kShl: return a + " << " + b;
+    case BatchOp::kShr: return a + " >> " + b;
+    case BatchOp::kMulC: return a + " * (" + ct + ")" + b;
+    case BatchOp::kAddC: return a + " + (" + ct + ")" + b;
+    case BatchOp::kCast: return "(" + ct + ")" + a;
+    case BatchOp::kSel: return "(" + c + " > 0 ? " + a + " : " + b + ")";
+  }
+  throw InternalError("scalar_c_expr: bad BatchOp");
+}
 
 BatchSynthResult synthesize_batch(const Model& model, const BatchRegion& region,
                                   const isa::VectorIsa& isa,

@@ -50,6 +50,13 @@ struct BatchSynthResult {
   bool predicated = false;
 };
 
+/// The C expression for one scalar application, with `a` and `b` the operand
+/// expressions (b is the shift amount / scalar constant where applicable)
+/// and `c` the third operand of ternary ops (the Switch control signal).
+/// Used by the scalar remainder loops and the conventional code generators.
+cgir::Pieces scalar_c_expr(BatchOp op, DataType type, const cgir::Pieces& a,
+                           const cgir::Pieces& b, const cgir::Pieces& c = {});
+
 /// Synthesizes one batch region against an instruction table.  `buffer_name`
 /// maps region externals and outputs to C arrays.  Throws
 /// hcg::SynthesisError if a node cannot be mapped (which region construction

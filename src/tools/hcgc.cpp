@@ -50,11 +50,11 @@
 //                   additionally strip-mines scalar loops into adjacent
 //                   vector loops (cross-scale fusion) and localizes
 //                   strip-mined lane loops.
-//   --dump-cgir     print the "cgir-v1" serialization of the unit exactly
+//   --dump-cgir     print the "cgir-v2" serialization of the unit exactly
 //                   as printed (after the passes and any --profile-gen
 //                   instrumentation) instead of C source.
 //   --dump-cgir-after=PASS
-//                   print the "cgir-v1" snapshot taken right after PASS ran
+//                   print the "cgir-v2" snapshot taken right after PASS ran
 //                   (lower, fuse_loops, fuse_cross_scale, forward_copies,
 //                   eliminate_dead_buffers, reuse_arena, localize_strips)
 //                   instead of C source.  Errors when the pass never ran at

@@ -278,9 +278,9 @@ cgir::TranslationUnit valid_unit() {
   loop.kind = cgir::Stmt::Kind::kLoop;
   loop.begin = 0;
   loop.end = 8;
-  cgir::Stmt write = cgir::Stmt::text_line("sig[i] = 1.0f;");
-  write.accesses.push_back({"sig", /*write=*/true, /*elementwise=*/true});
-  loop.body.push_back(write);
+  loop.body.push_back(cgir::Stmt::line(
+      {cgir::Piece::element("sig", /*write=*/true),
+       cgir::Piece::literal(" = 1.0f;")}));
   tu.step.body.push_back(loop);
   return tu;
 }
@@ -320,14 +320,18 @@ TEST(CgirVerifier, PendingHandoffLoadIsTolerated) {
   tu.buffers.push_back(tmp);
   cgir::Stmt def = cgir::Stmt::text_line("float32x4_t v = vdupq_n_f32(0);");
   def.defines = "v";
-  cgir::Stmt store = cgir::Stmt::text_line("vst1q_f32(&tmp[i], v);");
+  cgir::Stmt store = cgir::Stmt::line(
+      {cgir::Piece::literal("vst1q_f32(&"), cgir::Piece::element("tmp", true),
+       cgir::Piece::literal(", "), cgir::Piece::local("v"),
+       cgir::Piece::literal(");")});
   store.is_store = true;
   store.stores_var = "v";
-  store.accesses.push_back({"tmp", /*write=*/true, /*elementwise=*/true});
-  cgir::Stmt load = cgir::Stmt::text_line("float32x4_t v = vld1q_f32(&tmp[i]);");
+  cgir::Stmt load = cgir::Stmt::line(
+      {cgir::Piece::literal("float32x4_t "), cgir::Piece::local("v"),
+       cgir::Piece::literal(" = vld1q_f32(&"),
+       cgir::Piece::element("tmp", false), cgir::Piece::literal(");")});
   load.defines = "v";
   load.is_load = true;
-  load.accesses.push_back({"tmp", /*write=*/false, /*elementwise=*/true});
   auto& body = tu.step.body[0].body;
   body.push_back(def);
   body.push_back(store);
@@ -375,10 +379,11 @@ TEST(CgirVerifier, LoopCoverage_HCG303) {
 
 TEST(CgirVerifier, UndefinedStoreSource_HCG304) {
   cgir::TranslationUnit tu = valid_unit();
-  cgir::Stmt store = cgir::Stmt::text_line("sig[i] = ghost;");
+  cgir::Stmt store = cgir::Stmt::line(
+      {cgir::Piece::element("sig", true), cgir::Piece::literal(" = "),
+       cgir::Piece::local("ghost"), cgir::Piece::literal(";")});
   store.is_store = true;
   store.stores_var = "ghost";
-  store.accesses.push_back({"sig", /*write=*/true, /*elementwise=*/true});
   tu.step.body[0].body.push_back(store);
   const auto diags = analysis::verify_unit(tu);
   ASSERT_EQ(diags.size(), 1u);
@@ -387,9 +392,8 @@ TEST(CgirVerifier, UndefinedStoreSource_HCG304) {
 
 TEST(CgirVerifier, UnknownBuffer_HCG305) {
   cgir::TranslationUnit tu = valid_unit();
-  cgir::Stmt write = cgir::Stmt::text_line("ghost[i] = 1.0f;");
-  write.accesses.push_back({"ghost", /*write=*/true, /*elementwise=*/true});
-  tu.step.body[0].body.push_back(write);
+  tu.step.body[0].body.push_back(cgir::Stmt::line(
+      {cgir::Piece::element("ghost", true), cgir::Piece::literal(" = 1.0f;")}));
   const auto diags = analysis::verify_unit(tu);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, "HCG305");
@@ -397,11 +401,12 @@ TEST(CgirVerifier, UnknownBuffer_HCG305) {
 
 TEST(CgirVerifier, LocalDefinedEarlierIsNotHCG305) {
   cgir::TranslationUnit tu = valid_unit();
-  cgir::Stmt def = cgir::Stmt::text_line("float acc = 0.0f;");
+  // A local array is accessed like a buffer once its definition is seen.
+  cgir::Stmt def = cgir::Stmt::text_line("float acc[8];");
   def.defines = "acc";
-  cgir::Stmt use = cgir::Stmt::text_line("sig[i] = acc;");
-  use.accesses.push_back({"acc", /*write=*/false, /*elementwise=*/false});
-  use.accesses.push_back({"sig", /*write=*/true, /*elementwise=*/true});
+  cgir::Stmt use = cgir::Stmt::line(
+      {cgir::Piece::element("sig", true), cgir::Piece::literal(" = "),
+       cgir::Piece::element("acc", false), cgir::Piece::literal(";")});
   tu.step.body[0].body.push_back(def);
   tu.step.body[0].body.push_back(use);
   EXPECT_TRUE(analysis::verify_unit(tu).empty());

@@ -1,36 +1,50 @@
 // Unit tests for the cgir code-generation IR: the deterministic printer, the
-// cgir-v1 dump/parse round-trip, and the optimization passes (region loop
-// fusion, copy forwarding, dead-buffer elimination, arena reuse) on
-// hand-built translation units.
+// cgir-v2 dump/parse round-trip, and the optimization passes (region loop
+// fusion, copy forwarding, dead-buffer elimination, arena reuse, cross-scale
+// strip-mining, lane localization) on hand-built translation units.
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "cgir/cgir.hpp"
 #include "cgir/passes.hpp"
 #include "support/error.hpp"
+#include "support/fileio.hpp"
 
 namespace hcg::cgir {
 namespace {
 
+Piece lit(std::string c) { return Piece::literal(std::move(c)); }
+
 Stmt load(const std::string& var, const std::string& buffer) {
-  Stmt s = Stmt::text_line("float32x4_t " + var + " = vld1q_f32(&" + buffer +
-                           "[i]);");
+  Stmt s = Stmt::line({lit("float32x4_t "), Piece::local(var),
+                       lit(" = vld1q_f32(&"), Piece::element(buffer, false),
+                       lit(");")});
   s.defines = var;
   s.is_load = true;
-  s.accesses.push_back({buffer, false, true});
   return s;
 }
 
-Stmt calc(const std::string& var, const std::string& expr) {
-  Stmt s = Stmt::text_line("float32x4_t " + var + " = " + expr + ";");
+/// `float32x4_t var = fn(args...);` over vector locals.
+Stmt calc(const std::string& var, const std::string& fn,
+          const std::vector<std::string>& args) {
+  Pieces pieces = {lit("float32x4_t "), Piece::local(var),
+                   lit(" = " + fn + "(")};
+  for (std::size_t k = 0; k < args.size(); ++k) {
+    if (k > 0) pieces += ", ";
+    pieces += Pieces{Piece::local(args[k])};
+  }
+  pieces += ");";
+  Stmt s = Stmt::line(std::move(pieces));
   s.defines = var;
   return s;
 }
 
 Stmt store(const std::string& buffer, const std::string& var) {
-  Stmt s = Stmt::text_line("vst1q_f32(&" + buffer + "[i], " + var + ");");
+  Stmt s = Stmt::line({lit("vst1q_f32(&"), Piece::element(buffer, true),
+                       lit(", "), Piece::local(var), lit(");")});
   s.stores_var = var;
   s.is_store = true;
-  s.accesses.push_back({buffer, true, true});
   return s;
 }
 
@@ -78,10 +92,23 @@ std::string printed_step(const TranslationUnit& tu) {
 /// A whole-buffer kernel call writing `out` from `in`.
 Stmt kernel_call(const std::string& name, const std::string& in,
                  const std::string& out) {
-  Stmt s = Stmt::text_line(name + "(" + in + ", " + out + ");");
-  s.accesses.push_back({out, true, false});
-  s.accesses.push_back({in, false, false});
-  return s;
+  return Stmt::line({lit(name + "("), Piece::buffer(in, false), lit(", "),
+                     Piece::buffer(out, true), lit(");")});
+}
+
+/// A whole-buffer call that only writes `out`.
+Stmt fill(const std::string& name, const std::string& out) {
+  return Stmt::line({lit(name + "("), Piece::buffer(out, true), lit(");")});
+}
+
+/// The buffer accesses of `stmt`, as "name:r", "name:we" strings.
+std::vector<std::string> access_list(const Stmt& stmt) {
+  std::vector<std::string> out;
+  for_each_access(stmt, [&](const BufferAccess& access) {
+    out.push_back(access.buffer + (access.write ? ":w" : ":r") +
+                  (access.elementwise ? "e" : ""));
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -157,34 +184,77 @@ TEST(CgirDump, RoundTripsThroughParse) {
   rem.fusible = true;
   rem.banner_actors = 2;
   rem.banner_isa = "neon_sim";
-  Stmt line = Stmt::text_line("float a_s = in_a[i] + 1.0f;");
+  Stmt line = Stmt::line({lit("float "), Piece::local("a_s"), lit(" = "),
+                          Piece::element("in_a", false), lit(" + 1.0f;")});
   line.defines = "a_s";
-  line.accesses.push_back({"in_a", false, true});
   rem.body.push_back(line);
+  Stmt input = Stmt::line({lit("const float* "), Piece::local("in_a"),
+                           lit(" = (const float*)inputs[0];")});
+  input.defines = "in_a";
+  input.array_ctype = "float";
 
   TranslationUnit tu = unit_with_step(
-      {Stmt::text_line("const float* in_a = (const float*)inputs[0];"), rem,
-       vloop(3, 7, 4, {load("a_b", "in_a"), store("out_y", "a_b")})},
+      {input, rem,
+       vloop(3, 7, 4, {load("a_b", "in_a"), store("out_y", "a_b")}),
+       Stmt::text_line(""),
+       Stmt::line({lit("memset("), Piece::buffer("sig_t", true),
+                   lit(", 0, sizeof("), Piece::buffer("sig_t", true),
+                   lit("));")}),
+       Stmt::line({Piece::element_at("sig_t", true, 6), lit(" = "),
+                   Piece::index(), lit(";")})},
       {f32_buffer("sig_t", 7)});
+  tu.step.body.back().pieces[2].lane = "k";
   tu.kernel_sources.push_back("void helper(void) {}\n");
 
   const std::string serialized = dump(tu);
-  EXPECT_EQ(serialized.rfind("cgir-v1\n", 0), 0u);
+  EXPECT_EQ(serialized.rfind("cgir-v2\n", 0), 0u);
   TranslationUnit reparsed = parse_dump(serialized);
   EXPECT_EQ(print(reparsed), print(tu));
   EXPECT_EQ(dump(reparsed), serialized);
+  EXPECT_EQ(print_text(reparsed.step.body[5]), "sig_t[6] = (i + k);");
   ASSERT_EQ(reparsed.buffers.size(), 1u);
   EXPECT_TRUE(reparsed.buffers[0].arena_eligible);
-  ASSERT_EQ(reparsed.step.body.size(), 3u);
+  ASSERT_EQ(reparsed.step.body.size(), 6u);
+  EXPECT_EQ(reparsed.step.body[0].array_ctype, "float");
   EXPECT_TRUE(reparsed.step.body[2].body[0].is_load);
-  ASSERT_EQ(reparsed.step.body[1].body[0].accesses.size(), 1u);
-  EXPECT_TRUE(reparsed.step.body[1].body[0].accesses[0].elementwise);
+  EXPECT_EQ(access_list(reparsed.step.body[1].body[0]),
+            std::vector<std::string>{"in_a:re"});
+  EXPECT_EQ(access_list(reparsed.step.body[4]),
+            (std::vector<std::string>{"sig_t:w", "sig_t:w"}));
 }
 
 TEST(CgirDump, RejectsMalformedInput) {
   EXPECT_THROW(parse_dump("not-cgir\n"), ParseError);
-  EXPECT_THROW(parse_dump("cgir-v1\nfunc bogus opener=\"x\"\n"), ParseError);
-  EXPECT_THROW(parse_dump("cgir-v1\ntext t=\"orphan\"\n"), ParseError);
+  EXPECT_THROW(parse_dump("cgir-v2\nfunc bogus opener=\"x\"\n"), ParseError);
+  EXPECT_THROW(parse_dump("cgir-v2\ntext t=\"orphan\"\n"), ParseError);
+  EXPECT_THROW(parse_dump("cgir-v2\nfunc step opener=\"x\"\n  text r=a[i+]\n"),
+               ParseError);
+  // A dump of another format version is refused by name, not misread.
+  try {
+    parse_dump("cgir-v1\nfunc step opener=\"x\"\n  text t=\"f();\"\n");
+    FAIL() << "cgir-v1 parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("'cgir-v1'"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The fenced dump example in docs/CODEGEN_IR.md's dump section.
+std::string documented_dump() {
+  const std::string doc = read_file(std::filesystem::path(HCG_REPO_ROOT) /
+                                    "docs" / "CODEGEN_IR.md");
+  const std::size_t start = doc.find("```\ncgir-v2\n");
+  if (start == std::string::npos) return "";
+  const std::size_t body = start + 4;
+  return doc.substr(body, doc.find("```", body) - body);
+}
+
+TEST(CgirDocsAntiDrift, DumpExampleRoundTrips) {
+  const std::string example = documented_dump();
+  ASSERT_FALSE(example.empty())
+      << "docs/CODEGEN_IR.md has no fenced cgir-v2 dump example";
+  EXPECT_EQ(dump(parse_dump(example)), example)
+      << "the documented dump no longer matches what dump() writes";
 }
 
 // ---------------------------------------------------------------------------
@@ -229,11 +299,9 @@ TEST(CgirFusion, RespectsShapeAndFusibility) {
 TEST(CgirFusion, HoistsConflictingInterveningStatement) {
   // The kernel call between the loops writes the buffer the second loop
   // reads, so it must move above the first loop for the fusion to be legal.
-  Stmt kernel = Stmt::text_line("kernel(in_x, sig_k);");
-  kernel.accesses.push_back({"sig_k", true, false});
-  kernel.accesses.push_back({"in_x", false, false});
   TranslationUnit tu = unit_with_step(
-      {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}), kernel,
+      {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
+       kernel_call("kernel", "in_x", "sig_k"),
        vloop(0, 64, 4, {load("k_b", "sig_k"), store("out_q", "k_b")})});
   PassStats stats = run_passes(tu, {});
   EXPECT_EQ(stats.loops_fused, 1);
@@ -243,27 +311,24 @@ TEST(CgirFusion, HoistsConflictingInterveningStatement) {
 }
 
 TEST(CgirFusion, IndependentInterveningStatementStaysBehind) {
-  Stmt other = Stmt::text_line("memcpy(out_z, sig_z, 16);");
-  other.accesses.push_back({"out_z", true, false});
-  other.accesses.push_back({"sig_z", false, false});
   TranslationUnit tu = unit_with_step(
-      {vloop(0, 64, 4, {store("out_p", "a_b")}), other,
+      {vloop(0, 64, 4, {store("out_p", "a_b")}),
+       Stmt::line({lit("memcpy("), Piece::buffer("out_z", true), lit(", "),
+                   Piece::buffer("sig_z", false), lit(", 16);")}),
        vloop(0, 64, 4, {store("out_q", "b_b")})});
   PassStats stats = run_passes(tu, {});
   EXPECT_EQ(stats.loops_fused, 1);
   ASSERT_EQ(tu.step.body.size(), 2u);
   EXPECT_EQ(tu.step.body[0].kind, Stmt::Kind::kLoop);
-  EXPECT_EQ(tu.step.body[1].text, "memcpy(out_z, sig_z, 16);");
+  EXPECT_EQ(print_text(tu.step.body[1]), "memcpy(out_z, sig_z, 16);");
 }
 
 TEST(CgirFusion, AbortsWhenInterveningStatementConflictsBothWays) {
   // Reads what the first loop stores AND writes what the second reads:
   // it can neither stay nor hoist, so the loops must not merge.
-  Stmt bridge = Stmt::text_line("transform(out_p, sig_k);");
-  bridge.accesses.push_back({"out_p", false, false});
-  bridge.accesses.push_back({"sig_k", true, false});
   TranslationUnit tu = unit_with_step(
-      {vloop(0, 64, 4, {store("out_p", "a_b")}), bridge,
+      {vloop(0, 64, 4, {store("out_p", "a_b")}),
+       kernel_call("transform", "out_p", "sig_k"),
        vloop(0, 64, 4, {load("k_b", "sig_k"), store("out_q", "k_b")})});
   PassStats stats = run_passes(tu, {});
   EXPECT_EQ(stats.loops_fused, 0);
@@ -271,11 +336,9 @@ TEST(CgirFusion, AbortsWhenInterveningStatementConflictsBothWays) {
 }
 
 TEST(CgirFusion, AbortsOnNonElementwiseSharedBuffer) {
-  Stmt whole = Stmt::text_line("prefix_sum(sig_s);");
-  whole.accesses.push_back({"sig_s", true, false});  // whole-buffer write
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4, {store("sig_s", "a_b")}),
-       vloop(0, 64, 4, {whole})});
+       vloop(0, 64, 4, {fill("prefix_sum", "sig_s")})});  // whole-buffer write
   PassStats stats = run_passes(tu, {});
   EXPECT_EQ(stats.loops_fused, 0);
 }
@@ -285,17 +348,18 @@ TEST(CgirFusion, SharedLoadIsDeduplicated) {
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4,
              {load("w_b", "in_w"), load("a_b", "in_a"),
-              calc("p_b", "vaddq_f32(a_b, w_b)"), store("out_p", "p_b")}),
+              calc("p_b", "vaddq_f32", {"a_b", "w_b"}), store("out_p", "p_b")}),
        vloop(0, 64, 4,
              {load("w_b", "in_w"), load("b_b", "in_b"),
-              calc("q_b", "vmulq_f32(b_b, w_b)"), store("out_q", "q_b")})});
+              calc("q_b", "vmulq_f32", {"b_b", "w_b"}),
+              store("out_q", "q_b")})});
   PassStats stats = run_passes(tu, {});
   EXPECT_EQ(stats.loops_fused, 1);
   EXPECT_GE(stats.copies_elided, 1);
   ASSERT_EQ(tu.step.body.size(), 1u);
   int loads_of_w = 0;
   for (const Stmt& line : tu.step.body[0].body) {
-    if (line.is_load && line.text.find("in_w") != std::string::npos) {
+    if (line.is_load && access_list(line)[0] == "in_w:re") {
       ++loads_of_w;
     }
   }
@@ -395,12 +459,11 @@ Stmt scalar_loop(int begin, int end, std::vector<Stmt> body) {
   return s;
 }
 
-Stmt scalar_line(const std::string& text, const std::string& written,
-                 const std::string& read, bool read_elementwise = true) {
-  Stmt s = Stmt::text_line(text);
-  s.accesses.push_back({written, true, true});
-  s.accesses.push_back({read, false, read_elementwise});
-  return s;
+/// `written[i] = read[i]<tail>;`
+Stmt scalar_line(const std::string& written, const std::string& read,
+                 const std::string& tail = "") {
+  return Stmt::line({Piece::element(written, true), lit(" = "),
+                     Piece::element(read, false), lit(tail + ";")});
 }
 
 TEST(CgirCrossScale, RolledBackAttemptRestoresBodyAndCounters) {
@@ -409,14 +472,11 @@ TEST(CgirCrossScale, RolledBackAttemptRestoresBodyAndCounters) {
   // loop, but the strip cannot join the vector loop (the vector loop writes
   // sig_w as a whole), so the attempt rolls back: body, loops_fused and
   // copies_elided return to what the same-shape fuser left.
-  Stmt whole = Stmt::text_line("fill(sig_w);");
-  whole.accesses.push_back({"sig_w", true, false});
   TranslationUnit tu = unit_with_step(
-      {scalar_loop(0, 2, {scalar_line("out_p[i] = in_a[i];", "out_p", "in_a")}),
+      {scalar_loop(0, 2, {scalar_line("out_p", "in_a")}),
        vloop(2, 10, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
-       vloop(2, 10, 4, {load("a_b", "in_a"), whole}),
-       scalar_loop(0, 10,
-                   {scalar_line("out_s[i] = sig_w[i] * 2;", "out_s", "sig_w")})});
+       vloop(2, 10, 4, {load("a_b", "in_a"), fill("fill", "sig_w")}),
+       scalar_loop(0, 10, {scalar_line("out_s", "sig_w", " * 2")})});
   PassOptions options;
   options.opt_level = 2;
   PassStats stats = run_passes(tu, options);
@@ -456,12 +516,12 @@ TEST(CgirFusion, FarmOfShapeGroupsFusesInScanOrder) {
       case 0:
         loop = vloop(0, 8, 4,
                      {load("w_b", "in_w"), load("s" + n + "_b", sig),
-                      calc("g" + n + "_b", "vmulq_f32(s" + n + "_b, w_b)"),
+                      calc("g" + n + "_b", "vmulq_f32",
+                           {"s" + n + "_b", "w_b"}),
                       store(out, "g" + n + "_b")});
         break;
       case 1:
-        loop = scalar_loop(
-            0, 3, {scalar_line(out + "[i] = " + sig + "[i] * 0.5f;", out, sig)});
+        loop = scalar_loop(0, 3, {scalar_line(out, sig, " * 0.5f")});
         break;
       case 2:
         loop = vloop(3, 259, 4, {load("s" + n + "_b", sig), store(out, "s" + n + "_b")});
@@ -532,12 +592,10 @@ TEST(CgirFusion, InternedBuffersNeitherMergeNorSplit) {
   // first loop writes.  The remainder loop between the vector loops writes
   // out_q over [0, 2), disjoint from the second loop's [2, 10), so it stays
   // behind the merged loop.
-  Stmt fill = Stmt::text_line("fill(b10);");
-  fill.accesses.push_back({"b10", true, false});
   TranslationUnit tu = unit_with_step(
       {vloop(2, 10, 4, {load("a_b", "in_a"), store("b1", "a_b")}),
-       scalar_loop(0, 2, {scalar_line("out_q[i] = b1[i];", "out_q", "b1")}),
-       fill,
+       scalar_loop(0, 2, {scalar_line("out_q", "b1")}),
+       fill("fill", "b10"),
        vloop(2, 10, 4, {load("t_b", "b10"), store("out_q", "t_b")})});
   PassStats stats = run_passes(tu, {});
   EXPECT_EQ(stats.loops_fused, 1);
@@ -564,7 +622,7 @@ TEST(CgirFusion, NearestCandidateRejectedFartherOneMerges) {
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
        vloop(0, 64, 4,
-             {load("a_b", "in_c"), calc("c_b", "vaddq_f32(a_b, a_b)"),
+             {load("a_b", "in_c"), calc("c_b", "vaddq_f32", {"a_b", "a_b"}),
               store("out_r", "c_b")}),
        vloop(0, 64, 4, {load("c_b", "in_d"), store("out_s", "c_b")})});
   PassStats stats = run_passes(tu, {});
@@ -595,34 +653,33 @@ TEST(CgirForward, VectorLoadOfStoredBufferIsForwarded) {
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4,
              {load("a_b", "in_a"), store("sig_t", "a_b"), load("t_b", "sig_t"),
-              calc("q_b", "vaddq_f32(t_b, t_b)"), store("out_q", "q_b")})},
+              calc("q_b", "vaddq_f32", {"t_b", "t_b"}),
+              store("out_q", "q_b")})},
       {f32_buffer("sig_t", 64)});
   PassStats stats = run_passes(tu, {});
   EXPECT_GE(stats.copies_elided, 1);
-  const Stmt& loop = tu.step.body[0];
-  for (const Stmt& line : loop.body) {
-    EXPECT_EQ(line.text.find("t_b"), std::string::npos)
-        << "forwarded variable must be renamed away in: " << line.text;
-  }
   // The store to sig_t is now dead (nothing reads the buffer) and the
   // declaration goes with it.
   EXPECT_EQ(stats.buffers_eliminated, 1);
   EXPECT_TRUE(tu.buffers.empty());
-  for (const Stmt& line : tu.step.body[0].body) {
-    EXPECT_EQ(line.text.find("sig_t"), std::string::npos);
-  }
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
+            "    float32x4_t q_b = vaddq_f32(a_b, a_b);\n"
+            "    vst1q_f32(&out_q[i], q_b);\n"
+            "  }\n"
+            "}\n");
 }
 
 TEST(CgirForward, ScalarRemainderReadIsForwarded) {
-  Stmt st = Stmt::text_line("sig_t[i] = a_s;");
+  Stmt st = Stmt::line({Piece::element("sig_t", true), lit(" = "),
+                        Piece::local("a_s"), lit(";")});
   st.stores_var = "a_s";
   st.is_store = true;
-  st.accesses.push_back({"sig_t", true, true});
-  Stmt rd = Stmt::text_line("out_q[i] = sig_t[i] * 2.0f;");
+  Stmt rd = scalar_line("out_q", "sig_t", " * 2.0f");
   rd.is_store = true;
   rd.stores_var = "q_s";
-  rd.accesses.push_back({"out_q", true, true});
-  rd.accesses.push_back({"sig_t", false, true});
   Stmt loop;
   loop.kind = Stmt::Kind::kLoop;
   loop.begin = 0;
@@ -632,7 +689,9 @@ TEST(CgirForward, ScalarRemainderReadIsForwarded) {
   loop.body = {st, rd};
   TranslationUnit tu = unit_with_step({loop}, {f32_buffer("sig_t", 64)});
   PassStats stats = run_passes(tu, {});
-  EXPECT_EQ(tu.step.body[0].body.back().text, "out_q[i] = a_s * 2.0f;");
+  EXPECT_EQ(print_text(tu.step.body[0].body.back()), "out_q[i] = a_s * 2.0f;");
+  EXPECT_EQ(access_list(tu.step.body[0].body.back()),
+            std::vector<std::string>{"out_q:we"});
   EXPECT_EQ(stats.buffers_eliminated, 1);  // sig_t no longer read
 }
 
@@ -643,19 +702,11 @@ TEST(CgirForward, ScalarRemainderReadIsForwarded) {
 TEST(CgirArena, RebindsDisjointLiveRanges) {
   // sig_a is dead before sig_b's first write, so both share one slot sized
   // for the larger of the two.
-  Stmt w_a = Stmt::text_line("kernel_a(in_x, sig_a);");
-  w_a.accesses.push_back({"sig_a", true, false});
-  Stmt r_a = Stmt::text_line("consume_a(sig_a, out_p);");
-  r_a.accesses.push_back({"sig_a", false, false});
-  r_a.accesses.push_back({"out_p", true, false});
-  Stmt w_b = Stmt::text_line("kernel_b(in_y, sig_b);");
-  w_b.accesses.push_back({"sig_b", true, false});
-  Stmt r_b = Stmt::text_line("consume_b(sig_b, out_q);");
-  r_b.accesses.push_back({"sig_b", false, false});
-  r_b.accesses.push_back({"out_q", true, false});
-
   TranslationUnit tu = unit_with_step(
-      {w_a, r_a, w_b, r_b},
+      {kernel_call("kernel_a", "in_x", "sig_a"),
+       kernel_call("consume_a", "sig_a", "out_p"),
+       kernel_call("kernel_b", "in_y", "sig_b"),
+       kernel_call("consume_b", "sig_b", "out_q")},
       {f32_buffer("sig_a", 8), f32_buffer("sig_b", 16)});
   PassOptions options;
   options.opt_level = 0;
@@ -666,22 +717,18 @@ TEST(CgirArena, RebindsDisjointLiveRanges) {
   EXPECT_EQ(tu.buffers[0].components, 16);
   EXPECT_EQ(stats.buffers_rebound, 2);
   EXPECT_EQ(stats.arena_bytes_saved, (8u + 16u) * 4u - 16u * 4u);
-  EXPECT_EQ(tu.step.body[0].text, "kernel_a(in_x, buf0);");
-  EXPECT_EQ(tu.step.body[2].text, "kernel_b(in_y, buf0);");
+  EXPECT_EQ(print_text(tu.step.body[0]), "kernel_a(in_x, buf0);");
+  EXPECT_EQ(print_text(tu.step.body[2]), "kernel_b(in_y, buf0);");
 }
 
 TEST(CgirArena, OverlappingRangesKeepSeparateSlots) {
-  Stmt w_a = Stmt::text_line("kernel_a(in_x, sig_a);");
-  w_a.accesses.push_back({"sig_a", true, false});
-  Stmt w_b = Stmt::text_line("kernel_b(in_y, sig_b);");
-  w_b.accesses.push_back({"sig_b", true, false});
-  Stmt r_both = Stmt::text_line("combine(sig_a, sig_b, out_p);");
-  r_both.accesses.push_back({"sig_a", false, false});
-  r_both.accesses.push_back({"sig_b", false, false});
-  r_both.accesses.push_back({"out_p", true, false});
-
+  Stmt r_both = Stmt::line({lit("combine("), Piece::buffer("sig_a", false),
+                            lit(", "), Piece::buffer("sig_b", false), lit(", "),
+                            Piece::buffer("out_p", true), lit(");")});
   TranslationUnit tu = unit_with_step(
-      {w_a, w_b, r_both}, {f32_buffer("sig_a", 8), f32_buffer("sig_b", 8)});
+      {kernel_call("kernel_a", "in_x", "sig_a"),
+       kernel_call("kernel_b", "in_y", "sig_b"), r_both},
+      {f32_buffer("sig_a", 8), f32_buffer("sig_b", 8)});
   PassOptions options;
   options.opt_level = 0;
   PassStats stats = run_passes(tu, options);
@@ -691,23 +738,19 @@ TEST(CgirArena, OverlappingRangesKeepSeparateSlots) {
 
 TEST(CgirArena, RenameIsIdentifierExact) {
   // sig_a is a prefix of sig_ab, and both names occur inside longer
-  // identifiers; only whole identifier tokens are renamed.
-  Stmt w_a = Stmt::text_line("kernel_a(in_x, sig_a, sig_a_len, xsig_a);");
-  w_a.accesses.push_back({"sig_a", true, false});
-  Stmt w_ab = Stmt::text_line("kernel_b(sig_a, sig_ab, sig_ab2, sig_ab_n);");
-  w_ab.accesses.push_back({"sig_ab", true, false});
-  w_ab.accesses.push_back({"sig_a", false, false});
-  Stmt r_ab = Stmt::text_line("consume(sig_ab, out_p); /* sig_ab */");
-  r_ab.accesses.push_back({"sig_ab", false, false});
-  r_ab.accesses.push_back({"out_p", true, false});
-  Stmt w_c = Stmt::text_line("kernel_c(in_y, sig_c);");
-  w_c.accesses.push_back({"sig_c", true, false});
-  Stmt r_c = Stmt::text_line("consume(sig_c, out_q);");
-  r_c.accesses.push_back({"sig_c", false, false});
-  r_c.accesses.push_back({"out_q", true, false});
+  // identifiers and a comment; only the buffer references are renamed.
+  Stmt w_a = Stmt::line({lit("kernel_a(in_x, "), Piece::buffer("sig_a", true),
+                         lit(", sig_a_len, xsig_a);")});
+  Stmt w_ab = Stmt::line({lit("kernel_b("), Piece::buffer("sig_a", false),
+                          lit(", "), Piece::buffer("sig_ab", true),
+                          lit(", sig_ab2, sig_ab_n);")});
+  Stmt r_ab = Stmt::line({lit("consume("), Piece::buffer("sig_ab", false),
+                          lit(", "), Piece::buffer("out_p", true),
+                          lit("); /* sig_ab */")});
 
   TranslationUnit tu = unit_with_step(
-      {w_a, w_ab, r_ab, w_c, r_c},
+      {w_a, w_ab, r_ab, kernel_call("kernel_c", "in_y", "sig_c"),
+       kernel_call("consume", "sig_c", "out_q")},
       {f32_buffer("sig_a", 8), f32_buffer("sig_ab", 8),
        f32_buffer("sig_c", 8)});
   PassOptions options;
@@ -718,20 +761,20 @@ TEST(CgirArena, RenameIsIdentifierExact) {
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
             "  kernel_a(in_x, buf0, sig_a_len, xsig_a);\n"
             "  kernel_b(buf0, buf1, sig_ab2, sig_ab_n);\n"
-            "  consume(buf1, out_p); /* buf1 */\n"
+            "  consume(buf1, out_p); /* sig_ab */\n"
             "  kernel_c(in_y, buf0);\n"
             "  consume(buf0, out_q);\n"
             "}\n");
   ASSERT_EQ(tu.buffers.size(), 2u);
   EXPECT_EQ(tu.buffers[0].name, "buf0");
   EXPECT_EQ(tu.buffers[1].name, "buf1");
-  EXPECT_EQ(tu.step.body[1].accesses[0].buffer, "buf1");
-  EXPECT_EQ(tu.step.body[1].accesses[1].buffer, "buf0");
+  EXPECT_EQ(access_list(tu.step.body[1]),
+            (std::vector<std::string>{"buf0:r", "buf1:w"}));
 }
 
 TEST(CgirArena, IneligibleAndConstBuffersAreUntouched) {
-  Stmt w = Stmt::text_line("dly_state[0] = in_x[0];");
-  w.accesses.push_back({"dly_state", true, false});
+  Stmt w = Stmt::line({Piece::element_at("dly_state", true, 0), lit(" = "),
+                       Piece::element_at("in_x", false, 0), lit(";")});
   BufferDecl state = f32_buffer("dly_state", 4, /*eligible=*/false);
   BufferDecl taps;
   taps.name = "taps";
@@ -748,6 +791,166 @@ TEST(CgirArena, IneligibleAndConstBuffersAreUntouched) {
   ASSERT_EQ(tu.buffers.size(), 2u);
   EXPECT_EQ(tu.buffers[0].name, "dly_state");
   EXPECT_EQ(tu.buffers[1].name, "taps");
+}
+
+
+// ---------------------------------------------------------------------------
+// Token boundaries: buffers whose names are prefixes of one another (buf1 /
+// buf10, in_a / in_ab) and locals whose names start with a buffer's name,
+// through every pass that rewrites references.
+// ---------------------------------------------------------------------------
+
+TEST(CgirTokens, VectorForwardingAndArenaRenameKeepPrefixNames) {
+  // t_b forwards to buf1_b (a local named after buf1), and the arena renames
+  // buf1 -> buf0 and buf10 -> buf1 at once: neither rename may touch the
+  // other name, the locals, or in_ab.
+  TranslationUnit tu = unit_with_step(
+      {vloop(0, 64, 4,
+             {load("in_a_b", "in_a"), load("in_ab_b", "in_ab"),
+              calc("buf1_b", "vaddq_f32", {"in_a_b", "in_ab_b"}),
+              store("buf1", "buf1_b"), load("t_b", "buf1"),
+              calc("u_b", "vmulq_f32", {"t_b", "in_a_b"}),
+              store("buf10", "u_b")}),
+       kernel_call("consume", "buf1", "out_q"),
+       kernel_call("consume", "buf10", "out_p")},
+      {f32_buffer("buf1", 64), f32_buffer("buf10", 64)});
+  PassStats stats = run_passes(tu, {});
+  EXPECT_EQ(stats.copies_elided, 1);
+  EXPECT_EQ(stats.buffers_rebound, 2);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
+            "    float32x4_t in_a_b = vld1q_f32(&in_a[i]);\n"
+            "    float32x4_t in_ab_b = vld1q_f32(&in_ab[i]);\n"
+            "    float32x4_t buf1_b = vaddq_f32(in_a_b, in_ab_b);\n"
+            "    vst1q_f32(&buf0[i], buf1_b);\n"
+            "    float32x4_t u_b = vmulq_f32(buf1_b, in_a_b);\n"
+            "    vst1q_f32(&buf1[i], u_b);\n"
+            "  }\n"
+            "  consume(buf0, out_q);\n"
+            "  consume(buf1, out_p);\n"
+            "}\n");
+}
+
+TEST(CgirTokens, ScalarForwardingSwapsOnlyTheStoredElement) {
+  // buf1[i] was just stored from in_a_s, so its read becomes the local;
+  // buf10[i] and in_ab[i] stay element reads.  buf1 is then dead, and the
+  // arena renames buf10 onto buf0.
+  Stmt def = Stmt::line({lit("float "), Piece::local("in_a_s"), lit(" = "),
+                         Piece::element("in_a", false), lit(" + "),
+                         Piece::element("in_ab", false), lit(";")});
+  def.defines = "in_a_s";
+  Stmt st = Stmt::line({Piece::element("buf1", true), lit(" = "),
+                        Piece::local("in_a_s"), lit(";")});
+  st.is_store = true;
+  st.stores_var = "in_a_s";
+  Stmt use = Stmt::line({lit("float "), Piece::local("w_s"), lit(" = "),
+                         Piece::element("buf1", false), lit(" * "),
+                         Piece::element("buf10", false), lit(";")});
+  use.defines = "w_s";
+  Stmt out = Stmt::line({Piece::element("out_p", true), lit(" = "),
+                         Piece::local("w_s"), lit(";")});
+  out.is_store = true;
+  out.stores_var = "w_s";
+  TranslationUnit tu = unit_with_step(
+      {fill("fill", "buf10"), scalar_loop(0, 3, {def, st, use, out})},
+      {f32_buffer("buf1", 3), f32_buffer("buf10", 3)});
+  PassStats stats = run_passes(tu, {});
+  EXPECT_EQ(stats.buffers_eliminated, 1);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  fill(buf0);\n"
+            "  for (int i = 0; i < 3; ++i) {\n"
+            "    float in_a_s = in_a[i] + in_ab[i];\n"
+            "    float w_s = in_a_s * buf0[i];\n"
+            "    out_p[i] = w_s;\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(CgirTokens, StripMiningAndLaneBuffersKeepPrefixNames) {
+  // -O2: the scalar loop strip-mines into the vector loop (its element
+  // indexes become (i + k)), the arena renames buf1 onto buf0, and the lane
+  // rewrite gives in_a and in_ab lane buffers of their own.
+  auto pointer = [](const std::string& type, const std::string& name,
+                    const std::string& init) {
+    Stmt s = Stmt::line({lit(type + "* "), Piece::local(name), lit(init)});
+    s.defines = name;
+    s.array_ctype = "float";
+    return s;
+  };
+  Stmt lane = Stmt::line({Piece::element("out_p", true), lit(" = "),
+                          Piece::element("in_ab", false), lit(" * "),
+                          Piece::element("in_a", false), lit(" + "),
+                          Piece::element("buf1", false), lit(";")});
+  TranslationUnit tu = unit_with_step(
+      {pointer("const float", "in_a", " = (const float*)inputs[0];"),
+       pointer("const float", "in_ab", " = (const float*)inputs[1];"),
+       pointer("float", "out_p", " = (float*)outputs[0];"),
+       vloop(0, 8, 4, {load("in_a_b", "in_a"), store("buf1", "in_a_b")}),
+       scalar_loop(0, 8, {lane})},
+      {f32_buffer("buf1", 8)});
+  PassOptions options;
+  options.opt_level = 2;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.cross_scale_fused, 1);
+  EXPECT_EQ(stats.strips_localized, 1);
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  const float* in_a = (const float*)inputs[0];\n"
+            "  const float* in_ab = (const float*)inputs[1];\n"
+            "  float* out_p = (float*)outputs[0];\n"
+            "  for (int i = 0; i < 8; i += 4) {\n"
+            "    float32x4_t in_a_b = vld1q_f32(&in_a[i]);\n"
+            "    vst1q_f32(&buf0[i], in_a_b);\n"
+            "    float ln0_out_p[4];\n"
+            "    float ln0_in_ab[4];\n"
+            "    float ln0_in_a[4];\n"
+            "    float ln0_buf0[4];\n"
+            "    memcpy(ln0_in_ab, &in_ab[i], sizeof(ln0_in_ab));\n"
+            "    memcpy(ln0_in_a, &in_a[i], sizeof(ln0_in_a));\n"
+            "    memcpy(ln0_buf0, &buf0[i], sizeof(ln0_buf0));\n"
+            "    for (int k = 0; k < 4; ++k) {\n"
+            "      ln0_out_p[k] = ln0_in_ab[k] * ln0_in_a[k] + ln0_buf0[k];\n"
+            "    }\n"
+            "    memcpy(&out_p[i], ln0_out_p, sizeof(ln0_out_p));\n"
+            "  }\n"
+            "}\n");
+  // The block copies carry the shared arrays' accesses; the lane loop
+  // touches only its local lane buffers.
+  const Stmt& loop = tu.step.body[3];
+  EXPECT_EQ(access_list(loop.body[6]),
+            (std::vector<std::string>{"ln0_in_ab:w", "in_ab:re"}));
+  EXPECT_EQ(access_list(loop.body[10]),
+            (std::vector<std::string>{"out_p:we", "ln0_out_p:r"}));
+}
+
+TEST(CgirTokens, StripMiningReindexesOnlyTheLoopIndex) {
+  // Before localization, the strip body reads (i + k) wherever the scalar
+  // loop read i, and a constant index stays put.
+  Stmt lane = Stmt::line({Piece::element("out_p", true), lit(" = "),
+                          Piece::element("in_i", false), lit(" + "),
+                          Piece::element_at("in_i", false, 0), lit(";")});
+  TranslationUnit tu = unit_with_step(
+      {vloop(0, 8, 4, {load("i_b", "in_i"), store("out_q", "i_b")}),
+       scalar_loop(0, 8, {lane})},
+      {f32_buffer("in_i", 8, false), f32_buffer("out_p", 8, false),
+       f32_buffer("out_q", 8, false)});
+  PassOptions options;
+  options.opt_level = 2;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.cross_scale_fused, 1);
+  EXPECT_EQ(stats.strips_localized, 0);  // in_i[0] is no lane element
+  EXPECT_EQ(printed_step(tu),
+            "void m_step(const void* const* inputs, void* const* outputs) {\n"
+            "  for (int i = 0; i < 8; i += 4) {\n"
+            "    float32x4_t i_b = vld1q_f32(&in_i[i]);\n"
+            "    vst1q_f32(&out_q[i], i_b);\n"
+            "    for (int k = 0; k < 4; ++k) {\n"
+            "      out_p[(i + k)] = in_i[(i + k)] + in_i[0];\n"
+            "    }\n"
+            "  }\n"
+            "}\n");
 }
 
 }  // namespace

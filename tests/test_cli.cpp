@@ -262,7 +262,7 @@ TEST_F(CliFixture, DumpCgirRoundTripsThroughParse) {
                         " --isa neon_sim --dump-cgir --out " + dump_path);
   ASSERT_EQ(r.exit_code, 0) << r.output;
   const std::string dumped = read_file(dump_path);
-  EXPECT_EQ(dumped.rfind("cgir-v1", 0), 0u) << dumped.substr(0, 80);
+  EXPECT_EQ(dumped.rfind("cgir-v2", 0), 0u) << dumped.substr(0, 80);
 
   // The dump is the emitter's own serialization: parsing it back and
   // re-printing must reproduce exactly what `generate` without the flag
@@ -345,7 +345,7 @@ TEST_F(CliFixture, DumpCgirAfterSnapshotsNamedPass) {
                         " --isa neon_sim -O2 --dump-cgir-after=fuse_loops"
                         " --out " + dump);
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_EQ(read_file(dump).rfind("cgir-v1", 0), 0u);
+  EXPECT_EQ(read_file(dump).rfind("cgir-v2", 0), 0u);
 
   // Unknown pass names are usage errors; passes that exist but never ran at
   // the chosen -O level are reported as real errors.

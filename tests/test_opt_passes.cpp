@@ -29,7 +29,7 @@ codegen::EmitConfig hcg_config(int opt_level) {
   return config;
 }
 
-/// hcg_config() that also captures the final "cgir-v1" dump.
+/// hcg_config() that also captures the final "cgir-v2" dump.
 codegen::EmitConfig hcg_dump_config(int opt_level) {
   codegen::EmitConfig config = hcg_config(opt_level);
   config.dump_cgir_after = "final";

@@ -268,8 +268,13 @@ constexpr PinnedCount kPaperAndFarmCounts[] = {
     {"fir_bench.dfsynth_o0.static_buffer_bytes", 8192},
     {"mixed_pipeline.o2.cross_scale_fused", 1},
     {"mixed_pipeline.o2.simd_instructions", 2},
+    {"highpass_bench.simulink_scattered_o1.copies_elided", 7},
+    {"highpass_bench.simulink_scattered_o1.static_buffer_bytes", 8192},
     {"farm64.precalc_runs", 16},
     {"farm64.dedup_hits", 48},
+    {"farm64.o1.loops_fused", 59},
+    {"farm64.o1.copies_elided", 0},
+    {"farm64.o1.static_buffer_bytes", 17856},
     {"farm64.o2.loops_fused", 59},
     {"farm64.o2.arena_bytes_saved", 1888},
     {"farm64.simulink_o0.static_buffer_bytes", 1724},
@@ -371,9 +376,27 @@ TEST(CodegenCounts, PaperModelsAndFarm64) {
         static_cast<std::int64_t>(code.simd_instructions.size());
   }
 
-  // 64 farm actors over 16 distinct keys: a cold generation measures each
-  // key once and answers the other 48 from the in-run memo.  A second, warm
-  // -O2 generation pins fusion order and the arena layout at scale, and the
+  // The -O1 pipeline on the scattered Simulink-like baseline (one vector
+  // loop per actor): fusion merges the per-actor loops, forwarding drops
+  // the reloads of each handoff buffer, and dead-buffer elimination
+  // deletes the handoff buffers and their stores (3 of the 7 elided
+  // copies), leaving two buffers.  HCG's own regions keep their handoffs in
+  // registers, so no HCG cell gives that pass work.
+  {
+    const Model model = resolved(benchmodels::highpass_model(1024));
+    const codegen::GeneratedCode code =
+        codegen::make_simulink_generator(&isa::builtin("sse"), 1)
+            ->generate(model);
+    measured["highpass_bench.simulink_scattered_o1.copies_elided"] =
+        code.report.copies_elided;
+    measured["highpass_bench.simulink_scattered_o1.static_buffer_bytes"] =
+        static_cast<std::int64_t>(code.static_buffer_bytes);
+  }
+
+  // 64 farm actors over 16 distinct keys: a cold -O1 generation measures
+  // each key once and answers the other 48 from the in-run memo; it also
+  // pins the -O1 fusion count and arena footprint.  A second, warm -O2
+  // generation pins fusion order and the arena layout at scale, and the
   // Simulink-like baseline's -O0 footprint pins that -O0 shares buffers
   // through the same arena pass.
   {
@@ -390,7 +413,11 @@ TEST(CodegenCounts, PaperModelsAndFarm64) {
       return codegen::make_hcg_generator(isa::builtin("neon_sim"), &history,
                                          {}, opt_level);
     };
-    (void)generator(1)->generate(model);
+    const codegen::GeneratedCode o1 = generator(1)->generate(model);
+    measured["farm64.o1.loops_fused"] = o1.report.loops_fused;
+    measured["farm64.o1.copies_elided"] = o1.report.copies_elided;
+    measured["farm64.o1.static_buffer_bytes"] =
+        static_cast<std::int64_t>(o1.static_buffer_bytes);
     measured["farm64.precalc_runs"] =
         static_cast<std::int64_t>(precalc.value() - precalc_before);
     measured["farm64.dedup_hits"] =

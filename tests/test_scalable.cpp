@@ -34,7 +34,7 @@ codegen::EmitConfig sve_config(int opt_level) {
   return config;
 }
 
-/// sve_config() that also captures the final "cgir-v1" dump.
+/// sve_config() that also captures the final "cgir-v2" dump.
 codegen::EmitConfig sve_dump_config(int opt_level) {
   codegen::EmitConfig config = sve_config(opt_level);
   config.dump_cgir_after = "final";
