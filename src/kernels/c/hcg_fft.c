@@ -53,7 +53,9 @@ void hcg_fft_dft(const float* in, float* out, int n, int inverse) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Iterative radix-2 (n = 2^k), bit-reversal + butterfly stages.       */
+/* Iterative radix-2 (n = 2^k), bit-reversal + butterfly stages.  One  */
+/* table of n/2 roots serves every stage via stride indexing, trading  */
+/* O(n) memory for exact single-rotation twiddles.                     */
 /* ------------------------------------------------------------------ */
 static void hcg_fft_priv_radix2_core(float* a, int n, int inverse) {
   /* Bit-reversal permutation. */
@@ -69,58 +71,6 @@ static void hcg_fft_priv_radix2_core(float* a, int n, int inverse) {
       a[2 * j + 1] = ti;
     }
   }
-  for (int len = 2; len <= n; len <<= 1) {
-    const double ang = (inverse ? 2.0 : -2.0) * M_PI / (double)len;
-    const double wr = cos(ang), wi = sin(ang);
-    for (int i = 0; i < n; i += len) {
-      double cr = 1.0, ci = 0.0;
-      for (int j = 0; j < len / 2; ++j) {
-        float* u = a + 2 * (i + j);
-        float* v = a + 2 * (i + j + len / 2);
-        const double vr = v[0] * cr - v[1] * ci;
-        const double vi = v[0] * ci + v[1] * cr;
-        const double ur = u[0], ui = u[1];
-        u[0] = (float)(ur + vr);
-        u[1] = (float)(ui + vi);
-        v[0] = (float)(ur - vr);
-        v[1] = (float)(ui - vi);
-        const double ncr = cr * wr - ci * wi;
-        ci = cr * wi + ci * wr;
-        cr = ncr;
-      }
-    }
-  }
-}
-
-void hcg_fft_radix2(const float* in, float* out, int n, int inverse) {
-  memcpy(out, in, (size_t)n * 2 * sizeof(float));
-  hcg_fft_priv_radix2_core(out, n, inverse);
-  if (inverse) {
-    const float s = 1.0f / (float)n;
-    for (int i = 0; i < 2 * n; ++i) out[i] *= s;
-  }
-}
-
-/* ------------------------------------------------------------------ */
-/* Radix-2 with a precomputed twiddle table (n = 2^k): one table of    */
-/* n/2 roots serves every stage via stride indexing, trading O(n)      */
-/* memory for exact single-rotation twiddles and no recurrence drift.  */
-/* ------------------------------------------------------------------ */
-void hcg_fft_radix2_tab(const float* in, float* out, int n, int inverse) {
-  memcpy(out, in, (size_t)n * 2 * sizeof(float));
-  /* Bit-reversal permutation. */
-  for (int i = 1, j = 0; i < n; ++i) {
-    int bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j |= bit;
-    if (i < j) {
-      float tr = out[2 * i], ti = out[2 * i + 1];
-      out[2 * i] = out[2 * j];
-      out[2 * i + 1] = out[2 * j + 1];
-      out[2 * j] = tr;
-      out[2 * j + 1] = ti;
-    }
-  }
   const int half = n / 2;
   float* tw = (float*)malloc((size_t)(half > 0 ? half : 1) * 2 * sizeof(float));
   const double ang0 = (inverse ? 2.0 : -2.0) * M_PI / (double)n;
@@ -134,8 +84,8 @@ void hcg_fft_radix2_tab(const float* in, float* out, int n, int inverse) {
       for (int j = 0; j < len / 2; ++j) {
         const float wr = tw[2 * (j * stride)];
         const float wi = tw[2 * (j * stride) + 1];
-        float* u = out + 2 * (i + j);
-        float* v = out + 2 * (i + j + len / 2);
+        float* u = a + 2 * (i + j);
+        float* v = a + 2 * (i + j + len / 2);
         const float vr = v[0] * wr - v[1] * wi;
         const float vi = v[0] * wi + v[1] * wr;
         const float ur = u[0], ui = u[1];
@@ -147,6 +97,11 @@ void hcg_fft_radix2_tab(const float* in, float* out, int n, int inverse) {
     }
   }
   free(tw);
+}
+
+void hcg_fft_radix2_tab(const float* in, float* out, int n, int inverse) {
+  memcpy(out, in, (size_t)n * 2 * sizeof(float));
+  hcg_fft_priv_radix2_core(out, n, inverse);
   if (inverse) {
     const float s = 1.0f / (float)n;
     for (int i = 0; i < 2 * n; ++i) out[i] *= s;
@@ -399,8 +354,8 @@ void hcg_fft2d_radix2(const float* in, float* out, int rows, int cols,
                       int inverse) {
   float* col_buf = (float*)malloc((size_t)rows * 2 * sizeof(float));
   for (int r = 0; r < rows; ++r) {
-    hcg_fft_radix2(in + (size_t)r * cols * 2, out + (size_t)r * cols * 2, cols,
-                   inverse);
+    hcg_fft_radix2_tab(in + (size_t)r * cols * 2, out + (size_t)r * cols * 2,
+                       cols, inverse);
   }
   for (int c = 0; c < cols; ++c) {
     for (int r = 0; r < rows; ++r) {

@@ -12,7 +12,6 @@ extern "C" {
 
 /* FFT family: interleaved complex float, inverse includes 1/n. */
 void hcg_fft_dft(const float* in, float* out, int n, int inverse);
-void hcg_fft_radix2(const float* in, float* out, int n, int inverse);
 void hcg_fft_radix2_tab(const float* in, float* out, int n, int inverse);
 void hcg_fft_radix4(const float* in, float* out, int n, int inverse);
 void hcg_fft_mixed(const float* in, float* out, int n, int inverse);

@@ -70,9 +70,6 @@ std::vector<KernelImpl> build_registry() {
     // generator links, and the baseline HCG is compared against.
     add("fft_dft", type, c64, KernelSig::kFft1D, SizeRule::kAny, "hcg_fft_dft",
         "hcg_fft.c", false, reinterpret_cast<const void*>(&hcg_fft_dft));
-    add("fft_radix2", type, c64, KernelSig::kFft1D, SizeRule::kPow2,
-        "hcg_fft_radix2", "hcg_fft.c", false,
-        reinterpret_cast<const void*>(&hcg_fft_radix2));
     add("fft_radix2_tab", type, c64, KernelSig::kFft1D, SizeRule::kPow2,
         "hcg_fft_radix2_tab", "hcg_fft.c", false,
         reinterpret_cast<const void*>(&hcg_fft_radix2_tab));

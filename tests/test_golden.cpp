@@ -68,7 +68,8 @@ std::filesystem::path golden_dir() {
 /// time-independent.
 synth::SelectionHistory pinned_history() {
   synth::SelectionHistory history;
-  history.store("FFT", DataType::kComplex64, {Shape({1024})}, "fft_radix2");
+  history.store("FFT", DataType::kComplex64, {Shape({1024})},
+                "fft_radix2_tab");
   history.store("DCT", DataType::kFloat32, {Shape({256})}, "dct_lee");
   history.store("Conv", DataType::kFloat32, {Shape({1024}), Shape({64})},
                 "conv_blocked");

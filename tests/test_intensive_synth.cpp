@@ -133,7 +133,7 @@ TEST(Select, Pow2FftPrefersFastImplementationOverGeneral) {
   EXPECT_NE(selection.impl->id, "fft_dft");
   EXPECT_NE(selection.impl->id, "fft_bluestein");
   // Every eligible candidate was measured.
-  EXPECT_EQ(selection.measured_costs.size(), 6u);
+  EXPECT_EQ(selection.measured_costs.size(), 5u);
   EXPECT_GT(selection.measured_costs.at("fft_dft"),
             selection.measured_costs.at(selection.impl->id));
 }
@@ -143,10 +143,10 @@ TEST(Select, NonPow2SizeFiltersPow2Candidates) {
   SelectionHistory history;
   auto selection = select_implementation(fft_actor(model), history);
   // radix2/radix4 cannot handle 600 (canHandleDataSize filter).
-  EXPECT_EQ(selection.measured_costs.count("fft_radix2"), 0u);
+  EXPECT_EQ(selection.measured_costs.count("fft_radix2_tab"), 0u);
   EXPECT_EQ(selection.measured_costs.count("fft_radix4"), 0u);
   EXPECT_GE(selection.measured_costs.size(), 2u);  // dft, mixed, bluestein
-  EXPECT_NE(selection.impl->id, "fft_radix2");
+  EXPECT_NE(selection.impl->id, "fft_radix2_tab");
 }
 
 TEST(Select, HistoryHitSkipsPreCalculation) {
@@ -201,6 +201,27 @@ TEST(Select, HistoryNamingARetiredTileWidthIsRemeasured) {
   EXPECT_EQ(selection.impl->id, "matmul_blocked");
   EXPECT_EQ(*history.lookup("MatMul", DataType::kFloat32, shapes),
             "matmul_blocked");
+}
+
+TEST(Select, HistoryNamingARetiredFftIsRemeasured) {
+  // fft_radix2 (the twiddle-recurrence radix-2) left the library once
+  // fft_radix2_tab beat it at every size; a history written before that
+  // still names it.
+  Model model = resolved(benchmodels::fft_model(16));
+  const std::vector<Shape> shapes = {Shape({16})};
+  SelectionHistory history =
+      SelectionHistory::deserialize("FFT c64 16 -> fft_radix2\n");
+  auto selection = select_implementation(fft_actor(model), history);
+  EXPECT_FALSE(selection.from_history);
+  EXPECT_EQ(selection.measured_costs.count("fft_radix2"), 0u);
+  EXPECT_TRUE(selection.measured_costs.count("fft_radix2_tab"));
+  const std::optional<std::string> stored =
+      history.lookup("FFT", DataType::kComplex64, shapes);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(*stored, selection.impl->id);
+  EXPECT_NE(kernels::CodeLibrary::instance().find(*stored,
+                                                  DataType::kComplex64),
+            nullptr);
 }
 
 TEST(Select, KernelsArePrimedOncePerProcess) {

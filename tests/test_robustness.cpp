@@ -412,7 +412,7 @@ TEST(DegradedPrecalc, PartialFailureSelectsAmongSurvivors) {
   ASSERT_NE(selection.impl, nullptr);
   EXPECT_FALSE(selection.degraded);
   EXPECT_FALSE(selection.measured_costs.empty());
-  EXPECT_EQ(selection.measured_costs.count("fft_radix2"), 0u);
+  EXPECT_EQ(selection.measured_costs.count("fft_radix2_tab"), 0u);
   EXPECT_EQ(selection.measured_costs.count("fft_radix4"), 0u);
   ASSERT_FALSE(selection.failures.empty());
   for (const synth::CandidateFailure& failure : selection.failures) {

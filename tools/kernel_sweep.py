@@ -12,6 +12,7 @@ took and chose from.  This script adds no timing loop of its own.
 
 One markdown table per family: per size, each candidate's median time over
 the runs with its interquartile range, and how many runs picked each winner.
+Under each table, one line lists the candidates no run picked at any size.
 A cell marked `*` was screened out on its warm-up in at least one run, so its
 time there is one single call, not a timed sample.  Exits 1 when hcgc fails or
 a row has no measured candidate.
@@ -32,12 +33,17 @@ from collections import Counter
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (family, actor type, element type, sizes, Conv signal length).  A size is
-# the input shape; Conv sizes are tap counts, against a signal of the given
-# length, or of the tap count itself when it is None (square convolutions).
+# the input shape, n x n for the Mat* and 2-D families; Conv sizes are tap
+# counts, against a signal of the given length, or of the tap count itself
+# when it is None (square convolutions).
 FAMILIES = [
     ("FFT c64", "FFT", "c64",
-     [16, 64, 256, 1024, 4096, 8192, 60, 360, 1000, 1500, 997], None),
-    ("DCT f32", "DCT", "f32", [16, 64, 256, 1024], None),
+     [4, 8, 16, 64, 256, 1024, 4096, 8192, 12, 60, 360, 1000, 1500, 997],
+     None),
+    ("DCT f32", "DCT", "f32", [8, 16, 24, 32, 64, 256, 1024], None),
+    ("IDCT f32", "IDCT", "f32", [8, 16, 32, 64, 256, 1024], None),
+    ("DCT2D f32, n x n", "DCT2D", "f32", [8, 16, 32, 64], None),
+    ("FFT2D c64, n x n", "FFT2D", "c64", [4, 8, 16, 32, 64], None),
     ("Conv f32, n=1024", "Conv", "f32", [4, 16, 64, 256, 1024], 1024),
     ("Conv f32, n=k", "Conv", "f32", [13, 64], None),
     ("MatMul f32", "MatMul", "f32", [2, 3, 4, 32, 96, 97, 128], None),
@@ -60,8 +66,8 @@ def sweep_model(actor_type, dtype, sizes, signal):
                          f'dtype="{dtype}" shape="{size}" value="0.5"/>')
             connects += [(f"x_{k}", f"{k}:0"), (f"taps_{k}", f"{k}:1")]
         else:
-            shape = f"{size}x{size}" if actor_type.startswith("Mat") \
-                else str(size)
+            square = actor_type.startswith("Mat") or actor_type.endswith("2D")
+            shape = f"{size}x{size}" if square else str(size)
             ports = 2 if actor_type == "MatMul" else 1
             for p in range(ports):
                 lines.append(f'  <actor name="x{p}_{k}" type="Inport" '
@@ -160,6 +166,7 @@ def main():
             print(f"\n**{family}**\n")
             print(f"| {label} | " + " | ".join(impls) + " | picked |")
             print("|---:|" + "---:|" * len(impls) + "---|")
+            ever_picked = set()
             for size in sizes:
                 actor = f"{actor_type.lower()}_{size}"
                 rows = [run.get(actor, ("(none)", {})) for run in runs]
@@ -175,9 +182,13 @@ def main():
                 if any(not costs for _, costs in rows):
                     empty_rows += 1
                 picks = Counter(chosen for chosen, _ in rows)
+                ever_picked.update(picks)
                 picked = ", ".join(f"{impl} {count}/{args.runs}"
                                    for impl, count in picks.most_common())
                 print(f"| {size} | " + " | ".join(cells) + f" | {picked} |")
+            never = [impl for impl in impls if impl not in ever_picked]
+            print(f"\nNever picked at any size: "
+                  f"{', '.join(never) if never else '(none)'}.")
     if empty_rows:
         sys.exit(f"kernel_sweep: {empty_rows} row(s) had no measured "
                  "candidate")
