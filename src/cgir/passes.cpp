@@ -347,82 +347,24 @@ void merge_bodies(Stmt& earlier, AccessSummary& summary, LoopIndex& index,
   }
 }
 
-/// The accesses of the statements that stay behind a candidate merge,
-/// chained per buffer, so a possible hoist is checked against all of them
-/// in one lookup per buffer it touches.
-class StayIndex {
- public:
-  void add(const AccessSummary& summary, std::size_t buffer_count) {
-    if (head_.size() < buffer_count) head_.resize(buffer_count, -1);
-    for (const BufferTouch& touch : summary.touches) {
-      int& head = head_[static_cast<std::size_t>(touch.buffer)];
-      entries_.push_back(
-          {touch.buffer, touch.mode, summary.begin, summary.end, head});
-      head = static_cast<int>(entries_.size()) - 1;
-    }
-  }
-
-  bool conflicts_with(const AccessSummary& summary) const {
-    for (const BufferTouch& touch : summary.touches) {
-      if (static_cast<std::size_t>(touch.buffer) >= head_.size()) continue;
-      for (int e = head_[static_cast<std::size_t>(touch.buffer)]; e >= 0;
-           e = entries_[static_cast<std::size_t>(e)].next) {
-        const Entry& entry = entries_[static_cast<std::size_t>(e)];
-        if (modes_conflict(touch.mode, entry.mode,
-                           domains_overlap(summary.begin, summary.end,
-                                           entry.begin, entry.end))) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
-  void clear() {
-    for (const Entry& entry : entries_) {
-      head_[static_cast<std::size_t>(entry.buffer)] = -1;
-    }
-    entries_.clear();
-  }
-
- private:
-  struct Entry {
-    int buffer;
-    unsigned char mode;
-    int begin;
-    int end;
-    int next;  // previous entry for the same buffer, -1 at the chain's end
-  };
-  std::vector<int> head_;  // buffer id -> its newest entry, -1 when none
-  std::vector<Entry> entries_;
-};
-
-/// Same-shape loop fusion over one statement list.  The scan visits each
-/// fusible loop `later` (position p) in order and looks back for the nearest
-/// same-shape fusible loop `earlier` (position q) it can merge into.
-/// Intervening statements stay behind the merged loop when independent of
-/// the later loop, or hoist above it when independent of the earlier loop
-/// and of everything that stays; any other conflict rejects the pairing.
-///
-/// After a merge the body reads [0, q) unchanged, the hoisted statements,
-/// the merged loop, the staying statements, then (p, end).  The scan resumes
-/// at q, not at 0: a statement before q has the same candidates and the
-/// same statements between them as before, so it still cannot fuse.  The
-/// merges therefore happen in exactly the order of a scan that restarts from
-/// the top after every merge.
+/// Same-shape loop fusion over one statement list, in one forward pass.
+/// At each fusible loop `later` the scan walks back through the statements
+/// it has kept so far, stopping at the nearest one that conflicts with
+/// `later`, and merges `later` into the first same-shape loop on that walk
+/// that passes merge_compatible.  Everything between the two therefore is
+/// independent of `later` and stays where it is, behind the merged loop.
+/// Only `later`'s body moves; no other statement is hoisted above a merged
+/// loop, so fusion never makes a kernel's output live before it would be.
 ///
 /// Each statement is summarized once.  A fusible loop's defined-locals and
 /// stored-buffers index is built the first time it is a merge candidate; a
 /// merge extends the merged loop's summary and index by the appended lines
-/// only.  The candidates for `later` come from a per-shape chain through the
-/// fusible loops before p, so the look-back never visits a loop of another
-/// shape; resuming at q pops the chain entries at q and after.  The scan
-/// works on an index order over `body` and moves the statements into their
-/// final order once at the end.
+/// only.  Kept statements are compacted to the front of `body` as the scan
+/// goes, together with their summaries, indexes and shapes.
 void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
   Interner buffers;
   Interner locals;
-  const std::vector<int> shape_of = fusion_shapes(body);
+  std::vector<int> shape_of = fusion_shapes(body);
   std::vector<AccessSummary> summaries(body.size());
   for (std::size_t i = 0; i < body.size(); ++i) {
     summaries[i] = summarize(body[i], buffers);
@@ -439,95 +381,37 @@ void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
     }
     return index;
   };
-  std::vector<std::size_t> order(body.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  // The fusible loops at positions before p, in position order; each entry
-  // links to the previous one of its shape.
-  struct Seen {
-    std::size_t position;
-    int shape;
-    int previous;
-  };
-  std::vector<Seen> seen;
-  std::vector<int> newest(body.size(), -1);  // shape -> its newest entry
-
-  StayIndex staying;
-  std::vector<std::size_t> stay;
-  std::vector<std::size_t> hoist;
-  std::vector<std::size_t> moved;
-  for (std::size_t p = 0; p < order.size();) {
-    while (!seen.empty() && seen.back().position >= p) {
-      newest[static_cast<std::size_t>(seen.back().shape)] = seen.back().previous;
-      seen.pop_back();
-    }
-    const int shape = shape_of[order[p]];
-    if (shape < 0) {
-      ++p;
-      continue;
-    }
-    const AccessSummary& later_summary = summaries[order[p]];
-    std::size_t target = p;
-    for (int e = newest[static_cast<std::size_t>(shape)]; e >= 0;
-         e = seen[static_cast<std::size_t>(e)].previous) {
-      const std::size_t q = seen[static_cast<std::size_t>(e)].position;
-      const AccessSummary& earlier_summary = summaries[order[q]];
-      stay.clear();
-      hoist.clear();
-      staying.clear();
-      bool ok = true;
-      for (std::size_t m = q + 1; m < p && ok; ++m) {
-        const AccessSummary& between = summaries[order[m]];
-        if (!conflicts(between, later_summary)) {
-          stay.push_back(m);
-          staying.add(between, buffers.size());
-        } else if (!conflicts(between, earlier_summary) &&
-                   !staying.conflicts_with(between)) {
-          hoist.push_back(m);
-        } else {
-          ok = false;
+  std::size_t kept = 0;  // body[0, kept) holds the statements kept so far
+  for (std::size_t p = 0; p < body.size(); ++p) {
+    std::size_t target = kept;  // kept: no merge
+    if (shape_of[p] >= 0) {
+      for (std::size_t q = kept; q-- > 0;) {
+        if (shape_of[q] == shape_of[p] &&
+            merge_compatible(body[q], summaries[q], index_of(q), body[p],
+                             summaries[p], index_of(p))) {
+          target = q;
+          break;
         }
-      }
-      if (ok && merge_compatible(body[order[q]], earlier_summary,
-                                 index_of(order[q]), body[order[p]],
-                                 later_summary, index_of(order[p]))) {
-        target = q;
-        break;
+        if (conflicts(summaries[q], summaries[p])) break;
       }
     }
-    if (target == p) {
-      seen.push_back({p, shape, newest[static_cast<std::size_t>(shape)]});
-      newest[static_cast<std::size_t>(shape)] = static_cast<int>(seen.size()) - 1;
-      ++p;
+    if (target < kept) {
+      merge_bodies(body[target], summaries[target], indexes[target],
+                   std::move(body[p]), summaries[p], indexes[p], buffers,
+                   stats);
+      ++stats.loops_fused;
       continue;
     }
-
-    const std::size_t into = order[target];
-    merge_bodies(body[into], summaries[into], indexes[into],
-                 std::move(body[order[p]]), later_summary, indexes[order[p]],
-                 buffers, stats);
-    moved.clear();
-    for (std::size_t m : hoist) moved.push_back(order[m]);
-    moved.push_back(into);
-    for (std::size_t m : stay) moved.push_back(order[m]);
-    std::copy(moved.begin(), moved.end(),
-              order.begin() + static_cast<std::ptrdiff_t>(target));
-    order.erase(order.begin() + static_cast<std::ptrdiff_t>(p));
-    ++stats.loops_fused;
-    p = target;
-  }
-  if (order.size() == body.size()) return;  // nothing merged
-
-  // Statements before the first merge kept their places; move the rest.
-  std::size_t kept = 0;
-  while (kept < order.size() && order[kept] == kept) ++kept;
-  std::vector<Stmt> rest;
-  rest.reserve(order.size() - kept);
-  for (std::size_t i = kept; i < order.size(); ++i) {
-    rest.push_back(std::move(body[order[i]]));
+    if (p != kept) {
+      body[kept] = std::move(body[p]);
+      summaries[kept] = std::move(summaries[p]);
+      indexes[kept] = std::move(indexes[p]);
+      shape_of[kept] = shape_of[p];
+    }
+    ++kept;
   }
   body.erase(body.begin() + static_cast<std::ptrdiff_t>(kept), body.end());
-  std::move(rest.begin(), rest.end(), std::back_inserter(body));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@
 //   * Loop fusion — adjacent region loops with the same iteration domain
 //     merge into one loop when every buffer they share is accessed
 //     elementwise (so per-iteration body order preserves semantics).
-//     Statements sitting between two fusion candidates either stay behind
-//     the merged loop (when independent of the later loop) or hoist above
-//     it (when independent of the earlier loop and everything that stays).
+//     A later loop merges into an earlier one only when every statement
+//     between them is independent of the later loop; those statements stay
+//     where they are, behind the merged loop, and nothing is reordered.
 //   * Cross-scale fusion — a conventional scalar loop over [0, n) that could
 //     not join a batch region strip-mines into the shape of an adjacent
 //     vector loop over the same width (outer loop strides by the vector

@@ -49,7 +49,8 @@ struct EmitConfig {
   /// translation unit; it alone picks the passes (cgir/passes.hpp).
   /// 0 = no restructuring (only the arena pass, which rebinds nothing
   ///     unless reuse_buffers is set);
-  /// 1 = region loop fusion + copy forwarding, then the arena pass;
+  /// 1 = region loop fusion + copy forwarding + dead-buffer elimination
+  ///     (eliminate_dead_buffers), then the arena pass;
   /// 2 = additionally cross-scale producer-consumer fusion (strip-mining)
   /// and strip-body lane localization.
   int opt_level = 0;

@@ -997,42 +997,23 @@ HCG_MAT_BLOCKED_DEFINE(double, f64)
 #endif /* HCG_MAT_C_INCLUDED */
 
 /* ---- signal buffers ---- */
-static float buf0[259];
+static float buf0[271];
 static const float sig_taps2[4] = {0.000000f, 0.036162f, 0.067429f, 0.089570f};
 static const float sig_taps6[8] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f};
-static float buf1[263];
 static const float sig_taps10[12] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f};
-static float buf2[267];
-static float buf4[259];
 static const float sig_taps14[16] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f, -0.096313f, -0.099524f, -0.089265f, -0.066924f};
-static float buf3[271];
 static const float sig_taps18[4] = {0.000000f, 0.036162f, 0.067429f, 0.089570f};
-static float buf8[259];
 static const float sig_taps22[8] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f};
-static float buf5[263];
 static const float sig_taps26[12] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f};
-static float buf6[267];
-static float buf12[259];
 static const float sig_taps30[16] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f, -0.096313f, -0.099524f, -0.089265f, -0.066924f};
-static float buf7[271];
 static const float sig_taps34[4] = {0.000000f, 0.036162f, 0.067429f, 0.089570f};
-static float buf16[16];
 static const float sig_taps38[8] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f};
-static float buf9[263];
 static const float sig_taps42[12] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f};
-static float buf10[267];
-static float buf17[16];
 static const float sig_taps46[16] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f, -0.096313f, -0.099524f, -0.089265f, -0.066924f};
-static float buf11[271];
 static const float sig_taps50[4] = {0.000000f, 0.036162f, 0.067429f, 0.089570f};
-static float buf18[16];
 static const float sig_taps54[8] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f};
-static float buf13[263];
 static const float sig_taps58[12] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f};
-static float buf14[267];
-static float buf19[16];
 static const float sig_taps62[16] = {0.000000f, 0.036162f, 0.067429f, 0.089570f, 0.099588f, 0.096128f, 0.079657f, 0.052404f, 0.018060f, -0.018729f, -0.052984f, -0.080067f, -0.096313f, -0.099524f, -0.089265f, -0.066924f};
-static float buf15[271];
 
 void ifarm64_dup_init(void) {
 }
@@ -1185,292 +1166,454 @@ void ifarm64_dup_step(const void* const* inputs, void* const* outputs) {
 
   hcg_fft_radix4(in_x0, out_y0, 4, 0);
   hcg_dct_lee_f32(in_x1, buf0, 8);
-  hcg_dct_lee_f32(in_x17, buf1, 8);
-  hcg_dct_lee_f32(in_x33, buf2, 8);
-  hcg_dct_lee_f32(in_x49, buf3, 8);
-  /* batch region (4 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   for (int i = 0; i < 8; i += 4) {
     float32x4_t dct1_b = vld1q_f32(&buf0[i]);
     float32x4_t g1_b = vmulq_n_f32(dct1_b, 0.500000f);
     vst1q_f32(&out_y1[i], g1_b);
-    float32x4_t dct17_b = vld1q_f32(&buf1[i]);
-    float32x4_t g17_b = vmulq_n_f32(dct17_b, 0.500000f);
-    vst1q_f32(&out_y17[i], g17_b);
-    float32x4_t dct33_b = vld1q_f32(&buf2[i]);
-    float32x4_t g33_b = vmulq_n_f32(dct33_b, 0.500000f);
-    vst1q_f32(&out_y33[i], g33_b);
-    float32x4_t dct49_b = vld1q_f32(&buf3[i]);
-    float32x4_t g49_b = vmulq_n_f32(dct49_b, 0.500000f);
-    vst1q_f32(&out_y49[i], g49_b);
   }
   hcg_conv_blocked_f32(in_x2, 256, sig_taps2, 4, buf0);
-  hcg_conv_blocked_f32(in_x6, 256, sig_taps6, 8, buf1);
-  hcg_conv_blocked_f32(in_x10, 256, sig_taps10, 12, buf2);
-  hcg_conv_blocked_f32(in_x14, 256, sig_taps14, 16, buf3);
-  hcg_conv_blocked_f32(in_x18, 256, sig_taps18, 4, buf4);
-  hcg_conv_blocked_f32(in_x22, 256, sig_taps22, 8, buf5);
-  hcg_conv_blocked_f32(in_x26, 256, sig_taps26, 12, buf6);
-  hcg_conv_blocked_f32(in_x30, 256, sig_taps30, 16, buf7);
-  hcg_conv_blocked_f32(in_x34, 256, sig_taps34, 4, buf8);
-  hcg_conv_blocked_f32(in_x38, 256, sig_taps38, 8, buf9);
-  hcg_conv_blocked_f32(in_x42, 256, sig_taps42, 12, buf10);
-  hcg_conv_blocked_f32(in_x46, 256, sig_taps46, 16, buf11);
-  hcg_conv_blocked_f32(in_x50, 256, sig_taps50, 4, buf12);
-  hcg_conv_blocked_f32(in_x54, 256, sig_taps54, 8, buf13);
-  hcg_conv_blocked_f32(in_x58, 256, sig_taps58, 12, buf14);
-  hcg_conv_blocked_f32(in_x62, 256, sig_taps62, 16, buf15);
-  /* batch region (16 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   for (int i = 0; i < 3; ++i) {
     float g2_s = buf0[i] * (float)0.500000f;
     out_y2[i] = g2_s;
-    float g6_s = buf1[i] * (float)0.500000f;
-    out_y6[i] = g6_s;
-    float g10_s = buf2[i] * (float)0.500000f;
-    out_y10[i] = g10_s;
-    float g14_s = buf3[i] * (float)0.500000f;
-    out_y14[i] = g14_s;
-    float g18_s = buf4[i] * (float)0.500000f;
-    out_y18[i] = g18_s;
-    float g22_s = buf5[i] * (float)0.500000f;
-    out_y22[i] = g22_s;
-    float g26_s = buf6[i] * (float)0.500000f;
-    out_y26[i] = g26_s;
-    float g30_s = buf7[i] * (float)0.500000f;
-    out_y30[i] = g30_s;
-    float g34_s = buf8[i] * (float)0.500000f;
-    out_y34[i] = g34_s;
-    float g38_s = buf9[i] * (float)0.500000f;
-    out_y38[i] = g38_s;
-    float g42_s = buf10[i] * (float)0.500000f;
-    out_y42[i] = g42_s;
-    float g46_s = buf11[i] * (float)0.500000f;
-    out_y46[i] = g46_s;
-    float g50_s = buf12[i] * (float)0.500000f;
-    out_y50[i] = g50_s;
-    float g54_s = buf13[i] * (float)0.500000f;
-    out_y54[i] = g54_s;
-    float g58_s = buf14[i] * (float)0.500000f;
-    out_y58[i] = g58_s;
-    float g62_s = buf15[i] * (float)0.500000f;
-    out_y62[i] = g62_s;
   }
   for (int i = 3; i < 259; i += 4) {
     float32x4_t conv2_b = vld1q_f32(&buf0[i]);
     float32x4_t g2_b = vmulq_n_f32(conv2_b, 0.500000f);
     vst1q_f32(&out_y2[i], g2_b);
-    float32x4_t conv18_b = vld1q_f32(&buf4[i]);
-    float32x4_t g18_b = vmulq_n_f32(conv18_b, 0.500000f);
-    vst1q_f32(&out_y18[i], g18_b);
-    float32x4_t conv34_b = vld1q_f32(&buf8[i]);
-    float32x4_t g34_b = vmulq_n_f32(conv34_b, 0.500000f);
-    vst1q_f32(&out_y34[i], g34_b);
-    float32x4_t conv50_b = vld1q_f32(&buf12[i]);
-    float32x4_t g50_b = vmulq_n_f32(conv50_b, 0.500000f);
-    vst1q_f32(&out_y50[i], g50_b);
   }
   hcg_matmul_unrolled_f32(in_a3, in_c3, buf0, 2);
-  hcg_matmul_unrolled_f32(in_a19, in_c19, buf4, 2);
-  hcg_matmul_unrolled_f32(in_a35, in_c35, buf8, 2);
-  hcg_matmul_unrolled_f32(in_a51, in_c51, buf12, 2);
-  /* batch region (4 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   {
     const int i = 0;
     float32x4_t mm3_b = vld1q_f32(&buf0[i]);
     float32x4_t g3_b = vmulq_n_f32(mm3_b, 0.500000f);
     vst1q_f32(&out_y3[i], g3_b);
-    float32x4_t mm19_b = vld1q_f32(&buf4[i]);
-    float32x4_t g19_b = vmulq_n_f32(mm19_b, 0.500000f);
-    vst1q_f32(&out_y19[i], g19_b);
-    float32x4_t mm35_b = vld1q_f32(&buf8[i]);
-    float32x4_t g35_b = vmulq_n_f32(mm35_b, 0.500000f);
-    vst1q_f32(&out_y35[i], g35_b);
-    float32x4_t mm51_b = vld1q_f32(&buf12[i]);
-    float32x4_t g51_b = vmulq_n_f32(mm51_b, 0.500000f);
-    vst1q_f32(&out_y51[i], g51_b);
   }
   hcg_fft_radix2_tab(in_x4, out_y4, 8, 0);
   hcg_dct_fft_f32(in_x5, buf0, 16);
-  hcg_matmul_unrolled_f32(in_a11, in_c11, buf4, 4);
-  hcg_dct_fft_f32(in_x21, buf8, 16);
-  hcg_matmul_unrolled_f32(in_a27, in_c27, buf12, 4);
-  hcg_dct_fft_f32(in_x37, buf16, 16);
-  hcg_matmul_unrolled_f32(in_a43, in_c43, buf17, 4);
-  hcg_dct_fft_f32(in_x53, buf18, 16);
-  hcg_matmul_unrolled_f32(in_a59, in_c59, buf19, 4);
-  /* batch region (8 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   for (int i = 0; i < 16; i += 4) {
     float32x4_t dct5_b = vld1q_f32(&buf0[i]);
     float32x4_t g5_b = vmulq_n_f32(dct5_b, 0.500000f);
     vst1q_f32(&out_y5[i], g5_b);
-    float32x4_t mm11_b = vld1q_f32(&buf4[i]);
-    float32x4_t g11_b = vmulq_n_f32(mm11_b, 0.500000f);
-    vst1q_f32(&out_y11[i], g11_b);
-    float32x4_t dct21_b = vld1q_f32(&buf8[i]);
-    float32x4_t g21_b = vmulq_n_f32(dct21_b, 0.500000f);
-    vst1q_f32(&out_y21[i], g21_b);
-    float32x4_t mm27_b = vld1q_f32(&buf12[i]);
-    float32x4_t g27_b = vmulq_n_f32(mm27_b, 0.500000f);
-    vst1q_f32(&out_y27[i], g27_b);
-    float32x4_t dct37_b = vld1q_f32(&buf16[i]);
-    float32x4_t g37_b = vmulq_n_f32(dct37_b, 0.500000f);
-    vst1q_f32(&out_y37[i], g37_b);
-    float32x4_t mm43_b = vld1q_f32(&buf17[i]);
-    float32x4_t g43_b = vmulq_n_f32(mm43_b, 0.500000f);
-    vst1q_f32(&out_y43[i], g43_b);
-    float32x4_t dct53_b = vld1q_f32(&buf18[i]);
-    float32x4_t g53_b = vmulq_n_f32(dct53_b, 0.500000f);
-    vst1q_f32(&out_y53[i], g53_b);
-    float32x4_t mm59_b = vld1q_f32(&buf19[i]);
-    float32x4_t g59_b = vmulq_n_f32(mm59_b, 0.500000f);
-    vst1q_f32(&out_y59[i], g59_b);
+  }
+  hcg_conv_blocked_f32(in_x6, 256, sig_taps6, 8, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g6_s = buf0[i] * (float)0.500000f;
+    out_y6[i] = g6_s;
   }
   for (int i = 3; i < 263; i += 4) {
-    float32x4_t conv6_b = vld1q_f32(&buf1[i]);
+    float32x4_t conv6_b = vld1q_f32(&buf0[i]);
     float32x4_t g6_b = vmulq_n_f32(conv6_b, 0.500000f);
     vst1q_f32(&out_y6[i], g6_b);
-    float32x4_t conv22_b = vld1q_f32(&buf5[i]);
-    float32x4_t g22_b = vmulq_n_f32(conv22_b, 0.500000f);
-    vst1q_f32(&out_y22[i], g22_b);
-    float32x4_t conv38_b = vld1q_f32(&buf9[i]);
-    float32x4_t g38_b = vmulq_n_f32(conv38_b, 0.500000f);
-    vst1q_f32(&out_y38[i], g38_b);
-    float32x4_t conv54_b = vld1q_f32(&buf13[i]);
-    float32x4_t g54_b = vmulq_n_f32(conv54_b, 0.500000f);
-    vst1q_f32(&out_y54[i], g54_b);
   }
   hcg_matmul_unrolled_f32(in_a7, in_c7, buf0, 3);
-  hcg_matmul_generic_f32(in_a15, in_c15, buf1, 5);
-  hcg_matmul_unrolled_f32(in_a23, in_c23, buf4, 3);
-  hcg_matmul_generic_f32(in_a31, in_c31, buf5, 5);
-  hcg_matmul_unrolled_f32(in_a39, in_c39, buf8, 3);
-  hcg_matmul_generic_f32(in_a47, in_c47, buf9, 5);
-  hcg_matmul_unrolled_f32(in_a55, in_c55, buf12, 3);
-  hcg_matmul_generic_f32(in_a63, in_c63, buf13, 5);
-  /* batch region (8 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   for (int i = 0; i < 1; ++i) {
     float g7_s = buf0[i] * (float)0.500000f;
     out_y7[i] = g7_s;
-    float g15_s = buf1[i] * (float)0.500000f;
-    out_y15[i] = g15_s;
-    float g23_s = buf4[i] * (float)0.500000f;
-    out_y23[i] = g23_s;
-    float g31_s = buf5[i] * (float)0.500000f;
-    out_y31[i] = g31_s;
-    float g39_s = buf8[i] * (float)0.500000f;
-    out_y39[i] = g39_s;
-    float g47_s = buf9[i] * (float)0.500000f;
-    out_y47[i] = g47_s;
-    float g55_s = buf12[i] * (float)0.500000f;
-    out_y55[i] = g55_s;
-    float g63_s = buf13[i] * (float)0.500000f;
-    out_y63[i] = g63_s;
   }
   for (int i = 1; i < 9; i += 4) {
     float32x4_t mm7_b = vld1q_f32(&buf0[i]);
     float32x4_t g7_b = vmulq_n_f32(mm7_b, 0.500000f);
     vst1q_f32(&out_y7[i], g7_b);
-    float32x4_t mm23_b = vld1q_f32(&buf4[i]);
-    float32x4_t g23_b = vmulq_n_f32(mm23_b, 0.500000f);
-    vst1q_f32(&out_y23[i], g23_b);
-    float32x4_t mm39_b = vld1q_f32(&buf8[i]);
-    float32x4_t g39_b = vmulq_n_f32(mm39_b, 0.500000f);
-    vst1q_f32(&out_y39[i], g39_b);
-    float32x4_t mm55_b = vld1q_f32(&buf12[i]);
-    float32x4_t g55_b = vmulq_n_f32(mm55_b, 0.500000f);
-    vst1q_f32(&out_y55[i], g55_b);
   }
   hcg_fft_dft(in_x8, out_y8, 12, 0);
   hcg_dct_naive_f32(in_x9, buf0, 24);
-  hcg_dct_naive_f32(in_x25, buf4, 24);
-  hcg_dct_naive_f32(in_x41, buf8, 24);
-  hcg_dct_naive_f32(in_x57, buf12, 24);
-  /* batch region (4 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   for (int i = 0; i < 24; i += 4) {
     float32x4_t dct9_b = vld1q_f32(&buf0[i]);
     float32x4_t g9_b = vmulq_n_f32(dct9_b, 0.500000f);
     vst1q_f32(&out_y9[i], g9_b);
-    float32x4_t dct25_b = vld1q_f32(&buf4[i]);
-    float32x4_t g25_b = vmulq_n_f32(dct25_b, 0.500000f);
-    vst1q_f32(&out_y25[i], g25_b);
-    float32x4_t dct41_b = vld1q_f32(&buf8[i]);
-    float32x4_t g41_b = vmulq_n_f32(dct41_b, 0.500000f);
-    vst1q_f32(&out_y41[i], g41_b);
-    float32x4_t dct57_b = vld1q_f32(&buf12[i]);
-    float32x4_t g57_b = vmulq_n_f32(dct57_b, 0.500000f);
-    vst1q_f32(&out_y57[i], g57_b);
+  }
+  hcg_conv_blocked_f32(in_x10, 256, sig_taps10, 12, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g10_s = buf0[i] * (float)0.500000f;
+    out_y10[i] = g10_s;
   }
   for (int i = 3; i < 267; i += 4) {
-    float32x4_t conv10_b = vld1q_f32(&buf2[i]);
+    float32x4_t conv10_b = vld1q_f32(&buf0[i]);
     float32x4_t g10_b = vmulq_n_f32(conv10_b, 0.500000f);
     vst1q_f32(&out_y10[i], g10_b);
-    float32x4_t conv26_b = vld1q_f32(&buf6[i]);
-    float32x4_t g26_b = vmulq_n_f32(conv26_b, 0.500000f);
-    vst1q_f32(&out_y26[i], g26_b);
-    float32x4_t conv42_b = vld1q_f32(&buf10[i]);
-    float32x4_t g42_b = vmulq_n_f32(conv42_b, 0.500000f);
-    vst1q_f32(&out_y42[i], g42_b);
-    float32x4_t conv58_b = vld1q_f32(&buf14[i]);
-    float32x4_t g58_b = vmulq_n_f32(conv58_b, 0.500000f);
-    vst1q_f32(&out_y58[i], g58_b);
+  }
+  hcg_matmul_unrolled_f32(in_a11, in_c11, buf0, 4);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t mm11_b = vld1q_f32(&buf0[i]);
+    float32x4_t g11_b = vmulq_n_f32(mm11_b, 0.500000f);
+    vst1q_f32(&out_y11[i], g11_b);
   }
   hcg_fft_radix2_tab(in_x12, out_y12, 16, 0);
   hcg_dct_fft_f32(in_x13, buf0, 32);
-  hcg_dct_fft_f32(in_x29, buf2, 32);
-  hcg_dct_fft_f32(in_x45, buf4, 32);
-  hcg_dct_fft_f32(in_x61, buf6, 32);
-  /* batch region (4 actors) -> neon_sim SIMD */
+  /* batch region (1 actors) -> neon_sim SIMD */
   for (int i = 0; i < 32; i += 4) {
     float32x4_t dct13_b = vld1q_f32(&buf0[i]);
     float32x4_t g13_b = vmulq_n_f32(dct13_b, 0.500000f);
     vst1q_f32(&out_y13[i], g13_b);
-    float32x4_t dct29_b = vld1q_f32(&buf2[i]);
+  }
+  hcg_conv_blocked_f32(in_x14, 256, sig_taps14, 16, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g14_s = buf0[i] * (float)0.500000f;
+    out_y14[i] = g14_s;
+  }
+  for (int i = 3; i < 271; i += 4) {
+    float32x4_t conv14_b = vld1q_f32(&buf0[i]);
+    float32x4_t g14_b = vmulq_n_f32(conv14_b, 0.500000f);
+    vst1q_f32(&out_y14[i], g14_b);
+  }
+  hcg_matmul_generic_f32(in_a15, in_c15, buf0, 5);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g15_s = buf0[i] * (float)0.500000f;
+    out_y15[i] = g15_s;
+  }
+  for (int i = 1; i < 25; i += 4) {
+    float32x4_t mm15_b = vld1q_f32(&buf0[i]);
+    float32x4_t g15_b = vmulq_n_f32(mm15_b, 0.500000f);
+    vst1q_f32(&out_y15[i], g15_b);
+  }
+  hcg_fft_radix4(in_x16, out_y16, 4, 0);
+  hcg_dct_lee_f32(in_x17, buf0, 8);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 8; i += 4) {
+    float32x4_t dct17_b = vld1q_f32(&buf0[i]);
+    float32x4_t g17_b = vmulq_n_f32(dct17_b, 0.500000f);
+    vst1q_f32(&out_y17[i], g17_b);
+  }
+  hcg_conv_blocked_f32(in_x18, 256, sig_taps18, 4, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g18_s = buf0[i] * (float)0.500000f;
+    out_y18[i] = g18_s;
+  }
+  for (int i = 3; i < 259; i += 4) {
+    float32x4_t conv18_b = vld1q_f32(&buf0[i]);
+    float32x4_t g18_b = vmulq_n_f32(conv18_b, 0.500000f);
+    vst1q_f32(&out_y18[i], g18_b);
+  }
+  hcg_matmul_unrolled_f32(in_a19, in_c19, buf0, 2);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  {
+    const int i = 0;
+    float32x4_t mm19_b = vld1q_f32(&buf0[i]);
+    float32x4_t g19_b = vmulq_n_f32(mm19_b, 0.500000f);
+    vst1q_f32(&out_y19[i], g19_b);
+  }
+  hcg_fft_radix2_tab(in_x20, out_y20, 8, 0);
+  hcg_dct_fft_f32(in_x21, buf0, 16);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t dct21_b = vld1q_f32(&buf0[i]);
+    float32x4_t g21_b = vmulq_n_f32(dct21_b, 0.500000f);
+    vst1q_f32(&out_y21[i], g21_b);
+  }
+  hcg_conv_blocked_f32(in_x22, 256, sig_taps22, 8, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g22_s = buf0[i] * (float)0.500000f;
+    out_y22[i] = g22_s;
+  }
+  for (int i = 3; i < 263; i += 4) {
+    float32x4_t conv22_b = vld1q_f32(&buf0[i]);
+    float32x4_t g22_b = vmulq_n_f32(conv22_b, 0.500000f);
+    vst1q_f32(&out_y22[i], g22_b);
+  }
+  hcg_matmul_unrolled_f32(in_a23, in_c23, buf0, 3);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g23_s = buf0[i] * (float)0.500000f;
+    out_y23[i] = g23_s;
+  }
+  for (int i = 1; i < 9; i += 4) {
+    float32x4_t mm23_b = vld1q_f32(&buf0[i]);
+    float32x4_t g23_b = vmulq_n_f32(mm23_b, 0.500000f);
+    vst1q_f32(&out_y23[i], g23_b);
+  }
+  hcg_fft_dft(in_x24, out_y24, 12, 0);
+  hcg_dct_naive_f32(in_x25, buf0, 24);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 24; i += 4) {
+    float32x4_t dct25_b = vld1q_f32(&buf0[i]);
+    float32x4_t g25_b = vmulq_n_f32(dct25_b, 0.500000f);
+    vst1q_f32(&out_y25[i], g25_b);
+  }
+  hcg_conv_blocked_f32(in_x26, 256, sig_taps26, 12, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g26_s = buf0[i] * (float)0.500000f;
+    out_y26[i] = g26_s;
+  }
+  for (int i = 3; i < 267; i += 4) {
+    float32x4_t conv26_b = vld1q_f32(&buf0[i]);
+    float32x4_t g26_b = vmulq_n_f32(conv26_b, 0.500000f);
+    vst1q_f32(&out_y26[i], g26_b);
+  }
+  hcg_matmul_unrolled_f32(in_a27, in_c27, buf0, 4);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t mm27_b = vld1q_f32(&buf0[i]);
+    float32x4_t g27_b = vmulq_n_f32(mm27_b, 0.500000f);
+    vst1q_f32(&out_y27[i], g27_b);
+  }
+  hcg_fft_radix2_tab(in_x28, out_y28, 16, 0);
+  hcg_dct_fft_f32(in_x29, buf0, 32);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 32; i += 4) {
+    float32x4_t dct29_b = vld1q_f32(&buf0[i]);
     float32x4_t g29_b = vmulq_n_f32(dct29_b, 0.500000f);
     vst1q_f32(&out_y29[i], g29_b);
-    float32x4_t dct45_b = vld1q_f32(&buf4[i]);
+  }
+  hcg_conv_blocked_f32(in_x30, 256, sig_taps30, 16, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g30_s = buf0[i] * (float)0.500000f;
+    out_y30[i] = g30_s;
+  }
+  for (int i = 3; i < 271; i += 4) {
+    float32x4_t conv30_b = vld1q_f32(&buf0[i]);
+    float32x4_t g30_b = vmulq_n_f32(conv30_b, 0.500000f);
+    vst1q_f32(&out_y30[i], g30_b);
+  }
+  hcg_matmul_generic_f32(in_a31, in_c31, buf0, 5);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g31_s = buf0[i] * (float)0.500000f;
+    out_y31[i] = g31_s;
+  }
+  for (int i = 1; i < 25; i += 4) {
+    float32x4_t mm31_b = vld1q_f32(&buf0[i]);
+    float32x4_t g31_b = vmulq_n_f32(mm31_b, 0.500000f);
+    vst1q_f32(&out_y31[i], g31_b);
+  }
+  hcg_fft_radix4(in_x32, out_y32, 4, 0);
+  hcg_dct_lee_f32(in_x33, buf0, 8);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 8; i += 4) {
+    float32x4_t dct33_b = vld1q_f32(&buf0[i]);
+    float32x4_t g33_b = vmulq_n_f32(dct33_b, 0.500000f);
+    vst1q_f32(&out_y33[i], g33_b);
+  }
+  hcg_conv_blocked_f32(in_x34, 256, sig_taps34, 4, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g34_s = buf0[i] * (float)0.500000f;
+    out_y34[i] = g34_s;
+  }
+  for (int i = 3; i < 259; i += 4) {
+    float32x4_t conv34_b = vld1q_f32(&buf0[i]);
+    float32x4_t g34_b = vmulq_n_f32(conv34_b, 0.500000f);
+    vst1q_f32(&out_y34[i], g34_b);
+  }
+  hcg_matmul_unrolled_f32(in_a35, in_c35, buf0, 2);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  {
+    const int i = 0;
+    float32x4_t mm35_b = vld1q_f32(&buf0[i]);
+    float32x4_t g35_b = vmulq_n_f32(mm35_b, 0.500000f);
+    vst1q_f32(&out_y35[i], g35_b);
+  }
+  hcg_fft_radix2_tab(in_x36, out_y36, 8, 0);
+  hcg_dct_fft_f32(in_x37, buf0, 16);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t dct37_b = vld1q_f32(&buf0[i]);
+    float32x4_t g37_b = vmulq_n_f32(dct37_b, 0.500000f);
+    vst1q_f32(&out_y37[i], g37_b);
+  }
+  hcg_conv_blocked_f32(in_x38, 256, sig_taps38, 8, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g38_s = buf0[i] * (float)0.500000f;
+    out_y38[i] = g38_s;
+  }
+  for (int i = 3; i < 263; i += 4) {
+    float32x4_t conv38_b = vld1q_f32(&buf0[i]);
+    float32x4_t g38_b = vmulq_n_f32(conv38_b, 0.500000f);
+    vst1q_f32(&out_y38[i], g38_b);
+  }
+  hcg_matmul_unrolled_f32(in_a39, in_c39, buf0, 3);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g39_s = buf0[i] * (float)0.500000f;
+    out_y39[i] = g39_s;
+  }
+  for (int i = 1; i < 9; i += 4) {
+    float32x4_t mm39_b = vld1q_f32(&buf0[i]);
+    float32x4_t g39_b = vmulq_n_f32(mm39_b, 0.500000f);
+    vst1q_f32(&out_y39[i], g39_b);
+  }
+  hcg_fft_dft(in_x40, out_y40, 12, 0);
+  hcg_dct_naive_f32(in_x41, buf0, 24);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 24; i += 4) {
+    float32x4_t dct41_b = vld1q_f32(&buf0[i]);
+    float32x4_t g41_b = vmulq_n_f32(dct41_b, 0.500000f);
+    vst1q_f32(&out_y41[i], g41_b);
+  }
+  hcg_conv_blocked_f32(in_x42, 256, sig_taps42, 12, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g42_s = buf0[i] * (float)0.500000f;
+    out_y42[i] = g42_s;
+  }
+  for (int i = 3; i < 267; i += 4) {
+    float32x4_t conv42_b = vld1q_f32(&buf0[i]);
+    float32x4_t g42_b = vmulq_n_f32(conv42_b, 0.500000f);
+    vst1q_f32(&out_y42[i], g42_b);
+  }
+  hcg_matmul_unrolled_f32(in_a43, in_c43, buf0, 4);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t mm43_b = vld1q_f32(&buf0[i]);
+    float32x4_t g43_b = vmulq_n_f32(mm43_b, 0.500000f);
+    vst1q_f32(&out_y43[i], g43_b);
+  }
+  hcg_fft_radix2_tab(in_x44, out_y44, 16, 0);
+  hcg_dct_fft_f32(in_x45, buf0, 32);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 32; i += 4) {
+    float32x4_t dct45_b = vld1q_f32(&buf0[i]);
     float32x4_t g45_b = vmulq_n_f32(dct45_b, 0.500000f);
     vst1q_f32(&out_y45[i], g45_b);
-    float32x4_t dct61_b = vld1q_f32(&buf6[i]);
+  }
+  hcg_conv_blocked_f32(in_x46, 256, sig_taps46, 16, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g46_s = buf0[i] * (float)0.500000f;
+    out_y46[i] = g46_s;
+  }
+  for (int i = 3; i < 271; i += 4) {
+    float32x4_t conv46_b = vld1q_f32(&buf0[i]);
+    float32x4_t g46_b = vmulq_n_f32(conv46_b, 0.500000f);
+    vst1q_f32(&out_y46[i], g46_b);
+  }
+  hcg_matmul_generic_f32(in_a47, in_c47, buf0, 5);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g47_s = buf0[i] * (float)0.500000f;
+    out_y47[i] = g47_s;
+  }
+  for (int i = 1; i < 25; i += 4) {
+    float32x4_t mm47_b = vld1q_f32(&buf0[i]);
+    float32x4_t g47_b = vmulq_n_f32(mm47_b, 0.500000f);
+    vst1q_f32(&out_y47[i], g47_b);
+  }
+  hcg_fft_radix4(in_x48, out_y48, 4, 0);
+  hcg_dct_lee_f32(in_x49, buf0, 8);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 8; i += 4) {
+    float32x4_t dct49_b = vld1q_f32(&buf0[i]);
+    float32x4_t g49_b = vmulq_n_f32(dct49_b, 0.500000f);
+    vst1q_f32(&out_y49[i], g49_b);
+  }
+  hcg_conv_blocked_f32(in_x50, 256, sig_taps50, 4, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g50_s = buf0[i] * (float)0.500000f;
+    out_y50[i] = g50_s;
+  }
+  for (int i = 3; i < 259; i += 4) {
+    float32x4_t conv50_b = vld1q_f32(&buf0[i]);
+    float32x4_t g50_b = vmulq_n_f32(conv50_b, 0.500000f);
+    vst1q_f32(&out_y50[i], g50_b);
+  }
+  hcg_matmul_unrolled_f32(in_a51, in_c51, buf0, 2);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  {
+    const int i = 0;
+    float32x4_t mm51_b = vld1q_f32(&buf0[i]);
+    float32x4_t g51_b = vmulq_n_f32(mm51_b, 0.500000f);
+    vst1q_f32(&out_y51[i], g51_b);
+  }
+  hcg_fft_radix2_tab(in_x52, out_y52, 8, 0);
+  hcg_dct_fft_f32(in_x53, buf0, 16);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t dct53_b = vld1q_f32(&buf0[i]);
+    float32x4_t g53_b = vmulq_n_f32(dct53_b, 0.500000f);
+    vst1q_f32(&out_y53[i], g53_b);
+  }
+  hcg_conv_blocked_f32(in_x54, 256, sig_taps54, 8, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g54_s = buf0[i] * (float)0.500000f;
+    out_y54[i] = g54_s;
+  }
+  for (int i = 3; i < 263; i += 4) {
+    float32x4_t conv54_b = vld1q_f32(&buf0[i]);
+    float32x4_t g54_b = vmulq_n_f32(conv54_b, 0.500000f);
+    vst1q_f32(&out_y54[i], g54_b);
+  }
+  hcg_matmul_unrolled_f32(in_a55, in_c55, buf0, 3);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g55_s = buf0[i] * (float)0.500000f;
+    out_y55[i] = g55_s;
+  }
+  for (int i = 1; i < 9; i += 4) {
+    float32x4_t mm55_b = vld1q_f32(&buf0[i]);
+    float32x4_t g55_b = vmulq_n_f32(mm55_b, 0.500000f);
+    vst1q_f32(&out_y55[i], g55_b);
+  }
+  hcg_fft_dft(in_x56, out_y56, 12, 0);
+  hcg_dct_naive_f32(in_x57, buf0, 24);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 24; i += 4) {
+    float32x4_t dct57_b = vld1q_f32(&buf0[i]);
+    float32x4_t g57_b = vmulq_n_f32(dct57_b, 0.500000f);
+    vst1q_f32(&out_y57[i], g57_b);
+  }
+  hcg_conv_blocked_f32(in_x58, 256, sig_taps58, 12, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g58_s = buf0[i] * (float)0.500000f;
+    out_y58[i] = g58_s;
+  }
+  for (int i = 3; i < 267; i += 4) {
+    float32x4_t conv58_b = vld1q_f32(&buf0[i]);
+    float32x4_t g58_b = vmulq_n_f32(conv58_b, 0.500000f);
+    vst1q_f32(&out_y58[i], g58_b);
+  }
+  hcg_matmul_unrolled_f32(in_a59, in_c59, buf0, 4);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 16; i += 4) {
+    float32x4_t mm59_b = vld1q_f32(&buf0[i]);
+    float32x4_t g59_b = vmulq_n_f32(mm59_b, 0.500000f);
+    vst1q_f32(&out_y59[i], g59_b);
+  }
+  hcg_fft_radix2_tab(in_x60, out_y60, 16, 0);
+  hcg_dct_fft_f32(in_x61, buf0, 32);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 32; i += 4) {
+    float32x4_t dct61_b = vld1q_f32(&buf0[i]);
     float32x4_t g61_b = vmulq_n_f32(dct61_b, 0.500000f);
     vst1q_f32(&out_y61[i], g61_b);
   }
+  hcg_conv_blocked_f32(in_x62, 256, sig_taps62, 16, buf0);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 3; ++i) {
+    float g62_s = buf0[i] * (float)0.500000f;
+    out_y62[i] = g62_s;
+  }
   for (int i = 3; i < 271; i += 4) {
-    float32x4_t conv14_b = vld1q_f32(&buf3[i]);
-    float32x4_t g14_b = vmulq_n_f32(conv14_b, 0.500000f);
-    vst1q_f32(&out_y14[i], g14_b);
-    float32x4_t conv30_b = vld1q_f32(&buf7[i]);
-    float32x4_t g30_b = vmulq_n_f32(conv30_b, 0.500000f);
-    vst1q_f32(&out_y30[i], g30_b);
-    float32x4_t conv46_b = vld1q_f32(&buf11[i]);
-    float32x4_t g46_b = vmulq_n_f32(conv46_b, 0.500000f);
-    vst1q_f32(&out_y46[i], g46_b);
-    float32x4_t conv62_b = vld1q_f32(&buf15[i]);
+    float32x4_t conv62_b = vld1q_f32(&buf0[i]);
     float32x4_t g62_b = vmulq_n_f32(conv62_b, 0.500000f);
     vst1q_f32(&out_y62[i], g62_b);
   }
+  hcg_matmul_generic_f32(in_a63, in_c63, buf0, 5);
+  /* batch region (1 actors) -> neon_sim SIMD */
+  for (int i = 0; i < 1; ++i) {
+    float g63_s = buf0[i] * (float)0.500000f;
+    out_y63[i] = g63_s;
+  }
   for (int i = 1; i < 25; i += 4) {
-    float32x4_t mm15_b = vld1q_f32(&buf1[i]);
-    float32x4_t g15_b = vmulq_n_f32(mm15_b, 0.500000f);
-    vst1q_f32(&out_y15[i], g15_b);
-    float32x4_t mm31_b = vld1q_f32(&buf5[i]);
-    float32x4_t g31_b = vmulq_n_f32(mm31_b, 0.500000f);
-    vst1q_f32(&out_y31[i], g31_b);
-    float32x4_t mm47_b = vld1q_f32(&buf9[i]);
-    float32x4_t g47_b = vmulq_n_f32(mm47_b, 0.500000f);
-    vst1q_f32(&out_y47[i], g47_b);
-    float32x4_t mm63_b = vld1q_f32(&buf13[i]);
+    float32x4_t mm63_b = vld1q_f32(&buf0[i]);
     float32x4_t g63_b = vmulq_n_f32(mm63_b, 0.500000f);
     vst1q_f32(&out_y63[i], g63_b);
   }
-  hcg_fft_radix4(in_x16, out_y16, 4, 0);
-  hcg_fft_radix2_tab(in_x20, out_y20, 8, 0);
-  hcg_fft_dft(in_x24, out_y24, 12, 0);
-  hcg_fft_radix2_tab(in_x28, out_y28, 16, 0);
-  hcg_fft_radix4(in_x32, out_y32, 4, 0);
-  hcg_fft_radix2_tab(in_x36, out_y36, 8, 0);
-  hcg_fft_dft(in_x40, out_y40, 12, 0);
-  hcg_fft_radix2_tab(in_x44, out_y44, 16, 0);
-  hcg_fft_radix4(in_x48, out_y48, 4, 0);
-  hcg_fft_radix2_tab(in_x52, out_y52, 8, 0);
-  hcg_fft_dft(in_x56, out_y56, 12, 0);
-  hcg_fft_radix2_tab(in_x60, out_y60, 16, 0);
 }

@@ -298,16 +298,18 @@ TEST(CgirFusion, RespectsShapeAndFusibility) {
 
 TEST(CgirFusion, HoistsConflictingInterveningStatement) {
   // The kernel call between the loops writes the buffer the second loop
-  // reads, so it must move above the first loop for the fusion to be legal.
+  // reads.  Fusion never hoists a statement above a merged loop, so the
+  // call blocks the merge and stays between the two loops.
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
        kernel_call("kernel", "in_x", "sig_k"),
        vloop(0, 64, 4, {load("k_b", "sig_k"), store("out_q", "k_b")})});
   PassStats stats = run_passes(tu, {});
-  EXPECT_EQ(stats.loops_fused, 1);
-  ASSERT_EQ(tu.step.body.size(), 2u);
-  EXPECT_EQ(tu.step.body[0].kind, Stmt::Kind::kText);  // hoisted kernel call
-  EXPECT_EQ(tu.step.body[1].kind, Stmt::Kind::kLoop);
+  EXPECT_EQ(stats.loops_fused, 0);
+  ASSERT_EQ(tu.step.body.size(), 3u);
+  EXPECT_EQ(tu.step.body[0].kind, Stmt::Kind::kLoop);
+  EXPECT_EQ(print_text(tu.step.body[1]), "kernel(in_x, sig_k);");
+  EXPECT_EQ(tu.step.body[2].kind, Stmt::Kind::kLoop);
 }
 
 TEST(CgirFusion, IndependentInterveningStatementStaysBehind) {
@@ -325,7 +327,7 @@ TEST(CgirFusion, IndependentInterveningStatementStaysBehind) {
 
 TEST(CgirFusion, AbortsWhenInterveningStatementConflictsBothWays) {
   // Reads what the first loop stores AND writes what the second reads:
-  // it can neither stay nor hoist, so the loops must not merge.
+  // it conflicts with the second loop, so the loops must not merge.
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4, {store("out_p", "a_b")}),
        kernel_call("transform", "out_p", "sig_k"),
@@ -367,8 +369,9 @@ TEST(CgirFusion, SharedLoadIsDeduplicated) {
 }
 
 TEST(CgirFusion, HoistThenLaterLoopJoinsTheMergedLoop) {
-  // Merging the second loop into the first hoists the kernel call above
-  // them; the third loop then fuses into the merged loop.
+  // The kernel call feeding the second loop blocks its merge into the first
+  // and stays in place.  The third loop looks back, meets the second loop
+  // before the call, and joins it: the nearest compatible candidate wins.
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4, {load("a_b", "in_a"), store("out_p", "a_b")}),
        kernel_call("kernel", "in_x", "sig_k"),
@@ -377,13 +380,15 @@ TEST(CgirFusion, HoistThenLaterLoopJoinsTheMergedLoop) {
   PassOptions options;
   options.opt_level = 1;
   PassStats stats = run_passes(tu, options);
-  EXPECT_EQ(stats.loops_fused, 2);
+  EXPECT_EQ(stats.loops_fused, 1);
   EXPECT_EQ(printed_step(tu),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
-            "  kernel(in_x, sig_k);\n"
             "  for (int i = 0; i < 64; i += 4) {\n"
             "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
             "    vst1q_f32(&out_p[i], a_b);\n"
+            "  }\n"
+            "  kernel(in_x, sig_k);\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
             "    float32x4_t k_b = vld1q_f32(&sig_k[i]);\n"
             "    vst1q_f32(&out_q[i], k_b);\n"
             "    float32x4_t c_b = vld1q_f32(&in_c[i]);\n"
@@ -393,11 +398,10 @@ TEST(CgirFusion, HoistThenLaterLoopJoinsTheMergedLoop) {
 }
 
 TEST(CgirFusion, MergedLoopIsScannedAgainAtItsPosition) {
-  // The second loop cannot join the first: mix() conflicts with it and
-  // cannot hoist past prep(), which stays.  Once the third loop has merged
-  // into the second, prep() conflicts with the merged loop too, so both
-  // calls hoist and the merged loop joins the first.  Only a scan that
-  // resumes at the merge position sees this.
+  // The scan visits each statement once.  mix() writes what the sig_x loop
+  // reads, so that loop cannot join the first.  The sig_y loop joins the
+  // sig_x loop, and the merged loop is not scanned again: it stays behind
+  // mix() and prep(), which both conflict with it.
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4, {load("c_b", "in_c"), store("out_c", "c_b")}),
        kernel_call("prep", "in_y", "sig_y"),
@@ -407,14 +411,16 @@ TEST(CgirFusion, MergedLoopIsScannedAgainAtItsPosition) {
   PassOptions options;
   options.opt_level = 1;
   PassStats stats = run_passes(tu, options);
-  EXPECT_EQ(stats.loops_fused, 2);
+  EXPECT_EQ(stats.loops_fused, 1);
   EXPECT_EQ(printed_step(tu),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
-            "  prep(in_y, sig_y);\n"
-            "  mix(sig_y, sig_x);\n"
             "  for (int i = 0; i < 64; i += 4) {\n"
             "    float32x4_t c_b = vld1q_f32(&in_c[i]);\n"
             "    vst1q_f32(&out_c[i], c_b);\n"
+            "  }\n"
+            "  prep(in_y, sig_y);\n"
+            "  mix(sig_y, sig_x);\n"
+            "  for (int i = 0; i < 64; i += 4) {\n"
             "    float32x4_t x_b = vld1q_f32(&sig_x[i]);\n"
             "    vst1q_f32(&out_e[i], x_b);\n"
             "    float32x4_t y_b = vld1q_f32(&sig_y[i]);\n"
@@ -501,10 +507,11 @@ TEST(CgirCrossScale, RolledBackAttemptRestoresBodyAndCounters) {
 
 TEST(CgirFusion, FarmOfShapeGroupsFusesInScanOrder) {
   // A kernel farm: per actor a kernel call, a region loop in one of four
-  // shapes, and a whole-buffer call that reads the loop's output.  Each
-  // loop of actors 4-7 merges into the same-shape loop four actors back:
-  // the kernel call feeding it hoists above the merged loop, and everything
-  // else between the two stays behind it.
+  // shapes, and a whole-buffer call that reads the loop's output.  The loop
+  // of actors 4-7 has a same-shape loop four actors back, but the kernel
+  // call feeding it sits in between and conflicts with it.  Fusion never
+  // hoists that call, so no loop merges and the farm keeps its unfused
+  // order: each kernel output is consumed before the next actor starts.
   std::vector<Stmt> body;
   for (int k = 0; k < 8; ++k) {
     const std::string n = std::to_string(k);
@@ -536,72 +543,36 @@ TEST(CgirFusion, FarmOfShapeGroupsFusesInScanOrder) {
     body.push_back(kernel_call("post", out, "res_" + n));
   }
   TranslationUnit tu = unit_with_step(std::move(body));
+  const std::string unfused = printed_step(tu);
   PassStats stats = run_passes(tu, {});
-  EXPECT_EQ(stats.loops_fused, 4);
-  EXPECT_EQ(stats.copies_elided, 1);  // the second load of in_w
-  EXPECT_EQ(printed_step(tu),
-            "void m_step(const void* const* inputs, void* const* outputs) {\n"
-            "  kern(in_x0, sig_0);\n"
-            "  kern(in_x4, sig_4);\n"
-            "  for (int i = 0; i < 8; i += 4) {\n"
-            "    float32x4_t w_b = vld1q_f32(&in_w[i]);\n"
-            "    float32x4_t s0_b = vld1q_f32(&sig_0[i]);\n"
-            "    float32x4_t g0_b = vmulq_f32(s0_b, w_b);\n"
-            "    vst1q_f32(&out_0[i], g0_b);\n"
-            "    float32x4_t s4_b = vld1q_f32(&sig_4[i]);\n"
-            "    float32x4_t g4_b = vmulq_f32(s4_b, w_b);\n"
-            "    vst1q_f32(&out_4[i], g4_b);\n"
-            "  }\n"
-            "  post(out_0, res_0);\n"
-            "  kern(in_x1, sig_1);\n"
-            "  kern(in_x5, sig_5);\n"
-            "  for (int i = 0; i < 3; ++i) {\n"
-            "    out_1[i] = sig_1[i] * 0.5f;\n"
-            "    out_5[i] = sig_5[i] * 0.5f;\n"
-            "  }\n"
-            "  post(out_1, res_1);\n"
-            "  kern(in_x2, sig_2);\n"
-            "  kern(in_x6, sig_6);\n"
-            "  for (int i = 3; i < 259; i += 4) {\n"
-            "    float32x4_t s2_b = vld1q_f32(&sig_2[i]);\n"
-            "    vst1q_f32(&out_2[i], s2_b);\n"
-            "    float32x4_t s6_b = vld1q_f32(&sig_6[i]);\n"
-            "    vst1q_f32(&out_6[i], s6_b);\n"
-            "  }\n"
-            "  post(out_2, res_2);\n"
-            "  kern(in_x3, sig_3);\n"
-            "  kern(in_x7, sig_7);\n"
-            "  {\n"
-            "    const int i = 0;\n"
-            "    float32x4_t s3_b = vld1q_f32(&sig_3[i]);\n"
-            "    vst1q_f32(&out_3[i], s3_b);\n"
-            "    float32x4_t s7_b = vld1q_f32(&sig_7[i]);\n"
-            "    vst1q_f32(&out_7[i], s7_b);\n"
-            "  }\n"
-            "  post(out_3, res_3);\n"
-            "  post(out_4, res_4);\n"
-            "  post(out_5, res_5);\n"
-            "  post(out_6, res_6);\n"
-            "  post(out_7, res_7);\n"
-            "}\n");
+  EXPECT_EQ(stats.loops_fused, 0);
+  EXPECT_EQ(stats.copies_elided, 0);
+  EXPECT_EQ(printed_step(tu), unfused);
 }
 
 TEST(CgirFusion, InternedBuffersNeitherMergeNorSplit) {
-  // fill(b10) writes what the second vector loop reads, so it hoists above
-  // the merged loop; that is legal only because b10 is not b1, which the
-  // first loop writes.  The remainder loop between the vector loops writes
-  // out_q over [0, 2), disjoint from the second loop's [2, 10), so it stays
-  // behind the merged loop.
-  TranslationUnit tu = unit_with_step(
-      {vloop(2, 10, 4, {load("a_b", "in_a"), store("b1", "a_b")}),
-       scalar_loop(0, 2, {scalar_line("out_q", "b1")}),
-       fill("fill", "b10"),
-       vloop(2, 10, 4, {load("t_b", "b10"), store("out_q", "t_b")})});
-  PassStats stats = run_passes(tu, {});
-  EXPECT_EQ(stats.loops_fused, 1);
-  EXPECT_EQ(printed_step(tu),
+  // b1 and b10 intern to distinct ids.  fill(b10) writes what the second
+  // vector loop reads, so it blocks that loop's merge and stays in place.
+  // fill(b1) writes only what the first loop wrote, so it does not block
+  // the merge and stays behind the merged loop.  The remainder loop between
+  // the vector loops writes out_q over [0, 2), disjoint from the second
+  // loop's [2, 10), so it stays behind the merged loop too.
+  auto unit = [](const std::string& filled) {
+    return unit_with_step(
+        {vloop(2, 10, 4, {load("a_b", "in_a"), store("b1", "a_b")}),
+         scalar_loop(0, 2, {scalar_line("out_q", "b1")}),
+         fill("fill", filled),
+         vloop(2, 10, 4, {load("t_b", "b10"), store("out_q", "t_b")})});
+  };
+  TranslationUnit blocked = unit("b10");
+  const std::string unfused = printed_step(blocked);
+  EXPECT_EQ(run_passes(blocked, {}).loops_fused, 0);
+  EXPECT_EQ(printed_step(blocked), unfused);
+
+  TranslationUnit merged = unit("b1");
+  EXPECT_EQ(run_passes(merged, {}).loops_fused, 1);
+  EXPECT_EQ(printed_step(merged),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
-            "  fill(b10);\n"
             "  for (int i = 2; i < 10; i += 4) {\n"
             "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
             "    vst1q_f32(&b1[i], a_b);\n"
@@ -611,6 +582,7 @@ TEST(CgirFusion, InternedBuffersNeitherMergeNorSplit) {
             "  for (int i = 0; i < 2; ++i) {\n"
             "    out_q[i] = b1[i];\n"
             "  }\n"
+            "  fill(b1);\n"
             "}\n");
 }
 

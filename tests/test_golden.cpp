@@ -32,8 +32,9 @@ struct GoldenCase {
 
 /// intensive_farm_model(64, false) under HCG -O2 on neon_sim.  The paper
 /// models are small -O1 units; the farm lowers to 281 top-level step
-/// statements, so its file pins the order of its 59 loop fusions (hoists
-/// included) and the arena slot naming.
+/// statements, none of which fuse (each Gain loop follows the kernel call
+/// feeding it), so its file pins the unfused statement order and the arena
+/// slot naming.
 constexpr int kFarm64 = -1;
 
 /// rangepipe_model(1024) under HCG -O2 on neon_sim: pins range-driven lane
