@@ -68,9 +68,7 @@ class FunctionChecker {
 
   void run(const std::vector<cgir::Stmt>& body) {
     scopes_.push_back({});
-    written_.push_back({});
     walk(body, /*loop=*/nullptr);
-    written_.pop_back();
     scopes_.pop_back();
   }
 
@@ -92,29 +90,8 @@ class FunctionChecker {
     return false;
   }
 
-  bool written_in_scope(const std::string& buffer) const {
-    for (const auto& frame : written_) {
-      if (frame.count(buffer)) return true;
-    }
-    return false;
-  }
-
-  /// Loop fusion leaves a *pending handoff*: a pure load of a buffer an
-  /// earlier statement in the fused body stored, reusing the producer's
-  /// register name.  Copy forwarding erases exactly these loads next, so a
-  /// redefinition of this one shape is legal between the two passes (and
-  /// cannot survive forwarding — HCG302 still catches real duplicates).
-  bool is_pending_handoff(const cgir::Stmt& stmt) const {
-    if (!stmt.is_load) return false;
-    for (const cgir::Piece& p : stmt.pieces) {
-      if (p.is_access() && !p.write && written_in_scope(p.text)) return true;
-    }
-    return false;
-  }
-
   void check_text(const cgir::Stmt& stmt, const cgir::Stmt* loop) {
     const std::string where = stmt_desc(stmt);
-    const bool handoff = is_pending_handoff(stmt);
     cgir::for_each_access(stmt, [&](const cgir::BufferAccess& access) {
       auto it = decls_.find(access.buffer);
       if (it == decls_.end()) {
@@ -148,15 +125,12 @@ class FunctionChecker {
                 "' which no earlier statement in scope defines");
     }
     if (!stmt.defines.empty()) {
-      if (!scopes_.back().insert(stmt.defines).second && !handoff) {
+      if (!scopes_.back().insert(stmt.defines).second) {
         error("HCG302", where,
               "local '" + stmt.defines +
                   "' is defined twice in the same scope");
       }
     }
-    cgir::for_each_access(stmt, [&](const cgir::BufferAccess& access) {
-      if (access.write) written_.back().insert(access.buffer);
-    });
   }
 
   void check_loop_shape(const cgir::Stmt& loop,
@@ -293,12 +267,10 @@ class FunctionChecker {
       }
       check_loop_shape(stmt, body, i, loop);
       scopes_.push_back({});
-      written_.push_back({});
       // A strip-mined lane loop's elementwise accesses belong to the
       // *enclosing* loop's iteration domain, so keep that loop as the
       // bound-check context (HCG301) when descending into it.
       walk(stmt.body, stmt.strip_mined && loop != nullptr ? loop : &stmt);
-      written_.pop_back();
       scopes_.pop_back();
     }
   }
@@ -307,8 +279,6 @@ class FunctionChecker {
   std::vector<Diagnostic>& out_;
   std::unordered_map<std::string, const cgir::BufferDecl*> decls_;
   std::vector<std::unordered_set<std::string>> scopes_;
-  /// Buffers written so far, per open scope (for handoff detection).
-  std::vector<std::unordered_set<std::string>> written_;
 };
 
 }  // namespace

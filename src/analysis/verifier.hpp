@@ -10,9 +10,7 @@
 // Invariants checked (one stable code each, see docs/ANALYSIS.md):
 //   HCG301  every elementwise BufferAccess stays inside its buffer's extent
 //           given the enclosing loop's trip count
-//   HCG302  no two statements in one loop body define the same local (with
-//           one sanctioned exception: the pending-handoff load loop fusion
-//           creates and copy forwarding is guaranteed to erase)
+//   HCG302  no two statements in one loop body define the same local
 //   HCG303  vector loops step through their domain exactly (no partial
 //           iteration) and every offset vector loop has a scalar remainder
 //           loop covering [0, offset) before it

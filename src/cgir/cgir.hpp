@@ -2,11 +2,11 @@
 //
 // The emitter lowers scheduled actors and matched batch regions into a
 // TranslationUnit instead of concatenating strings; optimization passes
-// (cgir/passes.hpp) then rewrite the tree — fusing region loops, forwarding
-// buffer handoffs, rebinding intermediate buffers onto an arena — before the
-// deterministic pretty-printer turns it back into C.  The lowering declares
-// one buffer per signal; which buffers share storage is decided by the arena
-// pass alone, at every -O level.
+// (cgir/passes.hpp) then rewrite the tree — fusing region loops, strip-mining
+// scalar loops into vector ones, rebinding intermediate buffers onto an
+// arena — before the deterministic pretty-printer turns it back into C.  The
+// lowering declares one buffer per signal; which buffers share storage is
+// decided by the arena pass alone, at every -O level.
 #pragma once
 
 #include <cstddef>
@@ -80,8 +80,8 @@ Pieces operator+(std::string_view lhs, const Pieces& rhs);
 ///
 /// A text line is its pieces plus what the passes need beyond its
 /// accesses: which local it defines, and whether it is a pure load
-/// (`v = vld(&buf[i]);`) or a pure store (`buf[i] = v;`), the two shapes
-/// dead-copy forwarding rewrites.
+/// (`v = vld(&buf[i]);`) or a pure store (`buf[i] = v;`): fusion drops a
+/// repeated load, and scalar copy forwarding reads a store's value.
 struct Stmt {
   enum class Kind : unsigned char { kText, kLoop };
 

@@ -280,8 +280,10 @@ bool stores(const LoopIndex& index, int buffer) {
 /// both sides: with identical iteration domains, running the bodies
 /// back-to-back per iteration sees exactly the values the separate loops
 /// saw.  In summary terms, the two would not conflict if their ranged
-/// accesses were disjoint.  Local-variable collisions are allowed only when
-/// forwarding or deduplication is guaranteed to remove the colliding line.
+/// accesses were disjoint.  A later line may redefine an earlier local only
+/// as a shared load, which merge_bodies drops: it loads exactly what the
+/// earlier defining line loaded (same text), from a buffer the earlier loop
+/// does not store.
 bool merge_compatible(const Stmt& earlier, const AccessSummary& earlier_summary,
                       const LoopIndex& earlier_index, const Stmt& later,
                       const AccessSummary& later_summary,
@@ -294,14 +296,11 @@ bool merge_compatible(const Stmt& earlier, const AccessSummary& earlier_summary,
     if (ids.defines < 0) continue;
     const int at = defining_line(earlier_index, ids.defines);
     if (at < 0) continue;
-    const Stmt& b = later.body[j];
-    if (b.is_load) {
-      if (stores(earlier_index, ids.loaded)) continue;       // forwarded away
-      if (earlier.body[static_cast<std::size_t>(at)].pieces == b.pieces) {
-        continue;                                            // shared load
-      }
+    const Stmt& line = later.body[j];
+    if (!line.is_load || stores(earlier_index, ids.loaded) ||
+        earlier.body[static_cast<std::size_t>(at)].pieces != line.pieces) {
+      return false;
     }
-    return false;
   }
   return true;
 }
@@ -317,14 +316,10 @@ void merge_bodies(Stmt& earlier, AccessSummary& summary, LoopIndex& index,
   for (std::size_t j = 0; j < later.body.size(); ++j) {
     Stmt& line = later.body[j];
     const LineIds& ids = later_index.lines[j];
-    if (line.is_load && ids.defines >= 0) {
-      const int at = defining_line(index, ids.defines);
-      if (at >= 0 &&
-          earlier.body[static_cast<std::size_t>(at)].pieces == line.pieces &&
-          !stores(index, ids.loaded)) {
-        ++stats.copies_elided;
-        continue;
-      }
+    // merge_compatible admitted a repeated local only as a shared load.
+    if (ids.defines >= 0 && defining_line(index, ids.defines) >= 0) {
+      ++stats.copies_elided;
+      continue;
     }
     earlier.body.push_back(std::move(line));
     index.lines.push_back(ids);
@@ -418,77 +413,14 @@ void fuse_same_shape(std::vector<Stmt>& body, PassStats& stats) {
 // Copy forwarding.
 // ---------------------------------------------------------------------------
 
-/// Renames the local `from` to `to` in `stmt`'s pieces and stored value.
-void apply_rename(Stmt& stmt, const std::string& from, const std::string& to) {
-  for (Piece& piece : stmt.pieces) {
-    if (piece.kind == Piece::Kind::kLocal && piece.text == from) {
-      piece.text = to;
-    }
-  }
-  if (stmt.stores_var == from) stmt.stores_var = to;
-  for (Stmt& child : stmt.body) apply_rename(child, from, to);
-}
-
-/// Forgets every buffer a nested loop writes: the loop (a strip-mined lane
-/// body after cross-scale fusion) may rewrite buffers forwarding tracks, so
-/// later reads of those buffers must not forward across it.
-void forget_written(const Stmt& loop,
-                    std::map<std::string, std::string>& stored) {
-  for (const Stmt& child : loop.body) {
-    for_each_access(child, [&](const BufferAccess& access) {
-      if (access.write) stored.erase(access.buffer);
-    });
-    forget_written(child, stored);
-  }
-}
-
-/// Vector bodies: a load of a buffer some earlier line in the same body
-/// stored is dropped, and uses of the loaded variable are renamed to the
-/// stored vector variable.
-void forward_vector(Stmt& loop, PassStats& stats) {
-  std::map<std::string, std::string> stored;  // buffer -> vector variable
-  std::vector<std::pair<std::string, std::string>> renames;
-  std::vector<Stmt> rebuilt;
-  rebuilt.reserve(loop.body.size());
-  for (Stmt& line : loop.body) {
-    for (const auto& rename : renames) {
-      apply_rename(line, rename.first, rename.second);
-    }
-    if (line.kind == Stmt::Kind::kLoop) {
-      forget_written(line, stored);
-      rebuilt.push_back(std::move(line));
-      continue;
-    }
-    if (line.is_load) {
-      const std::string* buf = first_access(line, false);
-      if (buf != nullptr) {
-        auto it = stored.find(*buf);
-        if (it != stored.end()) {
-          if (line.defines != it->second) {
-            renames.emplace_back(line.defines, it->second);
-          }
-          ++stats.copies_elided;
-          continue;
-        }
-      }
-    }
-    if (line.is_store) {
-      if (const std::string* buf = first_access(line, true)) {
-        stored[*buf] = line.stores_var;
-      }
-    }
-    rebuilt.push_back(std::move(line));
-  }
-  loop.body = std::move(rebuilt);
-}
-
-/// Scalar remainder bodies: each read of `buf[i]` where an earlier line in
-/// the same body stored `buf[i] = var;` becomes the local `var`.
-void forward_scalar(Stmt& loop) {
+/// Scalar loop bodies: each read of `buf[i]` where an earlier line in the
+/// same body stored `buf[i] = var;` becomes the local `var`.  A nested loop
+/// may rewrite any stored buffer, so no read forwards across one.
+void forward_scalar(Stmt& loop, PassStats& stats) {
   std::map<std::string, std::string> stored;  // buffer -> scalar variable
   for (Stmt& line : loop.body) {
     if (line.kind == Stmt::Kind::kLoop) {
-      forget_written(line, stored);
+      stored.clear();
       continue;
     }
     const std::string* own_store =
@@ -500,92 +432,12 @@ void forward_scalar(Stmt& loop) {
       }
       if (own_store != nullptr && *own_store == piece.text) continue;
       auto it = stored.find(piece.text);
-      if (it != stored.end()) piece = Piece::local(it->second);
+      if (it == stored.end()) continue;
+      piece = Piece::local(it->second);
+      ++stats.copies_elided;
     }
     if (own_store != nullptr) stored[*own_store] = line.stores_var;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Dead handoff-buffer elimination.
-// ---------------------------------------------------------------------------
-
-/// How the whole unit uses one eligible buffer.
-struct BufferUse {
-  int reads = 0;
-  bool non_store_write = false;  // written by a line other than a pure store
-  /// The reads made by this buffer's store lines, which go when those lines
-  /// are erased.
-  std::vector<BufferUse*> store_line_reads;
-};
-using BufferUses = std::map<std::string, BufferUse, std::less<>>;
-
-/// Fills the entries already in `uses` from one walk over `body`.
-void collect_buffer_use(const std::vector<Stmt>& body, BufferUses& uses) {
-  for (const Stmt& stmt : body) {
-    BufferUse* stored = nullptr;
-    if (stmt.kind == Stmt::Kind::kText && stmt.is_store) {
-      if (const std::string* buf = first_access(stmt, true)) {
-        auto it = uses.find(*buf);
-        if (it != uses.end()) stored = &it->second;
-      }
-    }
-    for_each_access(stmt, [&](const BufferAccess& access) {
-      auto it = uses.find(access.buffer);
-      if (it == uses.end()) return;
-      if (!access.write) {
-        ++it->second.reads;
-        if (stored != nullptr) stored->store_line_reads.push_back(&it->second);
-      } else if (!stmt.is_store) {
-        it->second.non_store_write = true;
-      }
-    });
-    if (stmt.kind == Stmt::Kind::kLoop) collect_buffer_use(stmt.body, uses);
-  }
-}
-
-/// Erases every store line whose stored buffer is in `dead`.
-int erase_stores(std::vector<Stmt>& body, const std::set<std::string>& dead) {
-  int removed = 0;
-  for (Stmt& stmt : body) {
-    if (stmt.kind == Stmt::Kind::kLoop) removed += erase_stores(stmt.body, dead);
-  }
-  auto gone = std::remove_if(body.begin(), body.end(), [&](const Stmt& stmt) {
-    if (stmt.kind != Stmt::Kind::kText || !stmt.is_store) return false;
-    const std::string* buf = first_access(stmt, true);
-    return buf != nullptr && dead.count(*buf) > 0;
-  });
-  removed += static_cast<int>(body.end() - gone);
-  body.erase(gone, body.end());
-  return removed;
-}
-
-/// Deletes eligible buffers that are never read and only written by pure
-/// store lines, together with those lines.  Declarations are visited in
-/// order; deleting a buffer's store lines deletes their reads too, so a
-/// buffer declared later may become dead in turn.
-void eliminate_dead_buffers(TranslationUnit& tu, PassStats& stats) {
-  BufferUses uses;
-  for (const BufferDecl& decl : tu.buffers) {
-    if (decl.arena_eligible && !decl.is_const) uses.try_emplace(decl.name);
-  }
-  collect_buffer_use(tu.init.body, uses);
-  collect_buffer_use(tu.step.body, uses);
-  std::set<std::string> dead;
-  for (std::size_t i = 0; i < tu.buffers.size();) {
-    auto it = uses.find(tu.buffers[i].name);
-    if (it == uses.end() || it->second.reads > 0 || it->second.non_store_write) {
-      ++i;
-      continue;
-    }
-    for (BufferUse* read : it->second.store_line_reads) --read->reads;
-    dead.insert(it->first);
-    tu.buffers.erase(tu.buffers.begin() + static_cast<std::ptrdiff_t>(i));
-    ++stats.buffers_eliminated;
-  }
-  if (dead.empty()) return;
-  stats.copies_elided += erase_stores(tu.init.body, dead);
-  stats.copies_elided += erase_stores(tu.step.body, dead);
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +586,6 @@ void reuse_arena(TranslationUnit& tu, PassStats& stats) {
   }
   tu.buffers = std::move(rebuilt);
 
-  stats.buffers_rebound = static_cast<int>(slot_of.size());
   if (before_bytes > after_bytes) {
     stats.arena_bytes_saved = before_bytes - after_bytes;
   }
@@ -1039,14 +890,13 @@ void fuse_loops(TranslationUnit& tu, PassStats& stats) {
   fuse_same_shape(tu.step.body, stats);
 }
 
+/// Scalar loops only: a vector body keeps its intermediates in registers,
+/// and a predicated body's masked loads and stores are not copies.
 void forward_copies(TranslationUnit& tu, PassStats& stats) {
   for (Stmt& stmt : tu.step.body) {
-    if (stmt.kind != Stmt::Kind::kLoop) continue;
-    if (stmt.predicated) continue;  // masked loads/stores are not copies
-    if (stmt.vector_loop || stmt.single_iteration) {
-      forward_vector(stmt, stats);
-    } else {
-      forward_scalar(stmt);
+    if (stmt.kind == Stmt::Kind::kLoop && !stmt.vector_loop &&
+        !stmt.single_iteration && !stmt.predicated) {
+      forward_scalar(stmt, stats);
     }
   }
 }
@@ -1063,8 +913,7 @@ struct Pass {
 constexpr Pass kPipeline[] = {
     HCG_PASS(fuse_loops, 1),
     HCG_PASS(fuse_cross_scale, 2),
-    HCG_PASS(forward_copies, 1),
-    HCG_PASS(eliminate_dead_buffers, 1),
+    HCG_PASS(forward_copies, 2),
     HCG_PASS(reuse_arena, 0),
     HCG_PASS(localize_strips, 2),
 };

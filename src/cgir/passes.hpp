@@ -6,8 +6,7 @@
 //   pass                     from  effect
 //   fuse_loops               -O1   region loop fusion
 //   fuse_cross_scale         -O2   producer-consumer fusion across scales
-//   forward_copies           -O1   copy forwarding
-//   eliminate_dead_buffers   -O1   dead-copy elimination
+//   forward_copies           -O2   scalar copy forwarding
 //   reuse_arena              -O0   arena reuse (the only buffer allocator)
 //   localize_strips          -O2   strip-body lane localization
 //
@@ -17,18 +16,21 @@
 //     A later loop merges into an earlier one only when every statement
 //     between them is independent of the later loop; those statements stay
 //     where they are, behind the merged loop, and nothing is reordered.
+//     A later line may redefine an earlier local only as a shared load
+//     (same text, from a buffer the earlier loop does not store), and the
+//     merge drops it, so no pass is left a duplicate definition to remove.
 //   * Cross-scale fusion — a conventional scalar loop over [0, n) that could
 //     not join a batch region strip-mines into the shape of an adjacent
 //     vector loop over the same width (outer loop strides by the vector
 //     step, a strip_mined inner lane loop covers the gap), then the
 //     same-shape fuser merges the pair.  A strip-mine that fails to fuse is
 //     rolled back.
-//   * Copy forwarding — inside fused vector loops, a load of a buffer that
-//     an earlier line in the same body stored becomes a rename of the
-//     stored vector variable; inside scalar remainder loops, `buf[i]`
-//     reads of a just-stored element become the stored scalar variable.
-//   * Dead-copy elimination — handoff buffers left with stores but no
-//     remaining reads are deleted together with their declarations.
+//   * Copy forwarding — inside scalar loops, `buf[i]` reads of an element
+//     an earlier line of the same body stored become the stored scalar
+//     variable.  It finds work where cross-scale fusion merged a scalar
+//     cover into a region's remainder loop.  Vector bodies keep a region's
+//     intermediates in registers already (Algorithm 2), so they are left
+//     alone.
 //   * Arena reuse — intermediate signal buffers whose live ranges (first
 //     write to last access, at whole-statement granularity) do not overlap
 //     rebind onto shared arena slots, shrinking static footprint.  It is the
@@ -98,9 +100,7 @@ struct PassTime {
 /// What the pipeline did, for the obs report.
 struct PassStats {
   int loops_fused = 0;          // number of merge events (N loops -> N-1)
-  int copies_elided = 0;        // forwarded loads / dead stores removed
-  int buffers_eliminated = 0;   // handoff buffers deleted outright
-  int buffers_rebound = 0;      // buffers renamed onto arena slots
+  int copies_elided = 0;        // shared loads dropped + scalar reads forwarded
   std::size_t arena_bytes_saved = 0;
   // ---- -O2 ------------------------------------------------------------
   int cross_scale_fused = 0;    // strip-mined loops merged into vector loops

@@ -5,7 +5,8 @@
 // emitter itself only lowers.  Lowering gives every signal its
 // own buffer; the arena pass (cgir/passes.hpp) alone decides which of them
 // share storage, at every -O level: at -O0 it is the only pass, -O1 adds
-// loop fusion and copy forwarding before it, -O2 the restructuring passes.
+// loop fusion before it, -O2 the restructuring passes and scalar copy
+// forwarding.
 #include <set>
 
 #include "actors/catalog.hpp"

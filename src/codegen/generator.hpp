@@ -46,18 +46,17 @@ struct EmitConfig {
   /// arena pass rebinds them onto shared slots at every opt level.
   bool reuse_buffers = false;
   /// Optimization level for the cgir pass pipeline run over the lowered
-  /// translation unit; it alone picks the passes (cgir/passes.hpp).
+  /// translation unit; it alone picks the passes (cgir/passes.hpp).  The
+  /// baseline factories leave it at 0.
   /// 0 = no restructuring (only the arena pass, which rebinds nothing
   ///     unless reuse_buffers is set);
-  /// 1 = region loop fusion + copy forwarding + dead-buffer elimination
-  ///     (eliminate_dead_buffers), then the arena pass;
-  /// 2 = additionally cross-scale producer-consumer fusion (strip-mining)
-  /// and strip-body lane localization.
+  /// 1 = region loop fusion, then the arena pass;
+  /// 2 = additionally cross-scale producer-consumer fusion (strip-mining),
+  ///     scalar copy forwarding and strip-body lane localization.
   int opt_level = 0;
   /// When non-empty, capture a "cgir-v2" dump of the unit as it stood
   /// right after the named pass ("lower", "fuse_loops", "fuse_cross_scale",
-  /// "forward_copies", "eliminate_dead_buffers", "reuse_arena",
-  /// "localize_strips") into
+  /// "forward_copies", "reuse_arena", "localize_strips") into
   /// GeneratedCode::cgir_dump_after (the `hcgc --dump-cgir-after=<pass>`
   /// surface).  "final" captures the unit exactly as printed, after any
   /// profiling instrumentation (the `hcgc --dump-cgir` surface).
@@ -131,9 +130,11 @@ class Generator {
 
 /// The HCG generator (this paper): Algorithm 1 + Algorithm 2 against the
 /// given instruction table.  The history is shared across calls.
-/// `opt_level` selects the cgir pass pipeline (default -O1).  In all three
-/// factories `dump_cgir_after` is EmitConfig::dump_cgir_after: the
-/// checkpoint to snapshot, or empty.
+/// `opt_level` selects the cgir pass pipeline (default -O1); the two
+/// baselines always run the -O0 pipeline (the arena pass only), so their
+/// code keeps the round trips through memory the paper compares against.
+/// In all three factories `dump_cgir_after` is EmitConfig::dump_cgir_after:
+/// the checkpoint to snapshot, or empty.
 std::unique_ptr<Generator> make_hcg_generator(const isa::VectorIsa& isa,
                                               synth::SelectionHistory* history = nullptr,
                                               synth::BatchOptions batch_options = {},
@@ -145,11 +146,11 @@ std::unique_ptr<Generator> make_hcg_generator(const isa::VectorIsa& isa,
 /// unrolled scalar statements (Figure 2), generic intensive functions.
 /// `scattered_isa` enables the per-actor scattered-SIMD mode of §4.2.
 std::unique_ptr<Generator> make_simulink_generator(
-    const isa::VectorIsa* scattered_isa = nullptr, int opt_level = 0,
+    const isa::VectorIsa* scattered_isa = nullptr,
     std::string dump_cgir_after = {});
 
 /// DFSynth-like baseline: per-actor loop code, generic intensive functions.
 std::unique_ptr<Generator> make_dfsynth_generator(
-    int opt_level = 0, std::string dump_cgir_after = {});
+    std::string dump_cgir_after = {});
 
 }  // namespace hcg::codegen

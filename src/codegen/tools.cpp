@@ -52,10 +52,9 @@ class HcgGenerator final : public Generator {
 
 class SimulinkGenerator final : public Generator {
  public:
-  SimulinkGenerator(const isa::VectorIsa* scattered_isa, int opt_level,
+  SimulinkGenerator(const isa::VectorIsa* scattered_isa,
                     std::string dump_cgir_after)
       : scattered_isa_(scattered_isa),
-        opt_level_(opt_level),
         dump_cgir_after_(std::move(dump_cgir_after)) {}
 
   std::string name() const override { return "simulink"; }
@@ -74,21 +73,19 @@ class SimulinkGenerator final : public Generator {
     config.fold_scalar_expressions = true;
     config.reuse_buffers = true;
     config.select_intensive = false;  // generic intensive functions
-    config.opt_level = opt_level_;
     config.dump_cgir_after = dump_cgir_after_;
     return emit_model(model, config);
   }
 
  private:
   const isa::VectorIsa* scattered_isa_;
-  int opt_level_;
   std::string dump_cgir_after_;
 };
 
 class DfsynthGenerator final : public Generator {
  public:
-  DfsynthGenerator(int opt_level, std::string dump_cgir_after)
-      : opt_level_(opt_level), dump_cgir_after_(std::move(dump_cgir_after)) {}
+  explicit DfsynthGenerator(std::string dump_cgir_after)
+      : dump_cgir_after_(std::move(dump_cgir_after)) {}
 
   std::string name() const override { return "dfsynth"; }
 
@@ -99,13 +96,11 @@ class DfsynthGenerator final : public Generator {
     config.fold_scalar_expressions = false;
     config.reuse_buffers = false;
     config.select_intensive = false;  // generic intensive functions
-    config.opt_level = opt_level_;
     config.dump_cgir_after = dump_cgir_after_;
     return emit_model(model, config);
   }
 
  private:
-  int opt_level_;
   std::string dump_cgir_after_;
 };
 
@@ -122,16 +117,13 @@ std::unique_ptr<Generator> make_hcg_generator(const isa::VectorIsa& isa,
 }
 
 std::unique_ptr<Generator> make_simulink_generator(
-    const isa::VectorIsa* scattered_isa, int opt_level,
-    std::string dump_cgir_after) {
-  return std::make_unique<SimulinkGenerator>(scattered_isa, opt_level,
+    const isa::VectorIsa* scattered_isa, std::string dump_cgir_after) {
+  return std::make_unique<SimulinkGenerator>(scattered_isa,
                                              std::move(dump_cgir_after));
 }
 
-std::unique_ptr<Generator> make_dfsynth_generator(
-    int opt_level, std::string dump_cgir_after) {
-  return std::make_unique<DfsynthGenerator>(opt_level,
-                                            std::move(dump_cgir_after));
+std::unique_ptr<Generator> make_dfsynth_generator(std::string dump_cgir_after) {
+  return std::make_unique<DfsynthGenerator>(std::move(dump_cgir_after));
 }
 
 }  // namespace hcg::codegen

@@ -24,14 +24,11 @@ std::unique_ptr<codegen::Generator> make_variant_tool(const Variant& v) {
     return codegen::make_hcg_generator(isa::builtin(v.isa), nullptr, {},
                                        v.opt_level);
   }
-  if (v.tool == "simulink") {
-    return codegen::make_simulink_generator(nullptr, v.opt_level);
-  }
+  if (v.tool == "simulink") return codegen::make_simulink_generator();
   if (v.tool == "simulink-sc") {
-    return codegen::make_simulink_generator(&isa::builtin(v.isa),
-                                            v.opt_level);
+    return codegen::make_simulink_generator(&isa::builtin(v.isa));
   }
-  if (v.tool == "dfsynth") return codegen::make_dfsynth_generator(v.opt_level);
+  if (v.tool == "dfsynth") return codegen::make_dfsynth_generator();
   throw InternalError("fuzz: unknown variant tool '" + v.tool + "'");
 }
 

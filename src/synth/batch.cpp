@@ -244,7 +244,7 @@ class BatchSynthesizer {
           cgir::Stmt::line(isa::substitute_tokens(load->code, repl));
       stmt.defines = external_var(static_cast<int>(x));
       // Predicated loads read through a mask; they are not the plain
-      // `v = vld(&buf[i])` shape copy forwarding may rewrite.
+      // `v = vld(&buf[i])` shape loop fusion may drop as a shared load.
       stmt.is_load = !predicated_;
       body.push_back(std::move(stmt));
     }

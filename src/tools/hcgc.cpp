@@ -2,7 +2,7 @@
 //
 //   hcgc generate <model.xml> [--tool hcg|simulink|dfsynth] [--isa NAME|FILE]
 //                 [--out FILE] [--history FILE] [--threshold N] [--scattered]
-//                 [--report FILE] [-O0|-O1|-O2]
+//                 [--report FILE] [-O0|-O1|-O2 (hcg only)]
 //                 [--dump-cgir] [--dump-cgir-after=PASS]
 //   hcgc inspect  <model.xml> [--isa NAME|FILE]
 //   hcgc lint     <model.xml> [--isa NAME|FILE] [--threshold N]
@@ -41,22 +41,23 @@
 //   HCG_LOG         log threshold: debug|info|warn|error|off.
 //
 // Optimization (docs/CODEGEN_IR.md):
-//   -O0 | -O1 | -O2 cgir pass pipeline level; the level alone picks the
-//                   passes (cgir/passes.hpp).  -O0 (the baseline tools'
-//                   default) only rebinds intermediate buffers into a
-//                   shared arena (hcg and simulink; dfsynth keeps one buffer
-//                   per signal); -O1 (the hcg default) also fuses
-//                   batch-region loops and forwards loads into stores; -O2
+//   -O0 | -O1 | -O2 cgir pass pipeline level of --tool hcg; the level
+//                   alone picks the passes (cgir/passes.hpp).  -O0 only
+//                   rebinds intermediate buffers into a shared arena; -O1
+//                   (the default) also fuses batch-region loops; -O2
 //                   additionally strip-mines scalar loops into adjacent
-//                   vector loops (cross-scale fusion) and localizes
-//                   strip-mined lane loops.
+//                   vector loops (cross-scale fusion), forwards scalar
+//                   stores into later reads of the same body and localizes
+//                   strip-mined lane loops.  The baseline tools always run
+//                   the -O0 pipeline (dfsynth keeps one buffer per signal);
+//                   -O1/-O2 with them is a usage error.
 //   --dump-cgir     print the "cgir-v2" serialization of the unit exactly
 //                   as printed (after the passes and any --profile-gen
 //                   instrumentation) instead of C source.
 //   --dump-cgir-after=PASS
 //                   print the "cgir-v2" snapshot taken right after PASS ran
 //                   (lower, fuse_loops, fuse_cross_scale, forward_copies,
-//                   eliminate_dead_buffers, reuse_arena, localize_strips)
+//                   reuse_arena, localize_strips)
 //                   instead of C source.  Errors when the pass never ran at
 //                   the chosen -O level.
 //
@@ -125,8 +126,8 @@ int usage() {
                "  hcgc generate <model.xml> [--tool hcg|simulink|dfsynth]\n"
                "                [--isa NAME|FILE] [--out FILE]\n"
                "                [--history FILE] [--threshold N] [--scattered]\n"
-               "                [--report FILE] [-O0|-O1|-O2] [--dump-cgir]\n"
-               "                [--dump-cgir-after=PASS]\n"
+               "                [--report FILE] [-O0|-O1|-O2 (hcg only)]\n"
+               "                [--dump-cgir] [--dump-cgir-after=PASS]\n"
                "  hcgc inspect  <model.xml> [--isa NAME|FILE]\n"
                "  hcgc lint     <model.xml> [--isa NAME|FILE] [--threshold N]\n"
                "                [--Werror] [--no-remarks] [--sarif FILE]\n"
@@ -162,7 +163,7 @@ struct Options {
   std::string history_path;
   std::string report_path;
   int threshold = 0;
-  int opt_level = -1;  // -1 = the tool's default (hcg: 1, baselines: 0)
+  int opt_level = -1;  // -1 = the default (hcg: 1; the baselines run -O0)
   bool dump_cgir = false;
   std::string dump_cgir_after;  // pass name to snapshot; empty = off
   bool scattered = false;
@@ -315,6 +316,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       throw Error("unexpected argument " + arg);
     }
   }
+  if ((opt.tool == "simulink" || opt.tool == "dfsynth") && opt.opt_level > 0) {
+    throw Error("-O" + std::to_string(opt.opt_level) +
+                " applies to --tool hcg only; " + opt.tool +
+                " runs the -O0 pipeline");
+  }
   return true;
 }
 
@@ -343,13 +349,12 @@ std::unique_ptr<codegen::Generator> make_tool(const Options& opt,
   if (opt.profile_gen) {
     throw Error("--profile-gen is only supported with --tool hcg");
   }
-  const int level = opt.opt_level < 0 ? 0 : opt.opt_level;
   if (opt.tool == "simulink") {
     return codegen::make_simulink_generator(opt.scattered ? &table : nullptr,
-                                            level, dump_cgir_after);
+                                            dump_cgir_after);
   }
   if (opt.tool == "dfsynth") {
-    return codegen::make_dfsynth_generator(level, dump_cgir_after);
+    return codegen::make_dfsynth_generator(dump_cgir_after);
   }
   throw Error("unknown tool '" + opt.tool + "' (hcg|simulink|dfsynth)");
 }

@@ -310,10 +310,10 @@ TEST(CgirVerifier, DuplicateLocal_HCG302) {
   EXPECT_EQ(diags[0].code, "HCG302");
 }
 
-TEST(CgirVerifier, PendingHandoffLoadIsTolerated) {
-  // The one sanctioned HCG302 exception: after loop fusion a pure load may
-  // redefine the producer's register to read a buffer stored earlier in the
-  // same fused body (copy forwarding erases it next).
+TEST(CgirVerifier, RedefinedHandoffLoadIsAnError) {
+  // HCG302 has no exception: a pure load that redefines the producer's
+  // register to read a buffer stored earlier in the same body is a
+  // duplicate like any other.  No pass leaves one for a later pass.
   cgir::TranslationUnit tu = valid_unit();
   cgir::BufferDecl tmp = tu.buffers[0];
   tmp.name = "tmp";
@@ -336,13 +336,12 @@ TEST(CgirVerifier, PendingHandoffLoadIsTolerated) {
   body.push_back(def);
   body.push_back(store);
   body.push_back(load);
-  EXPECT_TRUE(analysis::verify_unit(tu).empty());
-
-  // Without the earlier store of tmp the same load is a real duplicate.
-  body.erase(body.end() - 2);
   const auto diags = analysis::verify_unit(tu);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, "HCG302");
+  EXPECT_NE(diags[0].message.find("local 'v' is defined twice"),
+            std::string::npos)
+      << diags[0].message;
 }
 
 TEST(CgirVerifier, LoopCoverage_HCG303) {
@@ -458,7 +457,7 @@ TEST(CgirVerifier, RequireValidUnitNamesTheBreakingPass) {
   }
 }
 
-// ---- verifier wired into the -O1 pipeline -----------------------------------
+// ---- verifier wired into the -O2 pipeline -----------------------------------
 
 /// Arms a fault spec for the test body, disarming afterwards.
 struct ArmedFaults {
@@ -468,12 +467,11 @@ struct ArmedFaults {
   ~ArmedFaults() { faults::Registry::instance().clear(); }
 };
 
-codegen::EmitConfig verified_simulink_config() {
+codegen::EmitConfig verified_hcg_config() {
   codegen::EmitConfig config;
-  config.tool_name = "simulink";
-  config.batch_mode = codegen::BatchMode::kScattered;
+  config.batch_mode = codegen::BatchMode::kRegions;
   config.isa = &isa::builtin("neon_sim");
-  config.opt_level = 1;
+  config.opt_level = 2;
   config.reuse_buffers = true;
   config.verify_cgir = true;
   return config;
@@ -482,10 +480,10 @@ codegen::EmitConfig verified_simulink_config() {
 TEST(VerifiedPipeline, CleanRunRecordsEveryCheckpoint) {
   const Model model = resolved(benchmodels::batch_chain_model(3, 64));
   const codegen::GeneratedCode code =
-      codegen::emit_model(model, verified_simulink_config());
+      codegen::emit_model(model, verified_hcg_config());
   const std::vector<std::string> expected = {
-      "lower", "fuse_loops", "forward_copies", "eliminate_dead_buffers",
-      "reuse_arena"};
+      "lower",          "fuse_loops",  "fuse_cross_scale",
+      "forward_copies", "reuse_arena", "localize_strips"};
   EXPECT_EQ(code.report.verified_passes, expected);
 }
 
@@ -496,7 +494,7 @@ TEST(VerifiedPipeline, BrokenPassIsCaughtAndNamed) {
     ArmedFaults armed(std::string("cgir.pass:") + pass + "=fail");
     const Model model = resolved(benchmodels::batch_chain_model(3, 64));
     try {
-      codegen::emit_model(model, verified_simulink_config());
+      codegen::emit_model(model, verified_hcg_config());
       FAIL() << "expected CodegenError for corrupted pass " << pass;
     } catch (const CodegenError& e) {
       const std::string what = e.what();
@@ -526,7 +524,7 @@ TEST(VerifiedPipeline, VerifierOffDoesNotThrowOnCorruption) {
   // verifier, not the emitter, is what catches it.
   VerifyEnvOff env_off;
   ArmedFaults armed("cgir.pass:fuse_loops=fail");
-  codegen::EmitConfig config = verified_simulink_config();
+  codegen::EmitConfig config = verified_hcg_config();
   config.verify_cgir = false;
   const Model model = resolved(benchmodels::batch_chain_model(3, 64));
   EXPECT_NO_THROW(codegen::emit_model(model, config));
@@ -834,10 +832,10 @@ TEST_F(LintCli, BrokenPassNamedThroughCli) {
   <connect from="s" to="y"/>
 </model>)");
   const CliResult r = run_lint_cli(
-      "generate --verify-cgir --isa neon_sim " + model,
-      "HCG_FAULTS=\"cgir.pass:eliminate_dead_buffers=fail\" ");
+      "generate --verify-cgir --isa neon_sim -O2 " + model,
+      "HCG_FAULTS=\"cgir.pass:forward_copies=fail\" ");
   EXPECT_EQ(r.exit_code, 6);
-  EXPECT_NE(r.output.find("after pass 'eliminate_dead_buffers'"),
+  EXPECT_NE(r.output.find("after pass 'forward_copies'"),
             std::string::npos);
   EXPECT_NE(r.output.find("HCG3"), std::string::npos);
 }

@@ -1,7 +1,7 @@
 // Unit tests for the cgir code-generation IR: the deterministic printer, the
 // cgir-v2 dump/parse round-trip, and the optimization passes (region loop
-// fusion, copy forwarding, dead-buffer elimination, arena reuse, cross-scale
-// strip-mining, lane localization) on hand-built translation units.
+// fusion, scalar copy forwarding, arena reuse, cross-scale strip-mining, lane
+// localization) on hand-built translation units.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -619,29 +619,40 @@ TEST(CgirFusion, NearestCandidateRejectedFartherOneMerges) {
 // Copy forwarding
 // ---------------------------------------------------------------------------
 
-TEST(CgirForward, VectorLoadOfStoredBufferIsForwarded) {
-  // Region A stores sig_t; region B (fused behind it) reloads it.  The load
-  // disappears and B's uses read A's register directly.
+TEST(CgirForward, VectorReloadOfStoredBufferStays) {
+  // Region B reloads the sig_t region A stores.  Algorithm 2 keeps a
+  // region's own intermediates in registers, so no pass forwards a vector
+  // reload: even at -O2 the fused body keeps the load and the buffer.
   TranslationUnit tu = unit_with_step(
-      {vloop(0, 64, 4,
-             {load("a_b", "in_a"), store("sig_t", "a_b"), load("t_b", "sig_t"),
-              calc("q_b", "vaddq_f32", {"t_b", "t_b"}),
+      {vloop(0, 64, 4, {load("a_b", "in_a"), store("sig_t", "a_b")}),
+       vloop(0, 64, 4,
+             {load("t_b", "sig_t"), calc("q_b", "vaddq_f32", {"t_b", "t_b"}),
               store("out_q", "q_b")})},
       {f32_buffer("sig_t", 64)});
-  PassStats stats = run_passes(tu, {});
-  EXPECT_GE(stats.copies_elided, 1);
-  // The store to sig_t is now dead (nothing reads the buffer) and the
-  // declaration goes with it.
-  EXPECT_EQ(stats.buffers_eliminated, 1);
-  EXPECT_TRUE(tu.buffers.empty());
+  PassOptions options;
+  options.opt_level = 2;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.loops_fused, 1);
+  EXPECT_EQ(stats.copies_elided, 0);
   EXPECT_EQ(printed_step(tu),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
             "  for (int i = 0; i < 64; i += 4) {\n"
             "    float32x4_t a_b = vld1q_f32(&in_a[i]);\n"
-            "    float32x4_t q_b = vaddq_f32(a_b, a_b);\n"
+            "    vst1q_f32(&buf0[i], a_b);\n"
+            "    float32x4_t t_b = vld1q_f32(&buf0[i]);\n"
+            "    float32x4_t q_b = vaddq_f32(t_b, t_b);\n"
             "    vst1q_f32(&out_q[i], q_b);\n"
             "  }\n"
             "}\n");
+
+  // A reload into the producer's own register would define a_b twice, so
+  // the two loops do not merge: only a shared load may repeat a local.
+  TranslationUnit same_name = unit_with_step(
+      {vloop(0, 64, 4, {load("a_b", "in_a"), store("sig_t", "a_b")}),
+       vloop(0, 64, 4, {load("a_b", "sig_t"), store("out_q", "a_b")})},
+      {f32_buffer("sig_t", 64)});
+  EXPECT_EQ(run_passes(same_name, options).loops_fused, 0);
+  EXPECT_EQ(same_name.step.body.size(), 2u);
 }
 
 TEST(CgirForward, ScalarRemainderReadIsForwarded) {
@@ -660,11 +671,19 @@ TEST(CgirForward, ScalarRemainderReadIsForwarded) {
   loop.fusible = true;
   loop.body = {st, rd};
   TranslationUnit tu = unit_with_step({loop}, {f32_buffer("sig_t", 64)});
-  PassStats stats = run_passes(tu, {});
+  PassOptions options;
+  options.opt_level = 2;
+  PassStats stats = run_passes(tu, options);
   EXPECT_EQ(print_text(tu.step.body[0].body.back()), "out_q[i] = a_s * 2.0f;");
   EXPECT_EQ(access_list(tu.step.body[0].body.back()),
             std::vector<std::string>{"out_q:we"});
-  EXPECT_EQ(stats.buffers_eliminated, 1);  // sig_t no longer read
+  EXPECT_EQ(stats.copies_elided, 1);  // one swapped read
+
+  // forward_copies runs from -O2: at -O1 the read stays.
+  TranslationUnit at_o1 = unit_with_step({loop}, {f32_buffer("sig_t", 64)});
+  EXPECT_EQ(run_passes(at_o1, {}).copies_elided, 0);
+  EXPECT_EQ(print_text(at_o1.step.body[0].body.back()),
+            "out_q[i] = buf0[i] * 2.0f;");
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +706,7 @@ TEST(CgirArena, RebindsDisjointLiveRanges) {
   ASSERT_EQ(tu.buffers.size(), 1u);
   EXPECT_EQ(tu.buffers[0].name, "buf0");
   EXPECT_EQ(tu.buffers[0].components, 16);
-  EXPECT_EQ(stats.buffers_rebound, 2);
+  EXPECT_EQ(stats.arena_bindings.size(), 2u);
   EXPECT_EQ(stats.arena_bytes_saved, (8u + 16u) * 4u - 16u * 4u);
   EXPECT_EQ(print_text(tu.step.body[0]), "kernel_a(in_x, buf0);");
   EXPECT_EQ(print_text(tu.step.body[2]), "kernel_b(in_y, buf0);");
@@ -728,7 +747,7 @@ TEST(CgirArena, RenameIsIdentifierExact) {
   PassOptions options;
   options.opt_level = 0;
   PassStats stats = run_passes(tu, options);
-  EXPECT_EQ(stats.buffers_rebound, 3);
+  EXPECT_EQ(stats.arena_bindings.size(), 3u);
   EXPECT_EQ(printed_step(tu),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
             "  kernel_a(in_x, buf0, sig_a_len, xsig_a);\n"
@@ -772,10 +791,9 @@ TEST(CgirArena, IneligibleAndConstBuffersAreUntouched) {
 // through every pass that rewrites references.
 // ---------------------------------------------------------------------------
 
-TEST(CgirTokens, VectorForwardingAndArenaRenameKeepPrefixNames) {
-  // t_b forwards to buf1_b (a local named after buf1), and the arena renames
-  // buf1 -> buf0 and buf10 -> buf1 at once: neither rename may touch the
-  // other name, the locals, or in_ab.
+TEST(CgirTokens, VectorBodyArenaRenameKeepsPrefixNames) {
+  // The arena renames buf1 -> buf0 and buf10 -> buf1 at once: neither
+  // rename may touch the other name, the locals named after buf1, or in_ab.
   TranslationUnit tu = unit_with_step(
       {vloop(0, 64, 4,
              {load("in_a_b", "in_a"), load("in_ab_b", "in_ab"),
@@ -787,8 +805,7 @@ TEST(CgirTokens, VectorForwardingAndArenaRenameKeepPrefixNames) {
        kernel_call("consume", "buf10", "out_p")},
       {f32_buffer("buf1", 64), f32_buffer("buf10", 64)});
   PassStats stats = run_passes(tu, {});
-  EXPECT_EQ(stats.copies_elided, 1);
-  EXPECT_EQ(stats.buffers_rebound, 2);
+  EXPECT_EQ(stats.arena_bindings.size(), 2u);
   EXPECT_EQ(printed_step(tu),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
             "  for (int i = 0; i < 64; i += 4) {\n"
@@ -796,7 +813,8 @@ TEST(CgirTokens, VectorForwardingAndArenaRenameKeepPrefixNames) {
             "    float32x4_t in_ab_b = vld1q_f32(&in_ab[i]);\n"
             "    float32x4_t buf1_b = vaddq_f32(in_a_b, in_ab_b);\n"
             "    vst1q_f32(&buf0[i], buf1_b);\n"
-            "    float32x4_t u_b = vmulq_f32(buf1_b, in_a_b);\n"
+            "    float32x4_t t_b = vld1q_f32(&buf0[i]);\n"
+            "    float32x4_t u_b = vmulq_f32(t_b, in_a_b);\n"
             "    vst1q_f32(&buf1[i], u_b);\n"
             "  }\n"
             "  consume(buf0, out_q);\n"
@@ -805,9 +823,9 @@ TEST(CgirTokens, VectorForwardingAndArenaRenameKeepPrefixNames) {
 }
 
 TEST(CgirTokens, ScalarForwardingSwapsOnlyTheStoredElement) {
-  // buf1[i] was just stored from in_a_s, so its read becomes the local;
-  // buf10[i] and in_ab[i] stay element reads.  buf1 is then dead, and the
-  // arena renames buf10 onto buf0.
+  // -O2: buf1[i] was just stored from in_a_s, so its read becomes the
+  // local; buf10[i] and in_ab[i] stay element reads.  The arena renames
+  // buf10 onto buf0 and buf1 onto buf1.
   Stmt def = Stmt::line({lit("float "), Piece::local("in_a_s"), lit(" = "),
                          Piece::element("in_a", false), lit(" + "),
                          Piece::element("in_ab", false), lit(";")});
@@ -827,13 +845,16 @@ TEST(CgirTokens, ScalarForwardingSwapsOnlyTheStoredElement) {
   TranslationUnit tu = unit_with_step(
       {fill("fill", "buf10"), scalar_loop(0, 3, {def, st, use, out})},
       {f32_buffer("buf1", 3), f32_buffer("buf10", 3)});
-  PassStats stats = run_passes(tu, {});
-  EXPECT_EQ(stats.buffers_eliminated, 1);
+  PassOptions options;
+  options.opt_level = 2;
+  PassStats stats = run_passes(tu, options);
+  EXPECT_EQ(stats.copies_elided, 1);
   EXPECT_EQ(printed_step(tu),
             "void m_step(const void* const* inputs, void* const* outputs) {\n"
             "  fill(buf0);\n"
             "  for (int i = 0; i < 3; ++i) {\n"
             "    float in_a_s = in_a[i] + in_ab[i];\n"
+            "    buf1[i] = in_a_s;\n"
             "    float w_s = in_a_s * buf0[i];\n"
             "    out_p[i] = w_s;\n"
             "  }\n"

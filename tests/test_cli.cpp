@@ -251,9 +251,8 @@ TEST_F(CliFixture, GenerateWritesReportAndTrace) {
     passes.push_back(pass.at("name").string);
     EXPECT_GE(pass.at("ms").number, 0.0) << passes.back();
   }
-  EXPECT_EQ(passes, (std::vector<std::string>{"fuse_loops", "forward_copies",
-                                              "eliminate_dead_buffers",
-                                              "reuse_arena"}));
+  EXPECT_EQ(passes,
+            (std::vector<std::string>{"fuse_loops", "reuse_arena"}));
 }
 
 TEST_F(CliFixture, DumpCgirRoundTripsThroughParse) {
@@ -297,6 +296,22 @@ TEST_F(CliFixture, OptLevelFlagsAreAcceptedAndEquivalentHere) {
   CliResult jobs = run_cli("generate " + model_path_ + " --jobs 4");
   EXPECT_EQ(jobs.exit_code, 2);
   EXPECT_NE(jobs.output.find("unknown option --jobs"), std::string::npos);
+  // The baselines always run the -O0 pipeline; -O0 is accepted, -O1/-O2
+  // are usage errors naming the flag.
+  for (const char* args : {"--tool simulink -O1", "--tool dfsynth -O2",
+                           "--tool simulink --scattered --isa sse -O2"}) {
+    const std::string command(args);
+    const std::string flag = command.substr(command.rfind(' ') + 1);
+    CliResult baseline = run_cli("generate " + model_path_ + " " + command);
+    EXPECT_EQ(baseline.exit_code, 2) << command << "\n" << baseline.output;
+    EXPECT_NE(baseline.output.find("hcgc: " + flag + " applies to --tool hcg"),
+              std::string::npos)
+        << command << "\n" << baseline.output;
+  }
+  CliResult baseline_o0 = run_cli("generate " + model_path_ +
+                                  " --tool dfsynth -O0 --out " +
+                                  (dir_.path() / "df.c").string());
+  EXPECT_EQ(baseline_o0.exit_code, 0) << baseline_o0.output;
 }
 
 TEST_F(CliFixture, O2AcceptedAndOptimizes) {

@@ -335,11 +335,11 @@ TEST(ObsReport, PassesListEveryPassThatRan) {
   const obs::Report o2 = hcg->generate(model).report;
   EXPECT_EQ(pass_names(o2), (std::vector<std::string>{
                                 "fuse_loops", "fuse_cross_scale",
-                                "forward_copies", "eliminate_dead_buffers",
-                                "reuse_arena", "localize_strips"}));
+                                "forward_copies", "reuse_arena",
+                                "localize_strips"}));
   expect_within_opt(o2);
 
-  auto simulink = codegen::make_simulink_generator(nullptr, /*opt_level=*/0);
+  auto simulink = codegen::make_simulink_generator();
   const obs::Report o0 = simulink->generate(model).report;
   EXPECT_EQ(pass_names(o0), std::vector<std::string>{"reuse_arena"});
   expect_within_opt(o0);

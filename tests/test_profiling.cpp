@@ -269,8 +269,7 @@ constexpr PinnedCount kPaperAndFarmCounts[] = {
     {"fir_bench.dfsynth_o0.static_buffer_bytes", 8192},
     {"mixed_pipeline.o2.cross_scale_fused", 1},
     {"mixed_pipeline.o2.simd_instructions", 2},
-    {"highpass_bench.simulink_scattered_o1.copies_elided", 7},
-    {"highpass_bench.simulink_scattered_o1.static_buffer_bytes", 8192},
+    {"mixed_pipeline100.o2.copies_elided", 2},
     {"farm64.precalc_runs", 16},
     {"farm64.dedup_hits", 48},
     {"farm64.o1.loops_fused", 0},
@@ -381,21 +380,14 @@ TEST(CodegenCounts, PaperModelsAndFarm64) {
         static_cast<std::int64_t>(code.simd_instructions.size());
   }
 
-  // The -O1 pipeline on the scattered Simulink-like baseline (one vector
-  // loop per actor): fusion merges the per-actor loops, forwarding drops
-  // the reloads of each handoff buffer, and dead-buffer elimination
-  // deletes the handoff buffers and their stores (3 of the 7 elided
-  // copies), leaving two buffers.  HCG's own regions keep their handoffs in
-  // registers, so no HCG cell gives that pass work.
+  // -O2 scalar copy forwarding: at width 100 cross-scale fusion merges a
+  // scalar body that reads an element it just stored, and forward_copies
+  // swaps that read for the stored local (one of the two elided copies;
+  // the other is a load the fusion shares).
   {
-    const Model model = resolved(benchmodels::highpass_model(1024));
-    const codegen::GeneratedCode code =
-        codegen::make_simulink_generator(&isa::builtin("sse"), 1)
-            ->generate(model);
-    measured["highpass_bench.simulink_scattered_o1.copies_elided"] =
-        code.report.copies_elided;
-    measured["highpass_bench.simulink_scattered_o1.static_buffer_bytes"] =
-        static_cast<std::int64_t>(code.static_buffer_bytes);
+    const Model model = resolved(benchmodels::mixed_pipeline_model(100));
+    measured["mixed_pipeline100.o2.copies_elided"] =
+        emit_hcg(model, "neon_sim", 2).report.copies_elided;
   }
 
   // 64 farm actors over 16 distinct keys: a cold -O1 generation measures
